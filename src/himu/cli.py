@@ -116,7 +116,10 @@ def _config_from_args(args) -> EngineConfig:
 
 
 def _parse_tree_file(path, config: EngineConfig):
-    document = Path(path).read_text(encoding="utf-8")
+    try:
+        document = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TreeSyntaxError(f"tree file is not UTF-8: {exc}") from exc
     return parse_tree(
         document,
         active_experts=config.active_experts,

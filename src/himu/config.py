@@ -11,18 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
+from .compose import DEFAULT_KAPPA
 from .errors import SchemaError
 from .signals import (
     DEFAULT_BANDWIDTHS,
-    SMOOTHING_MODES,
+    DEFAULT_DELTA,
+    DEFAULT_GAMMA,
     NormalizationParams,
     SmoothingParams,
 )
 from .tree import ALL_EXPERTS, DEFAULT_MAX_DEPTH, DEFAULT_MAX_LEAVES, ExpertKind
-
-DEFAULT_GAMMA = 3.0
-DEFAULT_DELTA = 1e-6
-DEFAULT_KAPPA = 2.0
 
 
 @dataclass(frozen=True)

@@ -127,8 +127,9 @@ class ProviderCounters:
 
     scoring_calls[e] increments once per unique (expert, query) pair each
     time a tree is evaluated, so duplicate leaves share a single call and
-    experts absent from the tree stay at zero. Updates are lock-guarded so
-    parallel leaf evaluation keeps counts exact.
+    experts absent from the tree stay at zero. Leaves are evaluated one
+    after another; updates and snapshots still take a lock, so one counter
+    object can be shared by threads that each evaluate a tree.
     """
 
     scoring_calls: dict[ExpertKind, int] = field(

@@ -59,10 +59,14 @@ class Signal:
         return self.values.shape[0]
 
 
+DEFAULT_GAMMA = 3.0
+DEFAULT_DELTA = 1e-6
+
+
 @dataclass(frozen=True)
 class NormalizationParams:
-    gamma: float = 3.0
-    delta: float = 1e-6
+    gamma: float = DEFAULT_GAMMA
+    delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -86,11 +90,14 @@ SMOOTHING_MODES = ("renormalized", "strict")
 class SmoothingParams:
     """Per-expert Gaussian bandwidths in frames; 0 disables smoothing.
 
-    ``mode`` selects boundary handling: ``renormalized`` (default) rescales
-    the truncated in-bounds kernel weights to sum to 1 at every position so
-    constant signals are preserved; ``strict`` applies the analytically
-    normalized kernel over the full timeline, which depresses boundary
-    frames and is kept only for comparison.
+    ``mode`` selects boundary handling: ``renormalized`` (default) truncates
+    the kernel at radius ceil(4*sigma) and rescales the in-bounds weights to
+    sum to 1 at every position so constant signals are preserved;
+    ``strict`` applies the analytically normalized kernel with no boundary
+    correction, which depresses boundary frames and is kept only for
+    comparison. Strict truncates at radius ceil(38.61*sigma), past which
+    every float64 weight is exactly 0, so it equals the sum over the whole
+    timeline.
     """
 
     sigma_by_expert: dict[ExpertKind, float] = field(

@@ -1,4 +1,4 @@
-"""Independent reference implementations used to freeze expected values.
+"""Independent reference computations used to freeze expected values.
 
 Everything here is written as a direct, unoptimized transcription of the
 intended definitions, deliberately sharing no code with the package, so a

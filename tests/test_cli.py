@@ -60,6 +60,11 @@ def test_validate_syntax_error_exit_2(tmp_path, capsys):
     path = write_tree(tmp_path, "{not json")
     assert main(["validate", "--tree", str(path)]) == 2
     assert "[syntax]" in capsys.readouterr().err
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{\x00}\x00")
+    for command in (["validate"], ["select", "--bundle", "absent.json", "--frames", "4"]):
+        assert main(command + ["--tree", str(undecodable)]) == 2
+        assert "error [syntax] at $: " in capsys.readouterr().err
 
 
 def test_validate_empty_file_exit_2(tmp_path):

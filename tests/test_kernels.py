@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -16,59 +12,10 @@ from oracles import (
 RNG = np.random.default_rng(2024)
 
 
-def test_both_variants_registered_for_every_kernel():
-    assert set(_kernels.IMPLEMENTATIONS) == {
-        "smooth_renorm",
-        "smooth_strict",
-        "seq",
-        "right_after",
-    }
-    for variants in _kernels.IMPLEMENTATIONS.values():
-        assert set(variants) == {"numpy", "numba"}
-
-
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0, 3.7])
-@pytest.mark.parametrize("T", [1, 2, 3, 7, 50, 200])
-def test_smooth_renorm_backends_agree(sigma, T):
-    x = RNG.random(T)
-    a = _kernels.IMPLEMENTATIONS["smooth_renorm"]["numpy"](x, sigma)
-    b = _kernels.IMPLEMENTATIONS["smooth_renorm"]["numba"](x, sigma)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0])
-@pytest.mark.parametrize("T", [1, 2, 13, 80])
-def test_smooth_strict_backends_agree(sigma, T):
-    x = RNG.random(T)
-    a = _kernels.IMPLEMENTATIONS["smooth_strict"]["numpy"](x, sigma)
-    b = _kernels.IMPLEMENTATIONS["smooth_strict"]["numba"](x, sigma)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-
-def test_seq_backends_agree():
-    for _ in range(200):
-        L = int(RNG.integers(1, 5))
-        T = int(RNG.integers(1, 60))
-        u = RNG.random((L, T))
-        a = _kernels.IMPLEMENTATIONS["seq"]["numpy"](u)
-        b = _kernels.IMPLEMENTATIONS["seq"]["numba"](u)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-
-def test_right_after_backends_agree():
-    for _ in range(200):
-        T = int(RNG.integers(1, 120))
-        cause = RNG.random(T)
-        effect = RNG.random(T)
-        kappa = float(RNG.uniform(0.1, 5.0))
-        a = _kernels.IMPLEMENTATIONS["right_after"]["numpy"](cause, effect, kappa)
-        b = _kernels.IMPLEMENTATIONS["right_after"]["numba"](cause, effect, kappa)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0])
 def test_smooth_renorm_matches_scalar_oracle(sigma):
-    for T in (1, 2, 5, 9, 64):
+    # T=20 is shorter than the kernel at sigma=3.7 (radius 15)
+    for T in (1, 2, 5, 9, 20, 64):
         x = RNG.random(T)
         np.testing.assert_allclose(
             _kernels.smooth_renorm(x, sigma),
@@ -80,7 +27,8 @@ def test_smooth_renorm_matches_scalar_oracle(sigma):
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0])
 def test_smooth_strict_matches_scalar_oracle(sigma):
-    for T in (1, 3, 17, 40):
+    # T=64 and T=150 reach past the strict truncation radius ceil(38.61*sigma)
+    for T in (1, 3, 17, 40, 64, 150):
         x = RNG.random(T)
         np.testing.assert_allclose(
             _kernels.smooth_strict(x, sigma),
@@ -125,27 +73,3 @@ def test_right_after_matches_direct_sums_quick():
             rtol=0,
             atol=1e-12,
         )
-
-
-def _backend_of(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("HIMU_BACKEND", None)
-    else:
-        env["HIMU_BACKEND"] = env_value
-    proc = subprocess.run(
-        [sys.executable, "-c", "from himu import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return proc
-
-
-def test_backend_env_selection():
-    assert _backend_of("numpy").stdout.strip() == "numpy"
-    auto = _backend_of(None)
-    assert auto.stdout.strip() in ("numpy", "numba")
-    bad = _backend_of("cuda")
-    assert bad.returncode != 0
-    assert "HIMU_BACKEND" in bad.stderr
