@@ -74,6 +74,54 @@ def smooth_strict_scalar(x: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def smooth_renorm_dense(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Renormalized smoothing as one dense T x T truncated weight matrix."""
+    T = x.shape[0]
+    d = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)
+    w = np.where(np.abs(d) <= math.ceil(4.0 * sigma), np.exp(-0.5 * (d / sigma) ** 2), 0.0)
+    return (w @ x) / w.sum(axis=1)
+
+
+def smooth_strict_dense(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Strict smoothing as one dense T x T matrix over the whole timeline."""
+    T = x.shape[0]
+    d = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)
+    w = np.exp(-0.5 * (d / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+    return w @ x
+
+
+def seq_running_max(curves: np.ndarray) -> np.ndarray:
+    """Sequence composition from explicit running maxima and step products."""
+    L, T = curves.shape
+    past = np.zeros((L, T))
+    future = np.zeros((L, T))
+    for j in range(L):
+        for t in range(1, T):
+            past[j, t] = max(past[j, t - 1], curves[j, t - 1])
+        for t in range(T - 2, -1, -1):
+            future[j, t] = max(future[j, t + 1], curves[j, t + 1])
+    out = np.zeros(T)
+    for t in range(T):
+        for step in range(L):
+            term = curves[step, t]
+            for j in range(step):
+                term *= past[j, t]
+            for j in range(step + 1, L):
+                term *= future[j, t]
+            out[t] = max(out[t], term)
+    return out
+
+
+def right_after_dense(cause: np.ndarray, effect: np.ndarray, kappa: float) -> np.ndarray:
+    """Adjacency composition as strictly lower/upper T x T decay matrices."""
+    T = cause.shape[0]
+    d = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)
+    decay = np.exp(-kappa * np.abs(d))
+    s_effect = effect * (np.tril(decay, -1) @ cause)
+    s_cause = cause * (np.triu(decay, 1) @ effect)
+    return np.maximum(s_effect, s_cause)
+
+
 def pass_reference(curve, budget, max_peaks, neighbors_per_peak, window, min_distance):
     """Straight-line transcription of the three-phase selection."""
     values = [float(v) for v in curve]

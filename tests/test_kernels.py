@@ -3,13 +3,64 @@ import pytest
 
 from himu import _kernels
 from oracles import (
+    right_after_dense,
     right_after_direct,
     seq_brute_force,
+    seq_running_max,
+    smooth_renorm_dense,
     smooth_renorm_scalar,
+    smooth_strict_dense,
     smooth_strict_scalar,
 )
 
 RNG = np.random.default_rng(2024)
+
+
+# The *_backends_agree tests check each kernel against a second, independent
+# formulation of the same operator: dense weight matrices for smoothing and
+# adjacency, explicit running maxima for SEQ.
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0, 3.7])
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 50, 200])
+def test_smooth_renorm_backends_agree(sigma, T):
+    x = RNG.random(T)
+    np.testing.assert_allclose(
+        _kernels.smooth_renorm(x, sigma), smooth_renorm_dense(x, sigma), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0])
+@pytest.mark.parametrize("T", [1, 2, 13, 80])
+def test_smooth_strict_backends_agree(sigma, T):
+    x = RNG.random(T)
+    np.testing.assert_allclose(
+        _kernels.smooth_strict(x, sigma), smooth_strict_dense(x, sigma), rtol=0, atol=1e-12
+    )
+
+
+def test_seq_backends_agree():
+    for _ in range(200):
+        L = int(RNG.integers(1, 5))
+        T = int(RNG.integers(1, 60))
+        u = RNG.random((L, T))
+        np.testing.assert_allclose(
+            _kernels.seq_compose(u), seq_running_max(u), rtol=0, atol=1e-12
+        )
+
+
+def test_right_after_backends_agree():
+    for _ in range(200):
+        T = int(RNG.integers(1, 120))
+        cause = RNG.random(T)
+        effect = RNG.random(T)
+        kappa = float(RNG.uniform(0.1, 5.0))
+        np.testing.assert_allclose(
+            _kernels.right_after_compose(cause, effect, kappa),
+            right_after_dense(cause, effect, kappa),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0, 3.7])
