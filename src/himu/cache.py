@@ -1,121 +1,22 @@
-"""Per-video LRU cache for query-independent expert bundles.
+"""On-disk bundle cache written by ``himu select``.
 
-Queries against the same video reuse one loaded bundle, so repeated
-selection runs pay the artifact-loading cost once. Hits, misses, and
-evictions are counted so the reuse contract is observable rather than
-implied. Loads are single-flight: concurrent misses for one key run the
-loader exactly once. Detection scores are query-conditioned and must never
-pass through this cache.
+After a successful run the CLI stores the bundle it was given under its
+content digest, ``<root>/<digest>.bundle.json``, and reports in
+``stats.json`` whether that entry was already there. Entries are never
+read back. The path depends on the digest alone, so nothing from the
+bundle itself can steer the write outside the root. To reuse a bundle
+across questions in one process, load it once and pass it to
+``run_pipeline`` for each question.
 """
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .experts.bundle import ExpertBundle, bundle_digest, load_bundle, save_bundle
+from .experts.bundle import ExpertBundle, save_bundle
 
-DEFAULT_CAPACITY = 8
 CACHE_DIR_ENV = "HIMU_CACHE_DIR"
 
-
-@dataclass(frozen=True)
-class CacheKey:
-    """Identity of a cached bundle: which video, and which content."""
-
-    video_id: str
-    digest: str
-
-    def __post_init__(self):
-        if not self.video_id:
-            raise ValueError("video_id must be nonempty")
-        if not self.digest:
-            raise ValueError("digest must be nonempty")
-
-
-@dataclass
-class CacheStats:
-    """Monotone counters describing cache traffic within a session."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    loader_calls: dict[str, int] = field(default_factory=dict)
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "loader_calls": dict(self.loader_calls),
-        }
-
-
-class BundleCache:
-    """LRU bundle cache with single-flight loading and observable stats."""
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: OrderedDict[CacheKey, ExpertBundle] = OrderedDict()
-        self._stats = CacheStats()
-        self._lock = threading.Lock()
-        self._inflight: dict[CacheKey, threading.Event] = {}
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._stats
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get_or_load(self, key: CacheKey, loader) -> ExpertBundle:
-        """Cached bundle for the key, invoking loader only on first miss.
-
-        Loader failures propagate and leave nothing cached, so a later call
-        retries. While one thread loads a key, other threads asking for the
-        same key wait for that load instead of duplicating it.
-        """
-        while True:
-            with self._lock:
-                bundle = self._entries.get(key)
-                if bundle is not None:
-                    self._entries.move_to_end(key)
-                    self._stats.hits += 1
-                    return bundle
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    self._inflight[key] = threading.Event()
-                    self._stats.misses += 1
-                    break
-            waiter.wait()
-
-        try:
-            bundle = loader()
-            with self._lock:
-                self._entries[key] = bundle
-                self._entries.move_to_end(key)
-                self._stats.loader_calls[key.video_id] = (
-                    self._stats.loader_calls.get(key.video_id, 0) + 1
-                )
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._stats.evictions += 1
-            return bundle
-        finally:
-            with self._lock:
-                self._inflight.pop(key).set()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-# --- optional write-through to disk --------------------------------------------
 
 def cache_root(override=None) -> Path:
     """Disk cache root: explicit override, else the environment, else CWD."""
@@ -127,25 +28,14 @@ def cache_root(override=None) -> Path:
     return Path(".himu-cache")
 
 
-def disk_path(root: Path, key: CacheKey) -> Path:
-    return Path(root) / key.video_id / f"{key.digest}.bundle.json"
+def entry_path(digest: str, root=None) -> Path:
+    """Where the bundle with this content digest is stored."""
+    return cache_root(root) / f"{digest}.bundle.json"
 
 
-def write_through(bundle: ExpertBundle, root=None) -> Path:
+def write_through(bundle: ExpertBundle, digest: str, root=None) -> Path:
     """Persist a bundle under its content digest; returns the file path."""
-    key = CacheKey(bundle.video_id, bundle_digest(bundle))
-    path = disk_path(cache_root(root), key)
+    path = entry_path(digest, root)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_bundle(bundle, path)
     return path
-
-
-def read_through(key: CacheKey, root=None) -> ExpertBundle | None:
-    """Load a bundle from disk if present and still matching its digest."""
-    path = disk_path(cache_root(root), key)
-    if not path.is_file():
-        return None
-    bundle = load_bundle(path)
-    if bundle_digest(bundle) != key.digest:
-        return None
-    return bundle

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cache import CacheKey, cache_root, disk_path, write_through
+from .cache import entry_path, write_through
 from .config import EngineConfig, config_from_obj, load_config
 from .errors import (
     ArityError,
@@ -166,16 +166,8 @@ def cmd_select(args) -> int:
     bundle = loads_bundle(Path(args.bundle).read_text(encoding="utf-8"))
     ovd_source = load_ovd_source(args.ovd) if args.ovd else None
 
-    ingested = 0
-    disk_hit = False
-    if not args.no_cache:
-        key = CacheKey(bundle.video_id, bundle_digest(bundle))
-        cached = disk_path(cache_root(), key)
-        if cached.is_file():
-            disk_hit = True
-        else:
-            write_through(bundle)
-            ingested = 1
+    digest = None if args.no_cache else bundle_digest(bundle)
+    disk_hit = digest is not None and entry_path(digest).is_file()
 
     counters = ProviderCounters()
     result = run_pipeline(
@@ -188,6 +180,12 @@ def cmd_select(args) -> int:
         strategy=args.strategy,
     )
     selection = result.selection
+
+    # Cache the bundle only once a run on it has succeeded.
+    ingested = 0
+    if digest is not None and not disk_hit:
+        write_through(bundle, digest)
+        ingested = 1
 
     selection_obj = {
         "video_id": bundle.video_id,

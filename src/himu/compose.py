@@ -8,6 +8,7 @@ frame, together with the per-leaf attribution matrix that explains it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -113,8 +114,8 @@ def op_right_after(cause, effect, kappa: float = DEFAULT_KAPPA) -> np.ndarray:
     gap). The weighted sums can exceed 1 when the partner signal is broadly
     active, so the result is clamped to [0, 1] to keep composition bounded.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError("kappa must be finite and > 0")
     cause, effect = _as_curves([cause, effect], 2, "RIGHT_AFTER")
     return np.clip(_kernels.right_after_compose(cause, effect, kappa), 0.0, 1.0)
 

@@ -9,6 +9,7 @@ explicit flags override the file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .compose import DEFAULT_KAPPA
@@ -42,18 +43,15 @@ class EngineConfig:
     neighbors_per_peak: int | None = None
     window: int | None = None
     min_distance: int | None = None
-    cache_capacity: int = 8
 
     def __post_init__(self):
         # Delegate range checks to the owning parameter types.
         self.normalization_params()
         self.smoothing_params()
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be finite and > 0")
         if self.max_depth < 1 or self.max_leaves < 1:
             raise ValueError("max_depth and max_leaves must be >= 1")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
         if not self.active_experts:
             raise ValueError("active expert set must be nonempty")
         object.__setattr__(self, "active_experts", frozenset(self.active_experts))
@@ -83,7 +81,6 @@ _SCALAR_KEYS = {
     "neighbors_per_peak": int,
     "window": int,
     "min_distance": int,
-    "cache_capacity": int,
 }
 
 
@@ -115,7 +112,10 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
                     expert = ExpertKind(str(name).upper())
                 except ValueError as exc:
                     raise SchemaError(f"unknown expert {name!r}") from exc
-                sigmas[expert] = float(sigma)
+                try:
+                    sigmas[expert] = float(sigma)
+                except (TypeError, ValueError) as exc:
+                    raise SchemaError(f"bandwidth for {name!r}: {exc}") from exc
             updates["sigma_by_expert"] = sigmas
         elif key == "active_experts":
             if not isinstance(value, list):

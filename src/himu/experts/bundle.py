@@ -215,13 +215,16 @@ def bundle_to_obj(bundle: ExpertBundle) -> dict:
     return obj
 
 
+_CANONICAL_JSON = {"indent": 2, "ensure_ascii": False}
+
+
 def dumps_bundle(bundle: ExpertBundle) -> str:
     """Canonical text form: fixed key order, 2-space indent, repr floats.
 
     Floats use Python's shortest round-trip decimal form, so values survive
     save/load byte-identically.
     """
-    return json.dumps(bundle_to_obj(bundle), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(bundle_to_obj(bundle), **_CANONICAL_JSON) + "\n"
 
 
 def _want(obj: dict, key: str, kinds, what: str):
@@ -333,10 +336,16 @@ def load_bundle(path) -> ExpertBundle:
 
 
 def save_bundle(bundle: ExpertBundle, path) -> None:
-    text = dumps_bundle(bundle)
+    """Write ``dumps_bundle`` text atomically.
+
+    The text is streamed to the file rather than built in memory first, so
+    saving a large bundle adds little to the process's peak memory.
+    """
+    obj = bundle_to_obj(bundle)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        json.dump(obj, fh, **_CANONICAL_JSON)
+        fh.write("\n")
     os.replace(tmp, path)
 
 

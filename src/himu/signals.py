@@ -12,6 +12,7 @@ to co-fire with frame-precise visual peaks under conjunction.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,10 +70,10 @@ class NormalizationParams:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be finite and > 0")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be finite and > 0")
 
 
 DEFAULT_BANDWIDTHS = {
@@ -109,8 +110,8 @@ class SmoothingParams:
         if self.mode not in SMOOTHING_MODES:
             raise ValueError(f"mode must be one of {SMOOTHING_MODES}")
         for expert, sigma in self.sigma_by_expert.items():
-            if sigma < 0:
-                raise ValueError(f"bandwidth for {expert} must be >= 0")
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ValueError(f"bandwidth for {expert} must be finite and >= 0")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,4 @@
-import threading
-import time
-
-import pytest
-
-from himu.cache import BundleCache, CacheKey, cache_root, disk_path, read_through, write_through
+from himu.cache import cache_root, write_through
 from himu.experts import ExpertBundle, ScoreTable, bundle_digest, dumps_bundle, load_bundle
 from himu.tree import ExpertKind
 
@@ -19,124 +14,6 @@ def make_bundle(video_id, value=0.5):
     )
 
 
-def key_for(bundle):
-    return CacheKey(video_id=bundle.video_id, digest=bundle_digest(bundle))
-
-
-def test_hit_after_miss():
-    cache = BundleCache()
-    bundle = make_bundle("v1")
-    key = key_for(bundle)
-    calls = []
-
-    def loader():
-        calls.append(1)
-        return bundle
-
-    assert cache.get_or_load(key, loader) is bundle
-    assert cache.get_or_load(key, loader) is bundle
-    assert len(calls) == 1
-    stats = cache.stats.snapshot()
-    assert stats["misses"] == 1
-    assert stats["hits"] == 1
-    assert stats["loader_calls"] == {"v1": 1}
-
-
-def test_distinct_digests_are_distinct_entries():
-    cache = BundleCache()
-    b1 = make_bundle("v1", 0.25)
-    b2 = make_bundle("v1", 0.75)
-    assert key_for(b1) != key_for(b2)
-    cache.get_or_load(key_for(b1), lambda: b1)
-    cache.get_or_load(key_for(b2), lambda: b2)
-    stats = cache.stats.snapshot()
-    assert stats["misses"] == 2
-    assert stats["loader_calls"] == {"v1": 2}
-
-
-def test_lru_eviction_order():
-    cache = BundleCache(capacity=2)
-    bundles = {v: make_bundle(v) for v in ("v1", "v2", "v3")}
-    loads = {v: 0 for v in bundles}
-
-    def loader(v):
-        def call():
-            loads[v] += 1
-            return bundles[v]
-
-        return call
-
-    keys = {v: key_for(b) for v, b in bundles.items()}
-    cache.get_or_load(keys["v1"], loader("v1"))
-    cache.get_or_load(keys["v2"], loader("v2"))
-    cache.get_or_load(keys["v1"], loader("v1"))  # refresh v1; v2 is now oldest
-    cache.get_or_load(keys["v3"], loader("v3"))  # evicts v2
-    cache.get_or_load(keys["v1"], loader("v1"))  # still cached
-    cache.get_or_load(keys["v2"], loader("v2"))  # reloaded
-    assert loads == {"v1": 1, "v2": 2, "v3": 1}
-    assert cache.stats.snapshot()["evictions"] >= 1
-
-
-def test_single_flight_under_contention():
-    cache = BundleCache()
-    bundle = make_bundle("v1")
-    key = key_for(bundle)
-    calls = []
-    release = threading.Event()
-
-    def slow_loader():
-        calls.append(threading.get_ident())
-        release.wait(timeout=5.0)
-        return bundle
-
-    results = []
-
-    def worker():
-        results.append(cache.get_or_load(key, slow_loader))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    time.sleep(0.1)
-    release.set()
-    for t in threads:
-        t.join(timeout=5.0)
-    assert len(calls) == 1
-    assert len(results) == 8
-    assert all(r is bundle for r in results)
-    assert cache.stats.snapshot()["loader_calls"] == {"v1": 1}
-
-
-def test_failed_load_not_cached_and_retried():
-    cache = BundleCache()
-    bundle = make_bundle("v1")
-    key = key_for(bundle)
-    attempts = []
-
-    def flaky():
-        attempts.append(1)
-        if len(attempts) == 1:
-            raise OSError("transient read failure")
-        return bundle
-
-    with pytest.raises(OSError):
-        cache.get_or_load(key, flaky)
-    assert cache.get_or_load(key, flaky) is bundle
-    assert len(attempts) == 2
-    assert cache.stats.snapshot()["loader_calls"] == {"v1": 1}
-
-
-def test_clear_resets_entries_but_keeps_stats():
-    cache = BundleCache()
-    bundle = make_bundle("v1")
-    key = key_for(bundle)
-    cache.get_or_load(key, lambda: bundle)
-    cache.clear()
-    cache.get_or_load(key, lambda: bundle)
-    stats = cache.stats.snapshot()
-    assert stats["misses"] == 2
-
-
 def test_cache_root_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path / "alt"))
     assert cache_root() == tmp_path / "alt"
@@ -145,23 +22,11 @@ def test_cache_root_env_override(tmp_path, monkeypatch):
 
 def test_disk_round_trip_bit_identical(tmp_path):
     bundle = make_bundle("vid-42", 0.123456789123)
-    key = key_for(bundle)
-    path = write_through(bundle, root=tmp_path)
-    assert path == disk_path(tmp_path, key)
-    assert path.is_file()
-    loaded = read_through(key, root=tmp_path)
-    assert loaded is not None
+    digest = bundle_digest(bundle)
+    path = write_through(bundle, digest, root=tmp_path)
+    assert path == tmp_path / f"{digest}.bundle.json"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_text(encoding="utf-8") == dumps_bundle(bundle)
+    loaded = load_bundle(path)
     assert dumps_bundle(loaded) == dumps_bundle(bundle)
-    assert bundle_digest(loaded) == key.digest
-    assert dumps_bundle(load_bundle(path)) == dumps_bundle(bundle)
-
-
-def test_read_through_rejects_corrupt_or_missing(tmp_path):
-    bundle = make_bundle("v1")
-    key = key_for(bundle)
-    assert read_through(key, root=tmp_path) is None
-    path = write_through(bundle, root=tmp_path)
-    # Tamper: stored content no longer matches the digest in the name.
-    text = path.read_text().replace("0.5", "0.6")
-    path.write_text(text)
-    assert read_through(key, root=tmp_path) is None
+    assert bundle_digest(loaded) == digest

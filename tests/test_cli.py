@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import himu
 from himu.bench import Event, EventScript, generate, save_scripts
 from himu.cli import main
 from himu.experts import dumps_bundle
@@ -168,6 +171,13 @@ def test_select_is_deterministic_byte_for_byte(workspace):
 
 def test_select_disk_cache_witness(workspace):
     tmp_path, tree_path, bundle_path = workspace
+    # A run that fails (no CLIP row for this query) caches nothing.
+    missing_row = write_tree(
+        tmp_path, {"op": "LEAF", "expert": "CLIP", "query": "a blue boat"}
+    )
+    assert main(["select", "--tree", str(missing_row), "--bundle", str(bundle_path),
+                 "--frames", "8", "--out", str(tmp_path / "failed")]) == 1
+    assert list((tmp_path / "cache").rglob("*.bundle.json")) == []
     args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
             "--frames", "8"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -176,6 +186,23 @@ def test_select_disk_cache_witness(workspace):
     second = json.loads((tmp_path / "b" / "stats.json").read_text())["cache"]
     assert first == {"bundle_ingested": 1, "disk_hit": False, "disabled": False}
     assert second == {"bundle_ingested": 0, "disk_hit": True, "disabled": False}
+
+
+def test_select_cache_entry_stays_under_root(workspace, monkeypatch):
+    tmp_path, tree_path, bundle_path = workspace
+    cache_dir = tmp_path / "a" / "b" / "cache"
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(cache_dir))
+    obj = json.loads(bundle_path.read_text(encoding="utf-8"))
+    for i, video_id in enumerate(("../../escaped", str(tmp_path / "absolute"))):
+        bundle = tmp_path / f"hostile-{i}.bundle.json"
+        bundle.write_text(json.dumps({**obj, "video_id": video_id}), encoding="utf-8")
+        out_dir = tmp_path / f"out-{i}"
+        before = set(tmp_path.rglob("*"))
+        assert main(["select", "--tree", str(tree_path), "--bundle", str(bundle),
+                     "--frames", "8", "--out", str(out_dir)]) == 0
+        created = {p for p in set(tmp_path.rglob("*")) - before if p.is_file()}
+        created -= set(out_dir.iterdir())
+        assert [p.parent for p in created] == [cache_dir]
 
 
 def test_select_strategy_flag(workspace):
@@ -202,6 +229,21 @@ def test_select_sigma_flag_changes_curve(workspace):
         ) == 0
         curves[name] = json.loads((out_dir / "curve.json").read_text())["values"]
     assert curves["default"] != curves["wide"]
+
+
+def test_select_rejects_non_finite_knobs(workspace, capsys):
+    tmp_path, tree_path, bundle_path = workspace
+    args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
+            "--frames", "8", "--out", str(tmp_path / "out")]
+    for value in ("inf", "nan"):
+        assert main(args + ["--sigma-clip", value]) == 1
+        assert "error: bandwidth for " in capsys.readouterr().err
+    config_path = tmp_path / "engine.json"
+    config_path.write_text('{"kappa": Infinity}')
+    assert main(args + ["--config", str(config_path)]) == 3
+    assert "error [schema]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 def test_config_file_and_flag_precedence(workspace):
@@ -257,10 +299,14 @@ def test_gen_and_bench_commands(tmp_path, capsys):
 
 def test_console_entry_point(workspace):
     _, tree_path, _ = workspace
+    # The child must import the same himu, installed or not.
+    src = str(Path(himu.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, "-m", "himu.cli", "validate", "--tree", str(tree_path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert proc.returncode == 0
     assert "valid:" in proc.stdout

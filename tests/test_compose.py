@@ -72,8 +72,9 @@ def test_operator_arity_and_length_checks():
         op_seq([a])
     with pytest.raises(LengthMismatchError):
         op_and([a, np.array([0.1, 0.2, 0.3])])
-    with pytest.raises(ValueError):
-        op_right_after(a, a, kappa=0.0)
+    for kappa in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            op_right_after(a, a, kappa=kappa)
 
 
 def test_seq_matches_brute_force():

@@ -17,7 +17,6 @@ def test_defaults():
     assert cfg.smoothing_mode == "renormalized"
     assert cfg.active_experts == frozenset(ALL_EXPERTS)
     assert cfg.strict_schema is True
-    assert cfg.cache_capacity == 8
 
 
 def test_with_overrides_returns_new_config():
@@ -29,16 +28,19 @@ def test_with_overrides_returns_new_config():
 
 
 def test_validation_rejects_bad_values():
-    with pytest.raises(ValueError):
-        EngineConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        EngineConfig(delta=-1.0)
-    with pytest.raises(ValueError):
-        EngineConfig(kappa=0.0)
-    with pytest.raises(ValueError):
-        EngineConfig(smoothing_mode="cubic")
-    with pytest.raises(ValueError):
-        EngineConfig(sigma_by_expert={ExpertKind.CLIP: -0.5})
+    inf, nan = float("inf"), float("nan")
+    bad = [
+        {"gamma": 0.0}, {"gamma": inf}, {"gamma": nan},
+        {"delta": -1.0}, {"delta": inf}, {"delta": nan},
+        {"kappa": 0.0}, {"kappa": inf}, {"kappa": nan},
+        {"smoothing_mode": "cubic"},
+        {"sigma_by_expert": {ExpertKind.CLIP: -0.5}},
+        {"sigma_by_expert": {ExpertKind.CLIP: inf}},
+        {"sigma_by_expert": {ExpertKind.CLIP: nan}},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            EngineConfig(**kwargs)
 
 
 def test_config_from_obj_merges_over_base():
@@ -67,6 +69,9 @@ def test_config_from_obj_rejects_unknowns_and_bad_types():
         config_from_obj({"active_experts": ["clip", "radar"]})
     with pytest.raises(SchemaError):
         config_from_obj({"sigma_by_expert": {"radar": 1.0}})
+    for sigma in ("wide", None, float("inf")):
+        with pytest.raises(SchemaError):
+            config_from_obj({"sigma_by_expert": {"clip": sigma}})
     with pytest.raises(SchemaError):
         config_from_obj(["gamma", 4.0])
 

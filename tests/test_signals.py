@@ -43,12 +43,14 @@ def test_signal_values_are_immutable_copies():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        NormalizationParams(gamma=0.0)
-    with pytest.raises(ValueError):
-        NormalizationParams(delta=0.0)
-    with pytest.raises(ValueError):
-        SmoothingParams(sigma_by_expert={ExpertKind.CLIP: -1.0})
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            NormalizationParams(gamma=bad)
+        with pytest.raises(ValueError):
+            NormalizationParams(delta=bad)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SmoothingParams(sigma_by_expert={ExpertKind.CLIP: bad})
     with pytest.raises(ValueError):
         SmoothingParams(mode="reflect")
 
