@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EngineConfig
-from .errors import BenchmarkError, InvalidScriptError
+from .errors import BenchmarkError, InvalidScriptError, parse_json
 from .experts.bundle import (
     ExpertBundle,
     OcrFrameText,
@@ -410,10 +410,7 @@ def save_scripts(scripts, path) -> None:
 
 def load_scripts(path) -> list[EventScript]:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidScriptError(f"script file is not valid JSON: {exc}") from exc
+        obj = parse_json(fh.read(), InvalidScriptError, "script file")
     if not isinstance(obj, dict) or "scripts" not in obj:
         raise InvalidScriptError("script file must be {format_version, scripts}")
     if obj.get("format_version") != SCRIPT_FORMAT_VERSION:

@@ -6,14 +6,15 @@ benchmark. Selection emits four JSON artifacts (selection, curve,
 attribution, stats) so external tools can plot curves and per-leaf
 heatmaps without any plotting code here.
 
-Exit codes: 0 success; 2 tree syntax; 3 schema; 4 arity; 5 inactive
-expert; 1 any other failure.
+Exit codes: 0 success; 2 tree syntax; 3 schema (tree, config file or
+engine flag); 4 arity; 5 inactive expert; 1 any other failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -27,7 +28,13 @@ from .errors import (
     TreeError,
     TreeSyntaxError,
 )
-from .experts.bundle import bundle_digest, load_ovd_source, loads_bundle
+from .experts.bundle import (
+    bundle_digest,
+    load_ovd_source,
+    loads_bundle,
+    save_bundle,
+    save_ovd_source,
+)
 from .experts.scoring import ProviderCounters
 from .pipeline import STRATEGIES, run_pipeline
 from .tree import ExpertKind, parse_tree
@@ -40,6 +47,18 @@ EXIT_ARITY = 4
 EXIT_INACTIVE_EXPERT = 5
 
 _SIGMA_FLAGS = {f"sigma_{kind.value.lower()}": kind for kind in ExpertKind}
+# argparse destination -> config-file key, for every other engine flag.
+_KEY_FLAGS = {
+    "gamma": "gamma",
+    "delta": "delta",
+    "kappa": "kappa",
+    "smoothing_mode": "smoothing_mode",
+    "strict_schema": "strict_schema",
+    "peaks": "max_peaks",
+    "neighbors": "neighbors_per_peak",
+    "window": "window",
+    "min_dist": "min_distance",
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -77,42 +96,27 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> EngineConfig:
-    config = EngineConfig()
-    if getattr(args, "config", None):
-        config = load_config(args.config, config)
-    overrides: dict = {}
-    for name in ("gamma", "delta", "kappa"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    sigmas = dict(config.sigma_by_expert)
-    sigma_changed = False
-    for flag, kind in _SIGMA_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            sigmas[kind] = value
-            sigma_changed = True
-    if sigma_changed:
-        overrides["sigma_by_expert"] = sigmas
-    if getattr(args, "smoothing_mode", None) is not None:
-        overrides["smoothing_mode"] = args.smoothing_mode
-    if getattr(args, "experts", None):
-        names = [n for n in args.experts.split(",") if n.strip()]
-        overrides["active_experts"] = frozenset(
-            config_from_obj({"active_experts": names}).active_experts
-        )
-    if getattr(args, "strict_schema", None) is not None:
-        overrides["strict_schema"] = args.strict_schema
-    for flag, field in (
-        ("peaks", "max_peaks"),
-        ("neighbors", "neighbors_per_peak"),
-        ("window", "window"),
-        ("min_dist", "min_distance"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return config.with_overrides(**overrides) if overrides else config
+    """Defaults, then the ``--config`` file, then the flags that were given.
+
+    The given flags form one config document, keyed like the file, so they
+    pass the same checks in ``config_from_obj``.
+    """
+    config = load_config(args.config) if args.config else EngineConfig()
+    flags = {
+        key: getattr(args, dest)
+        for dest, key in _KEY_FLAGS.items()
+        if getattr(args, dest) is not None
+    }
+    sigmas = {
+        kind.value: getattr(args, dest)
+        for dest, kind in _SIGMA_FLAGS.items()
+        if getattr(args, dest) is not None
+    }
+    if sigmas:
+        flags["sigma_by_expert"] = sigmas
+    if args.experts is not None:
+        flags["active_experts"] = [n for n in args.experts.split(",") if n.strip()]
+    return config_from_obj(flags, config)
 
 
 def _parse_tree_file(path, config: EngineConfig):
@@ -249,30 +253,14 @@ def cmd_select(args) -> int:
 def cmd_gen(args) -> int:
     scripts = bench_mod.load_scripts(args.scripts)
     if args.seed is not None:
-        scripts = [
-            bench_mod.EventScript(
-                script_id=s.script_id,
-                num_frames=s.num_frames,
-                events=s.events,
-                noise_level=s.noise_level,
-                seed=args.seed,
-                frame_rate=s.frame_rate,
-            )
-            for s in scripts
-        ]
+        scripts = [replace(s, seed=args.seed) for s in scripts]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .experts.bundle import dumps_bundle, dumps_ovd
-
     for script in scripts:
         instance = bench_mod.generate(script)
-        (out_dir / f"{script.script_id}.bundle.json").write_text(
-            dumps_bundle(instance.bundle), encoding="utf-8"
-        )
+        save_bundle(instance.bundle, out_dir / f"{script.script_id}.bundle.json")
         if instance.ovd_source is not None:
-            (out_dir / f"{script.script_id}.ovd.json").write_text(
-                dumps_ovd(instance.ovd_source), encoding="utf-8"
-            )
+            save_ovd_source(instance.ovd_source, out_dir / f"{script.script_id}.ovd.json")
         (out_dir / f"{script.script_id}.tree.json").write_text(
             bench_mod.matched_tree_document(script) + "\n", encoding="utf-8"
         )
@@ -350,33 +338,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Tree-error kinds and exit codes; the first class that matches wins.
+_TREE_ERRORS = (
+    (TreeSyntaxError, "syntax", EXIT_SYNTAX),
+    (ArityError, "arity", EXIT_ARITY),
+    (InactiveExpertError, "inactive-expert", EXIT_INACTIVE_EXPERT),
+    (SchemaError, "schema", EXIT_SCHEMA),
+    (TreeError, "tree", EXIT_SCHEMA),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TreeSyntaxError as exc:
-        print(f"error [syntax] at {exc.path}: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except ArityError as exc:
-        print(f"error [arity] at {exc.path}: {exc}", file=sys.stderr)
-        return EXIT_ARITY
-    except InactiveExpertError as exc:
-        print(f"error [inactive-expert] at {exc.path}: {exc}", file=sys.stderr)
-        return EXIT_INACTIVE_EXPERT
-    except SchemaError as exc:
-        print(f"error [schema] at {exc.path}: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except TreeError as exc:
-        print(f"error [tree] at {exc.path}: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except HimuError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+        # str(exc) already starts with the path: "<path>: <message>".
+        kind, code = next((k, c) for cls, k, c in _TREE_ERRORS if isinstance(exc, cls))
+        print(f"error [{kind}] at {exc}", file=sys.stderr)
+        return code
+    except (HimuError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

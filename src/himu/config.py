@@ -4,16 +4,16 @@ Defaults reproduce the reference operating point: sigmoid sharpness 3.0,
 scale-guard 1e-6, adjacency decay 2.0, and per-expert smoothing bandwidths
 of 0.5 for visual experts, 1.5 for speech, and 2.0 for audio events.
 Overrides merge in two layers: a config file overrides the defaults, and
-explicit flags override the file.
+explicit flags override the file. Both layers go through ``config_from_obj``.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 from .compose import DEFAULT_KAPPA
-from .errors import SchemaError
+from .errors import SchemaError, parse_json
+from .select import PassParams
 from .signals import (
     DEFAULT_BANDWIDTHS,
     DEFAULT_DELTA,
@@ -48,6 +48,7 @@ class EngineConfig:
         # Delegate range checks to the owning parameter types.
         self.normalization_params()
         self.smoothing_params()
+        self.pass_params(1)
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError("kappa must be finite and > 0")
         if self.max_depth < 1 or self.max_leaves < 1:
@@ -64,28 +65,75 @@ class EngineConfig:
             sigma_by_expert=dict(self.sigma_by_expert), mode=self.smoothing_mode
         )
 
+    def pass_params(self, budget: int) -> PassParams:
+        return PassParams(
+            budget=budget,
+            max_peaks=self.max_peaks,
+            neighbors_per_peak=self.neighbors_per_peak,
+            window=self.window,
+            min_distance=self.min_distance,
+        )
+
     def with_overrides(self, **kwargs) -> "EngineConfig":
         """New config with the given fields replaced."""
         return replace(self, **kwargs)
 
 
+def _number(what: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{what} is out of range") from None
+
+
+def _integer(what: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer")
+    return value
+
+
+def _of_type(kind: type, name: str):
+    def check(what: str, value):
+        if not isinstance(value, kind):
+            raise SchemaError(f"{what} must be {name}")
+        return value
+
+    return check
+
+
+def _expert(name) -> ExpertKind:
+    try:
+        return ExpertKind(name.upper())
+    except (AttributeError, ValueError):
+        raise SchemaError(f"unknown expert {name!r}") from None
+
+
 _SCALAR_KEYS = {
-    "gamma": float,
-    "delta": float,
-    "kappa": float,
-    "smoothing_mode": str,
-    "strict_schema": bool,
-    "max_depth": int,
-    "max_leaves": int,
-    "max_peaks": int,
-    "neighbors_per_peak": int,
-    "window": int,
-    "min_distance": int,
+    "gamma": _number,
+    "delta": _number,
+    "kappa": _number,
+    "smoothing_mode": _of_type(str, "a string"),
+    "strict_schema": _of_type(bool, "a boolean"),
+    "max_depth": _integer,
+    "max_leaves": _integer,
+    "max_peaks": _integer,
+    "neighbors_per_peak": _integer,
+    "window": _integer,
+    "min_distance": _integer,
 }
 
 
 def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig:
-    """Apply a parsed config document on top of a base configuration."""
+    """Apply a parsed config document on top of a base configuration.
+
+    This is the one place where outside values (a config file, or the CLI
+    flags as a document keyed the same way) become an ``EngineConfig``.
+    Values are type-checked, never cast: a bool, a non-integral float or a
+    string where a number belongs is a :class:`SchemaError`, and so is any
+    value ``EngineConfig`` rejects.
+    """
     if base is None:
         base = EngineConfig()
     if not isinstance(obj, dict):
@@ -93,40 +141,18 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
     updates: dict = {}
     for key, value in obj.items():
         if key in _SCALAR_KEYS:
-            caster = _SCALAR_KEYS[key]
-            if caster is bool:
-                if not isinstance(value, bool):
-                    raise SchemaError(f"config key {key!r} must be a boolean")
-                updates[key] = value
-            else:
-                try:
-                    updates[key] = caster(value)
-                except (TypeError, ValueError) as exc:
-                    raise SchemaError(f"config key {key!r}: {exc}") from exc
+            updates[key] = _SCALAR_KEYS[key](f"config key {key!r}", value)
         elif key == "sigma_by_expert":
             if not isinstance(value, dict):
                 raise SchemaError("sigma_by_expert must be an object")
             sigmas = dict(base.sigma_by_expert)
             for name, sigma in value.items():
-                try:
-                    expert = ExpertKind(str(name).upper())
-                except ValueError as exc:
-                    raise SchemaError(f"unknown expert {name!r}") from exc
-                try:
-                    sigmas[expert] = float(sigma)
-                except (TypeError, ValueError) as exc:
-                    raise SchemaError(f"bandwidth for {name!r}: {exc}") from exc
+                sigmas[_expert(name)] = _number(f"bandwidth for {name!r}", sigma)
             updates["sigma_by_expert"] = sigmas
         elif key == "active_experts":
             if not isinstance(value, list):
                 raise SchemaError("active_experts must be a list of expert names")
-            experts = set()
-            for name in value:
-                try:
-                    experts.add(ExpertKind(str(name).upper()))
-                except ValueError as exc:
-                    raise SchemaError(f"unknown expert {name!r}") from exc
-            updates["active_experts"] = frozenset(experts)
+            updates["active_experts"] = frozenset(_expert(name) for name in value)
         else:
             raise SchemaError(f"unknown config key {key!r}")
     try:
@@ -137,8 +163,5 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
 
 def load_config(path, base: EngineConfig | None = None) -> EngineConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config file is not valid JSON: {exc}") from exc
+        obj = parse_json(fh.read(), SchemaError, "config file")
     return config_from_obj(obj, base)

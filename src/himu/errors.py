@@ -5,6 +5,7 @@ node in the source document (JSON-path style, e.g. ``$.children[1]``) so CLI
 diagnostics can name the exact location. Plain I/O failures are not wrapped;
 they surface as ``OSError``.
 """
+import json
 
 
 class HimuError(Exception):
@@ -118,3 +119,18 @@ class BenchmarkError(HimuError):
         super().__init__(f"script {script_id!r}: {cause}")
         self.script_id = script_id
         self.cause = cause
+
+
+def parse_json(text: str, error: type[HimuError], what: str):
+    """Parse a JSON document, raising ``error`` for malformed input.
+
+    Both failures of ``json.loads`` map to ``error``: invalid syntax (and
+    integers beyond the interpreter's digit limit), and nesting deeper than
+    the parser's recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{what} nesting exceeds parser limits") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BundleFormatError, InconsistentLengthError
+from ..errors import BundleFormatError, InconsistentLengthError, parse_json
 from ..tree import ExpertKind
 
 FORMAT_VERSION = 1
@@ -323,11 +323,7 @@ def bundle_from_obj(obj) -> ExpertBundle:
 
 
 def loads_bundle(text: str) -> ExpertBundle:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleFormatError(f"bundle is not valid JSON: {exc}") from exc
-    return bundle_from_obj(obj)
+    return bundle_from_obj(parse_json(text, BundleFormatError, "bundle"))
 
 
 def load_bundle(path) -> ExpertBundle:
@@ -387,10 +383,7 @@ def ovd_from_obj(obj) -> OvdSource:
 
 def load_ovd_source(path) -> OvdSource:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleFormatError(f"detection source is not valid JSON: {exc}") from exc
+        obj = parse_json(fh.read(), BundleFormatError, "detection source")
     return ovd_from_obj(obj)
 
 

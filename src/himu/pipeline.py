@@ -13,13 +13,7 @@ from .compose import AttributionMatrix, SatisfactionCurve, evaluate
 from .config import EngineConfig
 from .experts.bundle import ExpertBundle, OvdSource
 from .experts.scoring import ProviderCounters, evaluate_leaves
-from .select import (
-    PassParams,
-    SelectionResult,
-    pass_select,
-    topk_select,
-    uniform_select,
-)
+from .select import SelectionResult, pass_select, topk_select, uniform_select
 from .signals import Signal, normalize_joint, smooth
 from .tree import LogicTree, leaves_by_expert
 
@@ -60,24 +54,16 @@ def condition_signals(
 
 def select_frames(
     curve: SatisfactionCurve,
-    attribution: AttributionMatrix,
     budget: int,
     config: EngineConfig,
     strategy: str = "pass",
 ) -> SelectionResult:
     if strategy == "pass":
-        params = PassParams(
-            budget=budget,
-            max_peaks=config.max_peaks,
-            neighbors_per_peak=config.neighbors_per_peak,
-            window=config.window,
-            min_distance=config.min_distance,
-        )
-        return pass_select(curve, params, attribution)
+        return pass_select(curve, config.pass_params(budget))
     if strategy == "topk":
-        return topk_select(curve, budget, attribution)
+        return topk_select(curve, budget)
     if strategy == "uniform":
-        return uniform_select(len(curve), budget, curve.values, attribution)
+        return uniform_select(len(curve), budget, curve.values)
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
@@ -98,7 +84,7 @@ def run_pipeline(
     raw = evaluate_leaves(tree, bundle, ovd_source, counters)
     processed = condition_signals(tree, raw, config)
     curve, attribution = evaluate(tree, processed, kappa=config.kappa)
-    selection = select_frames(curve, attribution, budget, config, strategy)
+    selection = select_frames(curve, budget, config, strategy)
     return PipelineResult(
         curve=curve, attribution=attribution, selection=selection, counters=counters
     )

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compose import AttributionMatrix, SatisfactionCurve
+from .compose import SatisfactionCurve
 
 
 class SelectionPhase(enum.Enum):
@@ -60,10 +60,6 @@ class PassParams:
         if self.min_distance < 1:
             raise ValueError("min_distance must be >= 1")
 
-    @classmethod
-    def from_budget(cls, budget: int) -> "PassParams":
-        return cls(budget=budget)
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -74,7 +70,6 @@ class SelectionResult:
     phase: dict[int, SelectionPhase]
     peaks: tuple[int, ...]
     strategy: str
-    attribution: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if len(self.frames) != len(self.scores):
@@ -127,16 +122,7 @@ def find_peaks(curve, max_peaks: int, min_distance: int) -> list[int]:
     return kept
 
 
-def _restrict(attribution, frames):
-    if attribution is None:
-        return None
-    if hasattr(attribution, "restrict"):
-        return attribution.restrict(frames)
-    # Plain per-leaf matrix of shape (num_leaves, T).
-    return np.asarray(attribution, dtype=np.float64)[:, list(frames)]
-
-
-def _result(values, selected, phase, peaks, strategy, attribution):
+def _result(values, selected, phase, peaks, strategy):
     frames = tuple(sorted(selected))
     return SelectionResult(
         frames=frames,
@@ -144,15 +130,10 @@ def _result(values, selected, phase, peaks, strategy, attribution):
         phase=phase,
         peaks=tuple(peaks),
         strategy=strategy,
-        attribution=_restrict(attribution, frames),
     )
 
 
-def pass_select(
-    curve,
-    params: PassParams,
-    attribution: AttributionMatrix | None = None,
-) -> SelectionResult:
+def pass_select(curve, params: PassParams) -> SelectionResult:
     """Peak-and-spread selection of min(budget, T) frames.
 
     Phase 1 keeps the separated peaks. Phase 2 walks peaks in selection
@@ -203,12 +184,10 @@ def pass_select(
                 phase[int(t)] = SelectionPhase.FILL
 
     kept_peaks = [p for p in peaks if p in phase]
-    return _result(values, selected, phase, kept_peaks, "pass", attribution)
+    return _result(values, selected, phase, kept_peaks, "pass")
 
 
-def topk_select(
-    curve, budget: int, attribution: AttributionMatrix | None = None
-) -> SelectionResult:
+def topk_select(curve, budget: int) -> SelectionResult:
     """The budget's highest-scoring frames, ties broken by lower index."""
     values = _check_curve(curve)
     if budget < 1:
@@ -216,15 +195,10 @@ def topk_select(
     k = min(budget, values.shape[0])
     selected = [int(t) for t in _by_score_then_index(values)[:k]]
     phase = {t: SelectionPhase.FILL for t in selected}
-    return _result(values, selected, phase, [], "topk", attribution)
+    return _result(values, selected, phase, [], "topk")
 
 
-def uniform_select(
-    num_frames: int,
-    budget: int,
-    curve=None,
-    attribution: AttributionMatrix | None = None,
-) -> SelectionResult:
+def uniform_select(num_frames: int, budget: int, curve=None) -> SelectionResult:
     """Evenly spaced frames, ignoring scores.
 
     Ideal positions are round(i * (T - 1) / (K - 1)); a single-frame budget
@@ -254,4 +228,4 @@ def uniform_select(
         used[t] = True
     values = _check_curve(curve) if curve is not None else np.zeros(num_frames)
     phase = {t: SelectionPhase.FILL for t in chosen}
-    return _result(values, chosen, phase, [], "uniform", attribution)
+    return _result(values, chosen, phase, [], "uniform")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import himu
 from himu.bench import Event, EventScript, generate, save_scripts
 from himu.cli import main
-from himu.experts import dumps_bundle
+from himu.experts import dumps_bundle, dumps_ovd
 from himu.tree import ExpertKind
 
 
@@ -88,7 +89,7 @@ def test_validate_arity_error_exit_4_with_path(tmp_path, capsys):
     )
     assert main(["validate", "--tree", str(path)]) == 4
     err = capsys.readouterr().err
-    assert "[arity]" in err and "$" in err
+    assert err.startswith("error [arity] at $: ") and err.count("$") == 1
 
 
 def test_validate_inactive_expert_exit_5(tmp_path, capsys):
@@ -104,7 +105,8 @@ def test_validate_inactive_expert_exit_5(tmp_path, capsys):
     )
     assert main(["validate", "--tree", str(path), "--experts", "clip,ovd"]) == 5
     err = capsys.readouterr().err
-    assert "[inactive-expert]" in err and "$.children[1]" in err
+    assert err.startswith("error [inactive-expert] at $.children[1]: ")
+    assert err.count("$.children[1]") == 1
 
 
 def test_missing_file_exit_1(tmp_path, capsys):
@@ -236,14 +238,74 @@ def test_select_rejects_non_finite_knobs(workspace, capsys):
     args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
             "--frames", "8", "--out", str(tmp_path / "out")]
     for value in ("inf", "nan"):
-        assert main(args + ["--sigma-clip", value]) == 1
-        assert "error: bandwidth for " in capsys.readouterr().err
+        assert main(args + ["--sigma-clip", value]) == 3
+        assert "error [schema] at $: bandwidth for " in capsys.readouterr().err
     config_path = tmp_path / "engine.json"
     config_path.write_text('{"kappa": Infinity}')
     assert main(args + ["--config", str(config_path)]) == 3
     assert "error [schema]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        '{"max_peaks": 2.7}',
+        '{"gamma": true}',
+        '{"window": "5"}',
+        '{"max_depth": Infinity}',
+        '{"max_peaks": 0}',
+        ["--peaks", "0"],
+        ["--window", "0"],
+        ["--sigma-clip", "inf"],
+    ],
+    ids=lambda setting: setting if isinstance(setting, str) else " ".join(setting),
+)
+def test_bad_setting_exits_3_before_inputs_are_read(workspace, capsys, setting):
+    tmp_path, tree_path, _ = workspace
+    if isinstance(setting, str):
+        config_path = tmp_path / "engine.json"
+        config_path.write_text(setting)
+        setting = ["--config", str(config_path)]
+    # The bundle does not exist, so reading it would exit 1.
+    args = ["select", "--tree", str(tree_path), "--bundle", str(tmp_path / "absent.json"),
+            "--frames", "8", "--out", str(tmp_path / "out"), *setting]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error [schema] at $: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("flag", "code"),
+    [("--config", 3), ("--bundle", 1), ("--ovd", 1), ("--scripts", 1)],
+)
+def test_deeply_nested_json_is_a_typed_error(workspace, flag, code):
+    tmp_path, tree_path, bundle_path = workspace
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    if flag == "--scripts":
+        args = ["bench", "--scripts", str(deep), "--out", str(tmp_path / "r.json")]
+    else:
+        inputs = {"--bundle": str(bundle_path), "--ovd": None, "--config": None}
+        inputs[flag] = str(deep)
+        args = ["select", "--tree", str(tree_path), "--frames", "8",
+                "--out", str(tmp_path / "out")]
+        for name, path in inputs.items():
+            if path is not None:
+                args += [name, path]
+    # A child process, so that stderr shows whatever escapes main().
+    src = str(Path(himu.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "himu.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == code
+    assert "nesting exceeds parser limits" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_file_and_flag_precedence(workspace):
@@ -270,6 +332,7 @@ def test_gen_and_bench_commands(tmp_path, capsys):
                 Event(ExpertKind.CLIP, "a dog", (30, 34), amplitude=0.9),
                 Event(ExpertKind.OVD, "ball", (50, 54), amplitude=0.8),
             ),
+            noise_level=0.05,
             seed=5,
         )
     ]
@@ -278,9 +341,14 @@ def test_gen_and_bench_commands(tmp_path, capsys):
 
     gen_dir = tmp_path / "gen"
     assert main(["gen", "--scripts", str(suite), "--out", str(gen_dir)]) == 0
-    assert (gen_dir / "g1.bundle.json").is_file()
-    assert (gen_dir / "g1.ovd.json").is_file()
+    instance = generate(scripts[0])
+    assert (gen_dir / "g1.bundle.json").read_text() == dumps_bundle(instance.bundle)
+    assert (gen_dir / "g1.ovd.json").read_text() == dumps_ovd(instance.ovd_source)
     assert json.loads((gen_dir / "g1.tree.json").read_text())["op"] == "OR"
+    assert main(["gen", "--scripts", str(suite), "--out", str(gen_dir), "--seed", "9"]) == 0
+    reseeded = generate(replace(scripts[0], seed=9)).bundle
+    assert (gen_dir / "g1.bundle.json").read_text() == dumps_bundle(reseeded)
+    assert dumps_bundle(reseeded) != dumps_bundle(instance.bundle)
 
     report_path = tmp_path / "report.json"
     assert main(

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from himu.config import EngineConfig, config_from_obj, load_config
 from himu.errors import SchemaError
+from himu.select import PassParams
 from himu.signals import DEFAULT_BANDWIDTHS
 from himu.tree import ALL_EXPERTS, ExpertKind
 
@@ -37,6 +40,8 @@ def test_validation_rejects_bad_values():
         {"sigma_by_expert": {ExpertKind.CLIP: -0.5}},
         {"sigma_by_expert": {ExpertKind.CLIP: inf}},
         {"sigma_by_expert": {ExpertKind.CLIP: nan}},
+        {"max_peaks": 0}, {"neighbors_per_peak": -1},
+        {"window": 0}, {"min_distance": 0},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -69,11 +74,59 @@ def test_config_from_obj_rejects_unknowns_and_bad_types():
         config_from_obj({"active_experts": ["clip", "radar"]})
     with pytest.raises(SchemaError):
         config_from_obj({"sigma_by_expert": {"radar": 1.0}})
-    for sigma in ("wide", None, float("inf")):
+    for sigma in ("wide", None, float("inf"), True):
         with pytest.raises(SchemaError):
             config_from_obj({"sigma_by_expert": {"clip": sigma}})
     with pytest.raises(SchemaError):
         config_from_obj(["gamma", 4.0])
+    # Values are checked, not cast.
+    for doc in (
+        {"max_peaks": 2.7}, {"max_peaks": 2.0}, {"gamma": True}, {"window": "5"},
+        {"max_depth": float("inf")}, {"strict_schema": 1}, {"smoothing_mode": None},
+        {"gamma": 10**400}, {"active_experts": [1]},
+    ):
+        with pytest.raises(SchemaError):
+            config_from_obj(doc)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # includes non-integral, +-inf and nan
+    st.text(max_size=8),
+    st.sampled_from(["CLIP", "asr", "strict", "renormalized"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+SIGMA_DOCS = st.dictionaries(
+    st.sampled_from(["clip", "ASR", "ocr", "radar", ""]), JSON_VALUES, max_size=3
+)
+KNOWN_KEYS = [
+    "gamma", "delta", "kappa", "smoothing_mode", "strict_schema", "max_depth",
+    "max_leaves", "max_peaks", "neighbors_per_peak", "window", "min_distance",
+    "sigma_by_expert", "active_experts",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(KNOWN_KEYS), JSON_VALUES | SIGMA_DOCS | st.lists(JSON_SCALARS),
+        max_size=4,
+    )
+)
+def test_config_from_obj_returns_config_or_schema_error(doc):
+    try:
+        cfg = config_from_obj(doc)
+    except SchemaError:
+        return
+    assert isinstance(cfg, EngineConfig)
 
 
 def test_load_config(tmp_path):
@@ -97,3 +150,6 @@ def test_param_helpers_mirror_fields():
     smooth = cfg.smoothing_params()
     assert smooth.mode == "strict"
     assert smooth.sigma_by_expert == cfg.sigma_by_expert
+    assert EngineConfig().pass_params(16) == PassParams(budget=16)
+    tuned = EngineConfig(max_peaks=7, window=2).pass_params(16)
+    assert tuned == PassParams(budget=16, max_peaks=7, window=2)

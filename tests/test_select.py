@@ -136,13 +136,6 @@ def test_pass_selection_invariants_random():
         np.testing.assert_array_equal(res.scores, curve[list(res.frames)])
 
 
-def test_pass_attribution_restricted_to_selection():
-    curve = RNG.random(50)
-    attribution = RNG.random((3, 50))
-    res = pass_select(curve, PassParams(budget=8), attribution=attribution)
-    np.testing.assert_array_equal(res.attribution, attribution[:, list(res.frames)])
-
-
 def test_topk_tie_break_prefers_earlier_frame():
     res = topk_select(np.array([0.1, 0.9, 0.5, 0.9]), budget=2)
     assert res.frames == (1, 3)
