@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EngineConfig
-from .errors import BenchmarkError, InvalidScriptError, parse_json
+from .errors import BenchmarkError, InvalidScriptError, parse_json, read_text
 from .experts.bundle import (
     ExpertBundle,
     OcrFrameText,
@@ -409,8 +409,8 @@ def save_scripts(scripts, path) -> None:
 
 
 def load_scripts(path) -> list[EventScript]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = parse_json(fh.read(), InvalidScriptError, "script file")
+    text = read_text(path, InvalidScriptError, "script file")
+    obj = parse_json(text, InvalidScriptError, "script file")
     if not isinstance(obj, dict) or "scripts" not in obj:
         raise InvalidScriptError("script file must be {format_version, scripts}")
     if obj.get("format_version") != SCRIPT_FORMAT_VERSION:

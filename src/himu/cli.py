@@ -6,8 +6,9 @@ benchmark. Selection emits four JSON artifacts (selection, curve,
 attribution, stats) so external tools can plot curves and per-leaf
 heatmaps without any plotting code here.
 
-Exit codes: 0 success; 2 tree syntax; 3 schema (tree, config file or
-engine flag); 4 arity; 5 inactive expert; 1 any other failure.
+Exit codes: 0 success; 2 tree syntax, or a usage error argparse reports;
+3 schema (tree, config file or engine flag); 4 arity; 5 inactive expert;
+1 any other failure.
 """
 from __future__ import annotations
 
@@ -22,11 +23,13 @@ from .cache import entry_path, write_through
 from .config import EngineConfig, config_from_obj, load_config
 from .errors import (
     ArityError,
+    BundleFormatError,
     HimuError,
     InactiveExpertError,
     SchemaError,
     TreeError,
     TreeSyntaxError,
+    read_text,
 )
 from .experts.bundle import (
     bundle_digest,
@@ -61,16 +64,32 @@ _KEY_FLAGS = {
 }
 
 
+def _number_flag(text: str):
+    """An int literal as int, a float literal as float, else the raw string.
+
+    Numeric engine flags are converted this loosely so that argparse never
+    rejects them: ``config_from_obj`` checks the value's type and range the
+    same way for a flag as for a config file, and raises ``SchemaError``.
+    """
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine configuration")
     group.add_argument("--config", metavar="PATH", help="JSON config file; flags override it")
-    group.add_argument("--gamma", type=float, help="sigmoid sharpness for normalization")
-    group.add_argument("--delta", type=float, help="scale guard added to the spread estimate")
-    group.add_argument("--kappa", type=float, help="adjacency decay rate")
+    group.add_argument("--gamma", type=_number_flag, help="sigmoid sharpness for normalization")
+    group.add_argument("--delta", type=_number_flag,
+                       help="scale guard added to the spread estimate")
+    group.add_argument("--kappa", type=_number_flag, help="adjacency decay rate")
     for flag, kind in _SIGMA_FLAGS.items():
         group.add_argument(
             f"--{flag.replace('_', '-')}",
-            type=float,
+            type=_number_flag,
             dest=flag,
             help=f"smoothing bandwidth for {kind.value}",
         )
@@ -89,10 +108,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="reject unknown fields in tree documents (default: strict)",
     )
-    group.add_argument("--peaks", type=int, help="max peaks kept in phase 1")
-    group.add_argument("--neighbors", type=int, help="neighbors added per peak in phase 2")
-    group.add_argument("--window", type=int, help="neighbor window width")
-    group.add_argument("--min-dist", type=int, help="minimum distance between peaks")
+    group.add_argument("--peaks", type=_number_flag, help="max peaks kept in phase 1")
+    group.add_argument("--neighbors", type=_number_flag,
+                       help="neighbors added per peak in phase 2")
+    group.add_argument("--window", type=_number_flag, help="neighbor window width")
+    group.add_argument("--min-dist", type=_number_flag, help="minimum distance between peaks")
 
 
 def _config_from_args(args) -> EngineConfig:
@@ -120,12 +140,8 @@ def _config_from_args(args) -> EngineConfig:
 
 
 def _parse_tree_file(path, config: EngineConfig):
-    try:
-        document = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise TreeSyntaxError(f"tree file is not UTF-8: {exc}") from exc
     return parse_tree(
-        document,
+        read_text(path, TreeSyntaxError, "tree file"),
         active_experts=config.active_experts,
         strict=config.strict_schema,
         max_depth=config.max_depth,
@@ -167,7 +183,7 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> list[Path]:
 def cmd_select(args) -> int:
     config = _config_from_args(args)
     tree = _parse_tree_file(args.tree, config)
-    bundle = loads_bundle(Path(args.bundle).read_text(encoding="utf-8"))
+    bundle = loads_bundle(read_text(args.bundle, BundleFormatError, "bundle"))
     ovd_source = load_ovd_source(args.ovd) if args.ovd else None
 
     digest = None if args.no_cache else bundle_digest(bundle)

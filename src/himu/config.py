@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .compose import DEFAULT_KAPPA
-from .errors import SchemaError, parse_json
+from .errors import SchemaError, parse_json, read_text
 from .select import PassParams
 from .signals import (
     DEFAULT_BANDWIDTHS,
@@ -162,6 +162,5 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
 
 
 def load_config(path, base: EngineConfig | None = None) -> EngineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = parse_json(fh.read(), SchemaError, "config file")
-    return config_from_obj(obj, base)
+    text = read_text(path, SchemaError, "config file")
+    return config_from_obj(parse_json(text, SchemaError, "config file"), base)

@@ -6,6 +6,7 @@ diagnostics can name the exact location. Plain I/O failures are not wrapped;
 they surface as ``OSError``.
 """
 import json
+from pathlib import Path
 
 
 class HimuError(Exception):
@@ -134,3 +135,14 @@ def parse_json(text: str, error: type[HimuError], what: str):
         raise error(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise error(f"{what} nesting exceeds parser limits") from None
+
+
+def read_text(path, error: type[HimuError], what: str) -> str:
+    """Read a UTF-8 input file, raising ``error`` when it is not UTF-8.
+
+    A missing or unreadable file still raises ``OSError``.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8: {exc}") from exc

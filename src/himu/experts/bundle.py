@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BundleFormatError, InconsistentLengthError, parse_json
+from ..errors import BundleFormatError, InconsistentLengthError, parse_json, read_text
 from ..tree import ExpertKind
 
 FORMAT_VERSION = 1
@@ -327,8 +327,7 @@ def loads_bundle(text: str) -> ExpertBundle:
 
 
 def load_bundle(path) -> ExpertBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_bundle(fh.read())
+    return loads_bundle(read_text(path, BundleFormatError, "bundle"))
 
 
 def save_bundle(bundle: ExpertBundle, path) -> None:
@@ -382,9 +381,8 @@ def ovd_from_obj(obj) -> OvdSource:
 
 
 def load_ovd_source(path) -> OvdSource:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = parse_json(fh.read(), BundleFormatError, "detection source")
-    return ovd_from_obj(obj)
+    text = read_text(path, BundleFormatError, "detection source")
+    return ovd_from_obj(parse_json(text, BundleFormatError, "detection source"))
 
 
 def save_ovd_source(source: OvdSource, path) -> None:

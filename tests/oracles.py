@@ -195,3 +195,47 @@ def levenshtein_matrix(a: str, b: str) -> int:
             cost = 0 if a[i - 1] == b[j - 1] else 1
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
     return d[m][n]
+
+
+def similarity_reference(a: str, b: str) -> float:
+    """1 - edits / max(len) from the full matrix; 1.0 for two empty strings."""
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 1.0
+    return 1.0 - levenshtein_matrix(a, b) / longest
+
+
+def _normalize_text(text: str) -> str:
+    return " ".join(text.casefold().split())
+
+
+def match_score_reference(query: str, candidate: str) -> float:
+    """Substring containment scores 1.0; otherwise the similarity of the
+    whole strings, zeroed below 0.5."""
+    q, c = _normalize_text(query), _normalize_text(candidate)
+    if not q or not c:
+        return 0.0
+    if q in c:
+        return 1.0
+    score = similarity_reference(q, c)
+    return score if score >= 0.5 else 0.0
+
+
+def windowed_match_score_reference(query: str, text: str) -> float:
+    """Substring containment scores 1.0; otherwise the best similarity of
+    the query to any run of its word count -1, +0 or +1 consecutive words
+    of the text, zeroed below 0.5. Every window is scored; none is skipped."""
+    q, t = _normalize_text(query), _normalize_text(text)
+    if not q or not t:
+        return 0.0
+    if q in t:
+        return 1.0
+    n = len(q.split())
+    words = t.split()
+    best = 0.0
+    for width in (n - 1, n, n + 1):
+        if width < 1:
+            continue
+        for i in range(len(words) - width + 1):
+            best = max(best, similarity_reference(q, " ".join(words[i : i + width])))
+    return best if best >= 0.5 else 0.0

@@ -259,6 +259,9 @@ def test_select_rejects_non_finite_knobs(workspace, capsys):
         ["--peaks", "0"],
         ["--window", "0"],
         ["--sigma-clip", "inf"],
+        ["--peaks", "2.7"],
+        ["--window", "abc"],
+        ["--gamma", "x"],
     ],
     ids=lambda setting: setting if isinstance(setting, str) else " ".join(setting),
 )
@@ -277,35 +280,51 @@ def test_bad_setting_exits_3_before_inputs_are_read(workspace, capsys, setting):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    ("flag", "code"),
-    [("--config", 3), ("--bundle", 1), ("--ovd", 1), ("--scripts", 1)],
-)
-def test_deeply_nested_json_is_a_typed_error(workspace, flag, code):
+def _run_with_input_file(workspace, flag, path):
+    """Run the command that reads ``flag`` with ``path`` as that input, in a
+    child process, so that stderr shows whatever escapes main()."""
     tmp_path, tree_path, bundle_path = workspace
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 200_000)
     if flag == "--scripts":
-        args = ["bench", "--scripts", str(deep), "--out", str(tmp_path / "r.json")]
+        args = ["bench", "--scripts", str(path), "--out", str(tmp_path / "r.json")]
     else:
         inputs = {"--bundle": str(bundle_path), "--ovd": None, "--config": None}
-        inputs[flag] = str(deep)
+        inputs[flag] = str(path)
         args = ["select", "--tree", str(tree_path), "--frames", "8",
                 "--out", str(tmp_path / "out")]
-        for name, path in inputs.items():
-            if path is not None:
-                args += [name, path]
-    # A child process, so that stderr shows whatever escapes main().
+        for name, value in inputs.items():
+            if value is not None:
+                args += [name, value]
     src = str(Path(himu.__file__).resolve().parents[1])
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "himu.cli", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+_INPUT_FLAGS = [("--config", 3), ("--bundle", 1), ("--ovd", 1), ("--scripts", 1)]
+
+
+@pytest.mark.parametrize(("flag", "code"), _INPUT_FLAGS)
+def test_deeply_nested_json_is_a_typed_error(workspace, flag, code):
+    deep = workspace[0] / "deep.json"
+    deep.write_text("[" * 200_000)
+    proc = _run_with_input_file(workspace, flag, deep)
     assert proc.returncode == code
     assert "nesting exceeds parser limits" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(("flag", "code"), _INPUT_FLAGS)
+def test_input_file_not_utf8_is_a_typed_error(workspace, flag, code):
+    undecodable = workspace[0] / "utf16.json"
+    undecodable.write_text("{}", encoding="utf-16")
+    proc = _run_with_input_file(workspace, flag, undecodable)
+    assert proc.returncode == code
+    assert "is not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (workspace[0] / "out").exists()
 
 
 def test_config_file_and_flag_precedence(workspace):

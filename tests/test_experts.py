@@ -34,11 +34,17 @@ from himu.experts import (
     score_embedding_leaf,
     score_ocr_leaf,
     score_ovd_leaf,
+    similarity,
     windowed_match_score,
 )
 from himu.signals import Stage
 from himu.tree import ExpertKind, parse_tree
-from oracles import levenshtein_matrix
+from oracles import (
+    levenshtein_matrix,
+    match_score_reference,
+    similarity_reference,
+    windowed_match_score_reference,
+)
 
 
 def make_bundle(T=10, **kwargs):
@@ -48,9 +54,51 @@ def make_bundle(T=10, **kwargs):
 # --- matching -------------------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(max_size=12), st.text(max_size=12))
+@given(st.text(max_size=80), st.text(max_size=80))
 def test_levenshtein_matches_matrix_oracle(a, b):
     assert levenshtein(a, b) == levenshtein_matrix(a, b)
+
+
+# Few letters, so fuzzy scores near the 0.5 threshold are common; "ß" and
+# "İ" change length under casefold, so normalization must happen before
+# any length is compared.
+_MATCH_TEXT = st.text(alphabet="abcAB ßİ", max_size=80)
+
+
+@st.composite
+def _query_and_text(draw):
+    query = draw(_MATCH_TEXT)
+    if draw(st.booleans()):
+        # Text built around a slice of the query: substring and near-miss paths.
+        i = draw(st.integers(0, len(query)))
+        j = draw(st.integers(i, len(query)))
+        pad = _MATCH_TEXT.map(lambda s: s[:20])
+        return query, draw(pad) + query[i:j] + draw(pad)
+    return query, draw(_MATCH_TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_query_and_text())
+def test_matchers_equal_reference_exactly(pair):
+    query, text = pair
+    assert similarity(query, text) == similarity_reference(query, text)
+    assert match_score(query, text) == match_score_reference(query, text)
+    assert windowed_match_score(query, text) == windowed_match_score_reference(query, text)
+
+
+@pytest.mark.parametrize("n", [30, 31, 63, 64, 65])
+@pytest.mark.parametrize("edit", [0, 31, -1])
+def test_matchers_at_word_size_boundaries(n, edit):
+    # One substitution at the first, a middle or the last query position,
+    # for queries around the 30-bit digit and 64-bit word widths.
+    query = ("abcdefgh" * 9)[:n]
+    edit %= n
+    candidate = query[:edit] + "z" + query[edit + 1 :]
+    assert levenshtein(query, candidate) == 1
+    assert match_score(query, candidate) == 1.0 - 1 / n
+    assert match_score(query, candidate) == match_score_reference(query, candidate)
+    text = f"xyz {candidate} xyz"
+    assert windowed_match_score(query, text) == windowed_match_score_reference(query, text)
 
 
 def test_match_score_examples():
@@ -66,7 +114,21 @@ def test_match_score_threshold():
     # "abcd" vs "wxyz": distance 4 of 4 -> 0.0 similarity, below threshold.
     assert match_score("abcd", "wxyz") == 0.0
     # Score exactly at the threshold is kept.
-    assert match_score("ab", "ax") == pytest.approx(0.5)
+    assert similarity("ab", "ax") == 0.5
+    assert match_score("ab", "ax") == 0.5
+
+
+def test_length_cutoff_keeps_a_window_at_the_limit():
+    # The length cutoff skips a window only when 2*|len(q) - len(w)| > max:
+    # "abcde" (5 of 10 characters) is at the limit, is scored, and reaches
+    # exactly 0.5 with five deletions.
+    assert windowed_match_score("abcdefghij", "abcde xyz") == 0.5
+    assert match_score("abcdefghij", "abcde") == 0.5
+    # One character more in the query and "abcde" is skipped; no other
+    # window reaches the threshold either.
+    assert windowed_match_score("abcdefghijk", "abcde xyz") == 0.0
+    for query, text in [("abcdefghij", "abcde xyz"), ("abcdefghijk", "abcde xyz")]:
+        assert windowed_match_score(query, text) == windowed_match_score_reference(query, text)
 
 
 def test_windowed_match_aligns_query_to_span():
@@ -75,6 +137,13 @@ def test_windowed_match_aligns_query_to_span():
     # Near miss must compare against the best window, not the whole string.
     score = windowed_match_score("reactions", "the reaction")
     assert score == pytest.approx(1 - 1 / 9)
+
+
+def test_windowed_match_scans_neighbouring_widths():
+    # One query word is best matched by two text words (width n + 1)...
+    assert windowed_match_score("abcdefgh", "abcd efgh") == 1.0 - 1 / 9
+    # ...and three query words by two text words (width n - 1).
+    assert windowed_match_score("ab cd ef", "abcd ef") == 1.0 - 1 / 8
 
 
 def test_windowed_match_score_fuzzy_example():
