@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cache import entry_path, write_through
+from .cache import entry_key, read_entry, write_through
 from .config import EngineConfig, config_from_obj, load_config
 from .errors import (
     ArityError,
@@ -29,10 +29,11 @@ from .errors import (
     SchemaError,
     TreeError,
     TreeSyntaxError,
+    decode_text,
     read_text,
 )
 from .experts.bundle import (
-    bundle_digest,
+    bundle_digest,  # traced by perfbench/spans.py; cmd_select keys by file bytes
     load_ovd_source,
     loads_bundle,
     save_bundle,
@@ -170,24 +171,37 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> list[Path]:
     try:
         for name, text in artifacts.items():
             path = out_dir / name
-            path.write_text(text, encoding="utf-8")
             written.append(path)
+            path.write_text(text, encoding="utf-8")
     except BaseException:
-        # Never leave a half-written artifact set behind.
+        # Never leave a half-written artifact set behind, nor the file
+        # that was being written when the failure came.
         for path in written:
             path.unlink(missing_ok=True)
         raise
     return written
 
 
+def _read_bundle(path, use_cache: bool):
+    """The bundle in ``path``, its cache key (None without the cache) and
+    whether it came from a cache entry, in which case the file is not parsed.
+    """
+    data = Path(path).read_bytes()
+    key = entry_key(data) if use_cache else None
+    bundle = read_entry(key) if key is not None else None
+    if bundle is not None:
+        return bundle, key, True
+    text = decode_text(data, BundleFormatError, "bundle")
+    # The bytes, the text and the parsed document are never all alive at once.
+    del data
+    return loads_bundle(text), key, False
+
+
 def cmd_select(args) -> int:
     config = _config_from_args(args)
     tree = _parse_tree_file(args.tree, config)
-    bundle = loads_bundle(read_text(args.bundle, BundleFormatError, "bundle"))
+    bundle, key, disk_hit = _read_bundle(args.bundle, not args.no_cache)
     ovd_source = load_ovd_source(args.ovd) if args.ovd else None
-
-    digest = None if args.no_cache else bundle_digest(bundle)
-    disk_hit = digest is not None and entry_path(digest).is_file()
 
     counters = ProviderCounters()
     result = run_pipeline(
@@ -203,8 +217,8 @@ def cmd_select(args) -> int:
 
     # Cache the bundle only once a run on it has succeeded.
     ingested = 0
-    if digest is not None and not disk_hit:
-        write_through(bundle, digest)
+    if key is not None and not disk_hit:
+        write_through(bundle, key)
         ingested = 1
 
     selection_obj = {

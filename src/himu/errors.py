@@ -137,12 +137,18 @@ def parse_json(text: str, error: type[HimuError], what: str):
         raise error(f"{what} nesting exceeds parser limits") from None
 
 
+def decode_text(data: bytes, error: type[HimuError], what: str) -> str:
+    """Decode the bytes of a UTF-8 input file, raising ``error`` when they
+    are not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8: {exc}") from exc
+
+
 def read_text(path, error: type[HimuError], what: str) -> str:
     """Read a UTF-8 input file, raising ``error`` when it is not UTF-8.
 
     A missing or unreadable file still raises ``OSError``.
     """
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} is not UTF-8: {exc}") from exc
+    return decode_text(Path(path).read_bytes(), error, what)

@@ -13,7 +13,9 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -236,6 +238,15 @@ def _want(obj: dict, key: str, kinds, what: str):
     return value
 
 
+def _number(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise BundleFormatError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise BundleFormatError(f"{what} is out of range") from None
+
+
 def _rows_from_obj(entries, what: str):
     if not isinstance(entries, list):
         raise BundleFormatError(f"{what} must be a list of rows")
@@ -243,14 +254,18 @@ def _rows_from_obj(entries, what: str):
     for row in entries:
         if not isinstance(row, dict) or set(row) != {"query", "values"}:
             raise BundleFormatError(f"{what} rows must be {{query, values}} objects")
-        if not isinstance(row["values"], list):
+        if not isinstance(row["values"], (list, np.ndarray)):
             raise BundleFormatError(f"{what} row values must be a list")
         rows.append((row["query"], row["values"]))
     return rows
 
 
 def bundle_from_obj(obj) -> ExpertBundle:
-    """Validate a parsed JSON document into an ExpertBundle."""
+    """Validate a parsed JSON document into an ExpertBundle.
+
+    Table row values may also be numpy arrays, as the disk cache passes
+    them; they go through the same checks as lists.
+    """
     if not isinstance(obj, dict):
         raise BundleFormatError("bundle document must be a JSON object")
     unknown = set(obj) - _BUNDLE_KEYS
@@ -263,7 +278,7 @@ def bundle_from_obj(obj) -> ExpertBundle:
         )
     video_id = _want(obj, "video_id", str, "bundle")
     num_frames = _want(obj, "T", int, "bundle")
-    frame_rate = float(_want(obj, "frame_rate", (int, float), "bundle"))
+    frame_rate = _number(_want(obj, "frame_rate", (int, float), "bundle"), "frame_rate")
 
     clip_table = clap_table = None
     if "clip_table" in obj:
@@ -283,9 +298,11 @@ def bundle_from_obj(obj) -> ExpertBundle:
         for seg in obj["transcript"]:
             if not isinstance(seg, dict) or set(seg) != {"start", "end", "text"}:
                 raise BundleFormatError("transcript entries must be {start, end, text}")
-            segments.append(
-                TranscriptSegment(float(seg["start"]), float(seg["end"]), str(seg["text"]))
-            )
+            segments.append(TranscriptSegment(
+                _number(seg["start"], "segment start"),
+                _number(seg["end"], "segment end"),
+                str(seg["text"]),
+            ))
         transcript = tuple(segments)
 
     ocr = None
@@ -330,6 +347,23 @@ def load_bundle(path) -> ExpertBundle:
     return loads_bundle(read_text(path, BundleFormatError, "bundle"))
 
 
+@contextmanager
+def atomic_file(path, mode: str = "w"):
+    """Open ``<path>.tmp.<pid>`` for writing and move it to ``path`` on success.
+
+    Text modes write UTF-8. If the body or the move fails, the temporary
+    file is removed, so a failed write leaves no file behind.
+    """
+    tmp = Path(f"{path}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_bundle(bundle: ExpertBundle, path) -> None:
     """Write ``dumps_bundle`` text atomically.
 
@@ -337,11 +371,9 @@ def save_bundle(bundle: ExpertBundle, path) -> None:
     saving a large bundle adds little to the process's peak memory.
     """
     obj = bundle_to_obj(bundle)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_file(path) as fh:
         json.dump(obj, fh, **_CANONICAL_JSON)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def bundle_digest(bundle: ExpertBundle) -> str:
@@ -386,7 +418,5 @@ def load_ovd_source(path) -> OvdSource:
 
 
 def save_ovd_source(source: OvdSource, path) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_file(path) as fh:
         fh.write(dumps_ovd(source))
-    os.replace(tmp, path)

@@ -33,3 +33,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(_CRITERIA):
         outcome, title = _CRITERIA[num]
         terminalreporter.write_line(f"criterion {num:02d} {outcome}: {title}")
+
+
+@pytest.fixture()
+def rich_bundle():
+    """A bundle with every section, and floats that a lossy format would
+    change: -0.0, the smallest subnormal and 17-significant-digit values."""
+    import numpy as np
+
+    from himu.experts import (
+        ExpertBundle,
+        OcrFrameText,
+        ScoreTable,
+        TranscriptSegment,
+    )
+    from himu.tree import ExpertKind
+
+    T = 40
+    dog = np.linspace(0.05, 0.35, T)
+    dog[:4] = (-0.0, 5e-324, 0.30000000000000004, 1.0000000000000002)
+    dog[10:14] = 0.9
+    cat = np.full(T, 0.25)
+    cat[5] = -0.0
+    barking = np.full(T, 0.1234567890123456789)
+    barking[25:28] = 0.7
+    return ExpertBundle(
+        video_id="vid-rich",
+        num_frames=T,
+        frame_rate=2.0,
+        clip_table=ScoreTable(ExpertKind.CLIP, "vid-rich", (("a dog", dog), ("a cat", cat))),
+        clap_table=ScoreTable(ExpertKind.CLAP, "vid-rich", (("barking", barking),)),
+        transcript=(
+            TranscriptSegment(9.5, 11.25, "fetch the ball, Straße"),
+            TranscriptSegment(5e-324, 1.0000000000000002, "good boy"),
+        ),
+        ocr=(OcrFrameText(4, ("PARK", "Exit")), OcrFrameText(T - 1, ("park",))),
+        meta={"source": "unit-test", "nested": {"x": [1, 2.5, None]}, "ü": "ß"},
+    )

@@ -1,17 +1,21 @@
-from himu.cache import cache_root, write_through
-from himu.experts import ExpertBundle, ScoreTable, bundle_digest, dumps_bundle, load_bundle
-from himu.tree import ExpertKind
+import errno
+import io
+import json
+from dataclasses import replace
 
+import numpy as np
+import pytest
 
-def make_bundle(video_id, value=0.5):
-    table = ScoreTable(
-        expert=ExpertKind.CLIP,
-        video_id=video_id,
-        rows=(("a person", (value, value, value)),),
-    )
-    return ExpertBundle(
-        video_id=video_id, num_frames=3, frame_rate=1.0, clip_table=table
-    )
+import himu.experts.bundle as bundle_module
+from himu.cache import cache_root, entry_key, entry_path, read_entry, write_through
+from himu.experts import (
+    OvdSource,
+    bundle_digest,
+    dumps_bundle,
+    load_bundle,
+    save_bundle,
+    save_ovd_source,
+)
 
 
 def test_cache_root_env_override(tmp_path, monkeypatch):
@@ -20,13 +24,73 @@ def test_cache_root_env_override(tmp_path, monkeypatch):
     assert cache_root(tmp_path / "explicit") == tmp_path / "explicit"
 
 
-def test_disk_round_trip_bit_identical(tmp_path):
-    bundle = make_bundle("vid-42", 0.123456789123)
-    digest = bundle_digest(bundle)
-    path = write_through(bundle, digest, root=tmp_path)
-    assert path == tmp_path / f"{digest}.bundle.json"
+def test_disk_round_trip_bit_identical(tmp_path, rich_bundle):
+    key = bundle_digest(rich_bundle)
+    path = write_through(rich_bundle, key, root=tmp_path)
+    assert path == entry_path(key, tmp_path) == tmp_path / f"{key}.entry"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
-    assert path.read_text(encoding="utf-8") == dumps_bundle(bundle)
-    loaded = load_bundle(path)
-    assert dumps_bundle(loaded) == dumps_bundle(bundle)
-    assert bundle_digest(loaded) == digest
+    header, rows = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header)["clip_table"] == ["a dog", "a cat"]
+    assert rows.startswith(b"\x93NUMPY\x01\x00")
+
+    loaded = read_entry(key, root=tmp_path)
+    assert dumps_bundle(loaded) == dumps_bundle(rich_bundle)
+    assert loaded.meta == rich_bundle.meta
+    for table in ("clip_table", "clap_table"):
+        for (query, values), (want_query, want) in zip(
+            getattr(loaded, table).rows, getattr(rich_bundle, table).rows
+        ):
+            assert query == want_query
+            assert values.tobytes() == want.tobytes()  # -0.0 and subnormals too
+            assert not values.flags.writeable
+
+
+def test_entry_key_is_the_digest_of_a_canonical_file(tmp_path, rich_bundle):
+    canonical = tmp_path / "canonical.json"
+    save_bundle(rich_bundle, canonical)
+    assert entry_key(canonical.read_bytes()) == bundle_digest(load_bundle(canonical))
+    compact = json.dumps(json.loads(canonical.read_text(encoding="utf-8")))
+    assert entry_key(compact.encode("utf-8")) != entry_key(canonical.read_bytes())
+
+
+def test_missing_entry_is_a_miss(tmp_path):
+    assert read_entry("0" * 64, root=tmp_path) is None
+    assert read_entry("0" * 64, root=tmp_path / "absent") is None
+
+
+def test_bundle_without_tables_round_trips(tmp_path, rich_bundle):
+    bundle = replace(rich_bundle, clip_table=None, clap_table=None)
+    path = write_through(bundle, "k", root=tmp_path)
+    assert dumps_bundle(read_entry("k", root=tmp_path)) == dumps_bundle(bundle)
+    rows = np.load(io.BytesIO(path.read_bytes().split(b"\n", 1)[1]), allow_pickle=False)
+    assert rows.shape == (0, bundle.num_frames)
+
+
+def _disk_full_open(file, mode="r", **kwargs):
+    """``open`` whose file object writes half of its first write, then fails."""
+    fh = open(file, mode, **kwargs)
+    write = fh.write
+
+    def half_then_fail(data):
+        write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    fh.write = half_then_fail
+    return fh
+
+
+_WRITERS = {
+    "save_bundle": lambda bundle, tmp_path: save_bundle(bundle, tmp_path / "b.json"),
+    "save_ovd_source": lambda bundle, tmp_path: save_ovd_source(
+        OvdSource("vid", (("red car", np.array([0.0, 0.5, 0.9])),)), tmp_path / "o.json"
+    ),
+    "write_through": lambda bundle, tmp_path: write_through(bundle, "k", root=tmp_path),
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, rich_bundle, writer):
+    monkeypatch.setattr(bundle_module, "open", _disk_full_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        _WRITERS[writer](rich_bundle, tmp_path)
+    assert list(tmp_path.iterdir()) == []

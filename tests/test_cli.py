@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -5,13 +7,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import himu
 from himu.bench import Event, EventScript, generate, save_scripts
+from himu.cache import entry_path
 from himu.cli import main
-from himu.experts import dumps_bundle, dumps_ovd
+from himu.experts import bundle_digest, dumps_bundle, dumps_ovd, load_bundle
 from himu.tree import ExpertKind
+
+ARTIFACTS = ("selection.json", "curve.json", "attribution.json")
 
 
 @pytest.fixture()
@@ -179,7 +185,7 @@ def test_select_disk_cache_witness(workspace):
     )
     assert main(["select", "--tree", str(missing_row), "--bundle", str(bundle_path),
                  "--frames", "8", "--out", str(tmp_path / "failed")]) == 1
-    assert list((tmp_path / "cache").rglob("*.bundle.json")) == []
+    assert list((tmp_path / "cache").rglob("*")) == []
     args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
             "--frames", "8"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -205,6 +211,178 @@ def test_select_cache_entry_stays_under_root(workspace, monkeypatch):
         created = {p for p in set(tmp_path.rglob("*")) - before if p.is_file()}
         created -= set(out_dir.iterdir())
         assert [p.parent for p in created] == [cache_dir]
+
+
+@pytest.fixture()
+def rich_workspace(tmp_path, monkeypatch, rich_bundle):
+    """A canonical bundle with every section, and a tree that reads each one."""
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path / "cache"))
+    bundle_path = tmp_path / "rich.bundle.json"
+    bundle_path.write_text(dumps_bundle(rich_bundle), encoding="utf-8")
+    tree_path = write_tree(tmp_path, {"op": "OR", "children": [
+        {"expert": "CLIP", "query": "a dog"},
+        {"expert": "CLAP", "query": "barking"},
+        {"expert": "ASR", "query": "good boy"},
+        {"expert": "OCR", "query": "park"},
+    ]})
+    args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
+            "--frames", "6"]
+    return tmp_path, args, bundle_path
+
+
+def _select(args, out_dir, *extra):
+    """Run ``himu select`` into ``out_dir``; its artifact bytes and cache stats."""
+    assert main([*args, "--out", str(out_dir), *extra]) == 0
+    stats = json.loads((out_dir / "stats.json").read_text(encoding="utf-8"))
+    return {name: (out_dir / name).read_bytes() for name in ARTIFACTS}, stats["cache"]
+
+
+def test_warm_run_from_entry_writes_cold_artifacts(rich_workspace):
+    tmp_path, args, bundle_path = rich_workspace
+    cold, cold_stats = _select(args, tmp_path / "cold")
+    warm, warm_stats = _select(args, tmp_path / "warm")
+    uncached, uncached_stats = _select(args, tmp_path / "uncached", "--no-cache")
+    assert cold == warm == uncached
+    assert cold_stats == {"bundle_ingested": 1, "disk_hit": False, "disabled": False}
+    assert warm_stats == {"bundle_ingested": 0, "disk_hit": True, "disabled": False}
+    assert uncached_stats == {"bundle_ingested": 0, "disk_hit": False, "disabled": True}
+    entry = entry_path(bundle_digest(load_bundle(bundle_path)))
+    assert list((tmp_path / "cache").iterdir()) == [entry]
+
+    # The same bundle in another layout has other bytes, so another entry.
+    compact = tmp_path / "compact.bundle.json"
+    compact.write_text(json.dumps(json.loads(bundle_path.read_text(encoding="utf-8"))),
+                       encoding="utf-8")
+    compact_args = [str(compact) if a == str(bundle_path) else a for a in args]
+    first, first_stats = _select(compact_args, tmp_path / "compact-cold")
+    again, again_stats = _select(compact_args, tmp_path / "compact-warm")
+    assert first == again == cold
+    assert (first_stats["disk_hit"], again_stats["disk_hit"]) == (False, True)
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
+_UNPICKLED = []
+
+
+def _record_unpickle():
+    _UNPICKLED.append(True)
+    return 0.0
+
+
+class _PickleSentinel:
+    """Pickles to a call of ``_record_unpickle``, so loading it shows."""
+
+    def __reduce__(self):
+        return (_record_unpickle, ())
+
+
+def _split_entry(data: bytes):
+    line, npy = data.split(b"\n", 1)
+    return json.loads(line), np.load(io.BytesIO(npy), allow_pickle=False)
+
+
+def _entry(header: dict, npy: bytes) -> bytes:
+    return json.dumps(header).encode("ascii") + b"\n" + npy
+
+
+def _npy(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _with_header(mutate):
+    def rewrite(data):
+        header, rows = _split_entry(data)
+        mutate(header)
+        return _entry(header, _npy(rows))
+    return rewrite
+
+
+def _with_rows(make):
+    def rewrite(data):
+        header, rows = _split_entry(data)
+        return _entry(header, make(rows))
+    return rewrite
+
+
+def _nan_row(rows):
+    rows = rows.copy()
+    rows[0, 3] = np.nan
+    return _npy(rows)
+
+
+def _declared_far_larger(data):
+    """Header and .npy both claim 10**12 frames; the file holds 40."""
+    header, rows = _split_entry(data)
+    header["T"] = 10**12
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (len(rows), 10**12)}
+    )
+    return _entry(header, buf.getvalue() + rows.tobytes())
+
+
+def _ocr_frame_past_end(header):
+    header["ocr"][-1]["frame"] = header["T"]
+
+
+_HOSTILE_ENTRIES = {
+    "truncated rows": lambda data: data[:-8],
+    "truncated header": lambda data: data[:100],
+    "empty file": lambda data: b"",
+    "header not JSON": lambda data: b"{not json" + data[data.index(b"\n"):],
+    "header not an object": lambda data: b"[1, 2]" + data[data.index(b"\n"):],
+    "header not UTF-8": lambda data: b"\xff" + data,
+    "entry version 2": _with_header(lambda h: h.update(entry_version=2)),
+    "entry version true": _with_header(lambda h: h.update(entry_version=True)),
+    "queries not a list": _with_header(lambda h: h.update(clip_table="a dog")),
+    "rows float32": _with_rows(lambda rows: _npy(rows.astype("<f4"))),
+    "rows pickled objects": _with_rows(lambda rows: _npy(
+        np.full(rows.shape, _PickleSentinel(), dtype=object), allow_pickle=True
+    )),
+    "rows Fortran order": _with_rows(lambda rows: _npy(np.asfortranarray(rows))),
+    "rows wrong shape": _with_rows(lambda rows: _npy(rows[:-1])),
+    "shape far larger than file": _declared_far_larger,
+    "NaN in a row": _with_rows(_nan_row),
+    "header T not row length": _with_header(lambda h: h.update(T=h["T"] + 1)),
+    "OCR frame past T": _with_header(_ocr_frame_past_end),
+}
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE_ENTRIES))
+def test_invalid_cache_entry_is_a_miss_and_rewritten(rich_workspace, capsys, case):
+    tmp_path, args, _ = rich_workspace
+    expected, _ = _select(args, tmp_path / "cold")
+    (entry,) = (tmp_path / "cache").iterdir()
+    valid = entry.read_bytes()
+    entry.write_bytes(_HOSTILE_ENTRIES[case](valid))
+    capsys.readouterr()
+
+    artifacts, stats = _select(args, tmp_path / "hostile")
+    assert capsys.readouterr().err == ""
+    assert stats == {"bundle_ingested": 1, "disk_hit": False, "disabled": False}
+    assert artifacts == expected
+    assert entry.read_bytes() == valid
+    assert _select(args, tmp_path / "again")[1]["disk_hit"] is True
+    assert _UNPICKLED == []
+
+
+def test_failed_artifact_write_leaves_no_file(workspace, monkeypatch):
+    tmp_path, tree_path, bundle_path = workspace
+    write_text = Path.write_text
+
+    def disk_full_on_curve(self, data, *args, **kwargs):
+        if self.name != "curve.json":
+            return write_text(self, data, *args, **kwargs)
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full_on_curve)
+    out_dir = tmp_path / "out"
+    assert main(["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
+                 "--frames", "8", "--out", str(out_dir)]) == 1
+    assert list(out_dir.iterdir()) == []
 
 
 def test_select_strategy_flag(workspace):

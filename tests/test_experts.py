@@ -340,6 +340,17 @@ def test_bundle_document_validation():
     with pytest.raises(InconsistentLengthError):
         loads_bundle(json.dumps(bad))
 
+    # Numbers only, and only those a float can hold.
+    for start in ([1], "1.5", True, None, 10**400):
+        bad = json.loads(dumps_bundle(full_bundle()))
+        bad["transcript"][0]["start"] = start
+        with pytest.raises(BundleFormatError):
+            loads_bundle(json.dumps(bad))
+    bad = json.loads(dumps_bundle(full_bundle()))
+    bad["frame_rate"] = 10**400
+    with pytest.raises(BundleFormatError):
+        loads_bundle(json.dumps(bad))
+
     with pytest.raises(BundleFormatError):
         loads_bundle("not json at all")
     with pytest.raises(BundleFormatError):
