@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .config import EngineConfig
-from .errors import BenchmarkError, InvalidScriptError, parse_json, read_text
+from .errors import BenchmarkError, InvalidScriptError
 from .experts.bundle import (
     ExpertBundle,
     OcrFrameText,
@@ -366,58 +367,55 @@ def script_to_obj(script: EventScript) -> dict:
     }
 
 
-def script_from_obj(obj) -> EventScript:
-    if not isinstance(obj, dict):
-        raise InvalidScriptError("script must be a JSON object")
+def _event_from_obj(obj) -> Event:
+    err, what = InvalidScriptError, "event"
+    jsonio.mapping(obj, err, what)
+    name = jsonio.field(obj, "expert", jsonio.string, err, what)
     try:
-        events = tuple(
-            Event(
-                expert=ExpertKind(str(e["expert"]).upper()),
-                query=str(e["query"]),
-                support=(int(e["support"][0]), int(e["support"][1])),
-                amplitude=float(e.get("amplitude", 1.0)),
-                modality_offset=int(e.get("modality_offset", 0)),
-            )
-            for e in obj.get("events", [])
-        )
-        return EventScript(
-            script_id=str(obj["script_id"]),
-            num_frames=int(obj["T"]),
-            events=events,
-            noise_level=float(obj.get("noise_level", 0.0)),
-            seed=int(obj.get("seed", 0)),
-            frame_rate=float(obj.get("frame_rate", 1.0)),
-        )
-    except InvalidScriptError:
-        raise
-    except KeyError as exc:
-        raise InvalidScriptError(
-            f"script is missing required key {exc}"
-        ) from exc
-    except (ValueError, TypeError, IndexError) as exc:
-        raise InvalidScriptError(f"malformed script: {exc}") from exc
+        expert = ExpertKind(name.upper())
+    except ValueError:
+        raise err(f"unknown event expert {name!r}") from None
+    support = jsonio.field(obj, "support", jsonio.array, err, what)
+    if len(support) != 2:
+        raise err(f"event support must be [start, end], got {len(support)} values")
+    return Event(
+        expert=expert,
+        query=jsonio.field(obj, "query", jsonio.string, err, what),
+        support=tuple(jsonio.array(support, err, "event support", jsonio.integer)),
+        amplitude=jsonio.field(obj, "amplitude", jsonio.number, err, what, 1.0),
+        modality_offset=jsonio.field(obj, "modality_offset", jsonio.integer, err, what, 0),
+    )
+
+
+def script_from_obj(obj) -> EventScript:
+    """Validate a parsed script document; values are checked, never cast."""
+    err, what = InvalidScriptError, "script"
+    jsonio.mapping(obj, err, what)
+    events = jsonio.field(obj, "events", jsonio.array, err, what, [])
+    return EventScript(
+        script_id=jsonio.field(obj, "script_id", jsonio.string, err, what),
+        num_frames=jsonio.field(obj, "T", jsonio.integer, err, what),
+        events=tuple(_event_from_obj(e) for e in events),
+        noise_level=jsonio.field(obj, "noise_level", jsonio.number, err, what, 0.0),
+        seed=jsonio.field(obj, "seed", jsonio.integer, err, what, 0),
+        frame_rate=jsonio.field(obj, "frame_rate", jsonio.number, err, what, 1.0),
+    )
 
 
 def save_scripts(scripts, path) -> None:
-    obj = {
+    jsonio.save_json({
         "format_version": SCRIPT_FORMAT_VERSION,
         "scripts": [script_to_obj(s) for s in scripts],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def load_scripts(path) -> list[EventScript]:
-    text = read_text(path, InvalidScriptError, "script file")
-    obj = parse_json(text, InvalidScriptError, "script file")
-    if not isinstance(obj, dict) or "scripts" not in obj:
-        raise InvalidScriptError("script file must be {format_version, scripts}")
-    if obj.get("format_version") != SCRIPT_FORMAT_VERSION:
-        raise InvalidScriptError(
-            f"unsupported script format_version {obj.get('format_version')}"
-        )
-    return [script_from_obj(s) for s in obj["scripts"]]
+    err, what = InvalidScriptError, "script file"
+    obj = jsonio.mapping(jsonio.load_json(path, err, what), err, what)
+    version = jsonio.field(obj, "format_version", jsonio.integer, err, what)
+    if version != SCRIPT_FORMAT_VERSION:
+        raise err(f"unsupported script format_version {version}")
+    return [script_from_obj(s) for s in jsonio.field(obj, "scripts", jsonio.array, err, what)]
 
 
 def report_to_obj(report: RecallReport) -> dict:
@@ -442,34 +440,5 @@ def report_to_obj(report: RecallReport) -> dict:
     }
 
 
-def report_from_obj(obj) -> RecallReport:
-    if not isinstance(obj, dict) or obj.get("format_version") != REPORT_FORMAT_VERSION:
-        raise ValueError("unsupported report document")
-    entries = tuple(
-        ReportEntry(
-            selector=e["selector"],
-            budget=int(e["budget"]),
-            events_total=int(e["events_total"]),
-            events_hit=int(e["events_hit"]),
-            frames_selected=int(e["frames_selected"]),
-            frames_relevant=int(e["frames_relevant"]),
-        )
-        for e in obj["entries"]
-    )
-    return RecallReport(
-        selectors=tuple(obj["selectors"]),
-        budgets=tuple(int(b) for b in obj["budgets"]),
-        num_scripts=int(obj["num_scripts"]),
-        entries=entries,
-    )
-
-
 def save_report(report: RecallReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_obj(report), fh, indent=2)
-        fh.write("\n")
-
-
-def load_report(path) -> RecallReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_obj(json.load(fh))
+    jsonio.save_json(report_to_obj(report), path)

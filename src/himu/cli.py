@@ -13,7 +13,6 @@ Exit codes: 0 success; 2 tree syntax, or a usage error argparse reports;
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,8 +28,6 @@ from .errors import (
     SchemaError,
     TreeError,
     TreeSyntaxError,
-    decode_text,
-    read_text,
 )
 from .experts.bundle import (
     bundle_digest,  # traced by perfbench/spans.py; cmd_select keys by file bytes
@@ -40,6 +37,7 @@ from .experts.bundle import (
     save_ovd_source,
 )
 from .experts.scoring import ProviderCounters
+from .jsonio import atomic_file, decode_text, read_text, save_json
 from .pipeline import STRATEGIES, run_pipeline
 from .tree import ExpertKind, parse_tree
 
@@ -161,21 +159,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+def _write_outputs(out_dir: Path, artifacts: dict[str, dict], bundle, key) -> list[Path]:
+    """Write the artifacts, then the bundle's cache entry when ``key`` is set.
 
-
-def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> list[Path]:
+    If any write fails, the artifacts already written are removed, so a
+    failed run leaves neither part of the set nor a cache entry behind.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        for name, text in artifacts.items():
-            path = out_dir / name
-            written.append(path)
-            path.write_text(text, encoding="utf-8")
+        for name, obj in artifacts.items():
+            save_json(obj, out_dir / name)
+            written.append(out_dir / name)
+        if key is not None:
+            write_through(bundle, key)
     except BaseException:
-        # Never leave a half-written artifact set behind, nor the file
-        # that was being written when the failure came.
         for path in written:
             path.unlink(missing_ok=True)
         raise
@@ -214,12 +212,8 @@ def cmd_select(args) -> int:
         strategy=args.strategy,
     )
     selection = result.selection
-
-    # Cache the bundle only once a run on it has succeeded.
-    ingested = 0
-    if key is not None and not disk_hit:
-        write_through(bundle, key)
-        ingested = 1
+    # The bundle is cached only once the run and its artifacts have succeeded.
+    ingest_key = key if not disk_hit else None
 
     selection_obj = {
         "video_id": bundle.video_id,
@@ -257,21 +251,22 @@ def cmd_select(args) -> int:
         "video_id": bundle.video_id,
         "providers": counters.snapshot(),
         "cache": {
-            "bundle_ingested": ingested,
+            "bundle_ingested": int(ingest_key is not None),
             "disk_hit": disk_hit,
             "disabled": bool(args.no_cache),
         },
     }
 
-    out_dir = Path(args.out)
-    written = _write_artifacts(
-        out_dir,
+    written = _write_outputs(
+        Path(args.out),
         {
-            "selection.json": _dump(selection_obj),
-            "curve.json": _dump(curve_obj),
-            "attribution.json": _dump(attribution_obj),
-            "stats.json": _dump(stats_obj),
+            "selection.json": selection_obj,
+            "curve.json": curve_obj,
+            "attribution.json": attribution_obj,
+            "stats.json": stats_obj,
         },
+        bundle,
+        ingest_key,
     )
     frames_text = ",".join(str(t) for t in selection.frames)
     print(f"selected {len(selection.frames)} frames: {frames_text}")
@@ -291,9 +286,8 @@ def cmd_gen(args) -> int:
         save_bundle(instance.bundle, out_dir / f"{script.script_id}.bundle.json")
         if instance.ovd_source is not None:
             save_ovd_source(instance.ovd_source, out_dir / f"{script.script_id}.ovd.json")
-        (out_dir / f"{script.script_id}.tree.json").write_text(
-            bench_mod.matched_tree_document(script) + "\n", encoding="utf-8"
-        )
+        with atomic_file(out_dir / f"{script.script_id}.tree.json") as fh:
+            fh.write(bench_mod.matched_tree_document(script) + "\n")
         print(f"generated {script.script_id}: T={script.num_frames}, "
               f"events={len(script.events)}")
     return EXIT_OK

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from . import jsonio
 from .compose import DEFAULT_KAPPA
-from .errors import SchemaError, parse_json, read_text
+from .errors import SchemaError
 from .select import PassParams
 from .signals import (
     DEFAULT_BANDWIDTHS,
@@ -79,30 +80,6 @@ class EngineConfig:
         return replace(self, **kwargs)
 
 
-def _number(what: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what} must be a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(f"{what} is out of range") from None
-
-
-def _integer(what: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer")
-    return value
-
-
-def _of_type(kind: type, name: str):
-    def check(what: str, value):
-        if not isinstance(value, kind):
-            raise SchemaError(f"{what} must be {name}")
-        return value
-
-    return check
-
-
 def _expert(name) -> ExpertKind:
     try:
         return ExpertKind(name.upper())
@@ -111,17 +88,17 @@ def _expert(name) -> ExpertKind:
 
 
 _SCALAR_KEYS = {
-    "gamma": _number,
-    "delta": _number,
-    "kappa": _number,
-    "smoothing_mode": _of_type(str, "a string"),
-    "strict_schema": _of_type(bool, "a boolean"),
-    "max_depth": _integer,
-    "max_leaves": _integer,
-    "max_peaks": _integer,
-    "neighbors_per_peak": _integer,
-    "window": _integer,
-    "min_distance": _integer,
+    "gamma": jsonio.number,
+    "delta": jsonio.number,
+    "kappa": jsonio.number,
+    "smoothing_mode": jsonio.string,
+    "strict_schema": jsonio.boolean,
+    "max_depth": jsonio.integer,
+    "max_leaves": jsonio.integer,
+    "max_peaks": jsonio.integer,
+    "neighbors_per_peak": jsonio.integer,
+    "window": jsonio.integer,
+    "min_distance": jsonio.integer,
 }
 
 
@@ -136,23 +113,21 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
     """
     if base is None:
         base = EngineConfig()
-    if not isinstance(obj, dict):
-        raise SchemaError("config document must be a JSON object")
+    jsonio.mapping(obj, SchemaError, "config document")
     updates: dict = {}
     for key, value in obj.items():
+        what = f"config key {key!r}"
         if key in _SCALAR_KEYS:
-            updates[key] = _SCALAR_KEYS[key](f"config key {key!r}", value)
+            updates[key] = _SCALAR_KEYS[key](value, SchemaError, what)
         elif key == "sigma_by_expert":
-            if not isinstance(value, dict):
-                raise SchemaError("sigma_by_expert must be an object")
             sigmas = dict(base.sigma_by_expert)
-            for name, sigma in value.items():
-                sigmas[_expert(name)] = _number(f"bandwidth for {name!r}", sigma)
+            for name, sigma in jsonio.mapping(value, SchemaError, what).items():
+                sigmas[_expert(name)] = jsonio.number(
+                    sigma, SchemaError, f"bandwidth for {name!r}")
             updates["sigma_by_expert"] = sigmas
         elif key == "active_experts":
-            if not isinstance(value, list):
-                raise SchemaError("active_experts must be a list of expert names")
-            updates["active_experts"] = frozenset(_expert(name) for name in value)
+            names = jsonio.array(value, SchemaError, what)
+            updates["active_experts"] = frozenset(_expert(name) for name in names)
         else:
             raise SchemaError(f"unknown config key {key!r}")
     try:
@@ -162,5 +137,4 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
 
 
 def load_config(path, base: EngineConfig | None = None) -> EngineConfig:
-    text = read_text(path, SchemaError, "config file")
-    return config_from_obj(parse_json(text, SchemaError, "config file"), base)
+    return config_from_obj(jsonio.load_json(path, SchemaError, "config file"), base)

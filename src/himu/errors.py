@@ -1,12 +1,10 @@
 """Exception hierarchy for the himu engine.
 
-Tree ingestion errors carry a ``path`` attribute pointing at the offending
-node in the source document (JSON-path style, e.g. ``$.children[1]``) so CLI
-diagnostics can name the exact location. Plain I/O failures are not wrapped;
-they surface as ``OSError``.
+Every engine error is a ``HimuError``. Tree ingestion errors carry a
+``path`` attribute pointing at the offending node in the source document
+(JSON-path style, e.g. ``$.children[1]``) so CLI diagnostics can name the
+exact location.
 """
-import json
-from pathlib import Path
 
 
 class HimuError(Exception):
@@ -121,34 +119,3 @@ class BenchmarkError(HimuError):
         self.script_id = script_id
         self.cause = cause
 
-
-def parse_json(text: str, error: type[HimuError], what: str):
-    """Parse a JSON document, raising ``error`` for malformed input.
-
-    Both failures of ``json.loads`` map to ``error``: invalid syntax (and
-    integers beyond the interpreter's digit limit), and nesting deeper than
-    the parser's recursion limit.
-    """
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise error(f"{what} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise error(f"{what} nesting exceeds parser limits") from None
-
-
-def decode_text(data: bytes, error: type[HimuError], what: str) -> str:
-    """Decode the bytes of a UTF-8 input file, raising ``error`` when they
-    are not UTF-8."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} is not UTF-8: {exc}") from exc
-
-
-def read_text(path, error: type[HimuError], what: str) -> str:
-    """Read a UTF-8 input file, raising ``error`` when it is not UTF-8.
-
-    A missing or unreadable file still raises ``OSError``.
-    """
-    return decode_text(Path(path).read_bytes(), error, what)

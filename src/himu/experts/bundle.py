@@ -10,16 +10,13 @@ through a canonical JSON serialization.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ..errors import BundleFormatError, InconsistentLengthError, parse_json, read_text
+from .. import jsonio
+from ..errors import BundleFormatError, InconsistentLengthError
 from ..tree import ExpertKind
 
 FORMAT_VERSION = 1
@@ -104,7 +101,7 @@ class OcrFrameText:
     def __post_init__(self):
         if self.frame < 0:
             raise BundleFormatError(f"ocr frame index must be >= 0, got {self.frame}")
-        object.__setattr__(self, "detections", tuple(str(d) for d in self.detections))
+        object.__setattr__(self, "detections", tuple(self.detections))
 
 
 @dataclass(frozen=True)
@@ -217,41 +214,18 @@ def bundle_to_obj(bundle: ExpertBundle) -> dict:
     return obj
 
 
-_CANONICAL_JSON = {"indent": 2, "ensure_ascii": False}
-
-
 def dumps_bundle(bundle: ExpertBundle) -> str:
     """Canonical text form: fixed key order, 2-space indent, repr floats.
 
     Floats use Python's shortest round-trip decimal form, so values survive
     save/load byte-identically.
     """
-    return json.dumps(bundle_to_obj(bundle), **_CANONICAL_JSON) + "\n"
-
-
-def _want(obj: dict, key: str, kinds, what: str):
-    if key not in obj:
-        raise BundleFormatError(f"{what} is missing required key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise BundleFormatError(f"{what} key {key!r} has the wrong type")
-    return value
-
-
-def _number(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise BundleFormatError(f"{what} must be a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise BundleFormatError(f"{what} is out of range") from None
+    return jsonio.dumps(bundle_to_obj(bundle))
 
 
 def _rows_from_obj(entries, what: str):
-    if not isinstance(entries, list):
-        raise BundleFormatError(f"{what} must be a list of rows")
     rows = []
-    for row in entries:
+    for row in jsonio.array(entries, BundleFormatError, what):
         if not isinstance(row, dict) or set(row) != {"query", "values"}:
             raise BundleFormatError(f"{what} rows must be {{query, values}} objects")
         if not isinstance(row["values"], (list, np.ndarray)):
@@ -266,19 +240,17 @@ def bundle_from_obj(obj) -> ExpertBundle:
     Table row values may also be numpy arrays, as the disk cache passes
     them; they go through the same checks as lists.
     """
-    if not isinstance(obj, dict):
-        raise BundleFormatError("bundle document must be a JSON object")
+    err = BundleFormatError
+    jsonio.mapping(obj, err, "bundle document")
     unknown = set(obj) - _BUNDLE_KEYS
     if unknown:
-        raise BundleFormatError(f"bundle has unknown keys: {sorted(unknown)}")
-    version = _want(obj, "format_version", int, "bundle")
+        raise err(f"bundle has unknown keys: {sorted(unknown)}")
+    version = jsonio.field(obj, "format_version", jsonio.integer, err, "bundle")
     if version != FORMAT_VERSION:
-        raise BundleFormatError(
-            f"unsupported bundle format_version {version}, expected {FORMAT_VERSION}"
-        )
-    video_id = _want(obj, "video_id", str, "bundle")
-    num_frames = _want(obj, "T", int, "bundle")
-    frame_rate = _number(_want(obj, "frame_rate", (int, float), "bundle"), "frame_rate")
+        raise err(f"unsupported bundle format_version {version}, expected {FORMAT_VERSION}")
+    video_id = jsonio.field(obj, "video_id", jsonio.string, err, "bundle")
+    num_frames = jsonio.field(obj, "T", jsonio.integer, err, "bundle")
+    frame_rate = jsonio.field(obj, "frame_rate", jsonio.number, err, "bundle")
 
     clip_table = clap_table = None
     if "clip_table" in obj:
@@ -292,40 +264,32 @@ def bundle_from_obj(obj) -> ExpertBundle:
 
     transcript = None
     if "transcript" in obj:
-        if not isinstance(obj["transcript"], list):
-            raise BundleFormatError("transcript must be a list")
         segments = []
-        for seg in obj["transcript"]:
+        for seg in jsonio.array(obj["transcript"], err, "transcript"):
             if not isinstance(seg, dict) or set(seg) != {"start", "end", "text"}:
-                raise BundleFormatError("transcript entries must be {start, end, text}")
+                raise err("transcript entries must be {start, end, text}")
             segments.append(TranscriptSegment(
-                _number(seg["start"], "segment start"),
-                _number(seg["end"], "segment end"),
-                str(seg["text"]),
+                jsonio.number(seg["start"], err, "segment start"),
+                jsonio.number(seg["end"], err, "segment end"),
+                jsonio.string(seg["text"], err, "segment text"),
             ))
         transcript = tuple(segments)
 
     ocr = None
     if "ocr" in obj:
-        if not isinstance(obj["ocr"], list):
-            raise BundleFormatError("ocr must be a list")
         entries = []
-        for entry in obj["ocr"]:
+        for entry in jsonio.array(obj["ocr"], err, "ocr"):
             if not isinstance(entry, dict) or set(entry) != {"frame", "detections"}:
-                raise BundleFormatError("ocr entries must be {frame, detections}")
-            frame = entry["frame"]
-            if not isinstance(frame, int) or isinstance(frame, bool):
-                raise BundleFormatError("ocr frame must be an integer")
-            if not isinstance(entry["detections"], list):
-                raise BundleFormatError("ocr detections must be a list")
-            entries.append(OcrFrameText(frame, tuple(entry["detections"])))
+                raise err("ocr entries must be {frame, detections}")
+            entries.append(OcrFrameText(
+                jsonio.integer(entry["frame"], err, "ocr frame"),
+                tuple(jsonio.array(entry["detections"], err, "ocr detections", jsonio.string)),
+            ))
         ocr = tuple(entries)
 
     meta = None
     if "meta" in obj:
-        if not isinstance(obj["meta"], dict):
-            raise BundleFormatError("meta must be an object")
-        meta = obj["meta"]
+        meta = jsonio.mapping(obj["meta"], err, "meta")
 
     return ExpertBundle(
         video_id=video_id,
@@ -340,40 +304,16 @@ def bundle_from_obj(obj) -> ExpertBundle:
 
 
 def loads_bundle(text: str) -> ExpertBundle:
-    return bundle_from_obj(parse_json(text, BundleFormatError, "bundle"))
+    return bundle_from_obj(jsonio.parse_json(text, BundleFormatError, "bundle"))
 
 
 def load_bundle(path) -> ExpertBundle:
-    return loads_bundle(read_text(path, BundleFormatError, "bundle"))
-
-
-@contextmanager
-def atomic_file(path, mode: str = "w"):
-    """Open ``<path>.tmp.<pid>`` for writing and move it to ``path`` on success.
-
-    Text modes write UTF-8. If the body or the move fails, the temporary
-    file is removed, so a failed write leaves no file behind.
-    """
-    tmp = Path(f"{path}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    return loads_bundle(jsonio.read_text(path, BundleFormatError, "bundle"))
 
 
 def save_bundle(bundle: ExpertBundle, path) -> None:
-    """Write ``dumps_bundle`` text atomically.
-
-    The text is streamed to the file rather than built in memory first, so
-    saving a large bundle adds little to the process's peak memory.
-    """
-    obj = bundle_to_obj(bundle)
-    with atomic_file(path) as fh:
-        json.dump(obj, fh, **_CANONICAL_JSON)
-        fh.write("\n")
+    """Write ``dumps_bundle`` text atomically, streamed to the file."""
+    jsonio.save_json(bundle_to_obj(bundle), path)
 
 
 def bundle_digest(bundle: ExpertBundle) -> str:
@@ -394,29 +334,28 @@ def ovd_to_obj(source: OvdSource) -> dict:
 
 
 def dumps_ovd(source: OvdSource) -> str:
-    return json.dumps(ovd_to_obj(source), indent=2, ensure_ascii=False) + "\n"
+    return jsonio.dumps(ovd_to_obj(source))
 
 
 def ovd_from_obj(obj) -> OvdSource:
-    if not isinstance(obj, dict):
-        raise BundleFormatError("detection source must be a JSON object")
+    err = BundleFormatError
+    jsonio.mapping(obj, err, "detection source")
     unknown = set(obj) - {"video_id", "entries", "format_version"}
     if unknown:
-        raise BundleFormatError(f"detection source has unknown keys: {sorted(unknown)}")
-    if "format_version" in obj and obj["format_version"] != FORMAT_VERSION:
-        raise BundleFormatError(
-            f"unsupported detection-source format_version {obj['format_version']}"
-        )
-    video_id = _want(obj, "video_id", str, "detection source")
-    rows = _rows_from_obj(_want(obj, "entries", list, "detection source"), "entries")
+        raise err(f"detection source has unknown keys: {sorted(unknown)}")
+    version = jsonio.field(obj, "format_version", jsonio.integer, err, "detection source",
+                           FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise err(f"unsupported detection-source format_version {version}")
+    video_id = jsonio.field(obj, "video_id", jsonio.string, err, "detection source")
+    rows = _rows_from_obj(jsonio.field(obj, "entries", jsonio.array, err, "detection source"),
+                          "entries")
     return OvdSource(video_id, tuple(rows))
 
 
 def load_ovd_source(path) -> OvdSource:
-    text = read_text(path, BundleFormatError, "detection source")
-    return ovd_from_obj(parse_json(text, BundleFormatError, "detection source"))
+    return ovd_from_obj(jsonio.load_json(path, BundleFormatError, "detection source"))
 
 
 def save_ovd_source(source: OvdSource, path) -> None:
-    with atomic_file(path) as fh:
-        fh.write(dumps_ovd(source))
+    jsonio.save_json(ovd_to_obj(source), path)

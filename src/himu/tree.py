@@ -17,6 +17,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 
+from . import jsonio
 from .errors import (
     ArityError,
     EmptyQueryError,
@@ -102,7 +103,8 @@ def parse_tree(
     """
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Invalid syntax, or an integer past the interpreter's digit limit.
         raise TreeSyntaxError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         # json.loads recursion-limits before our own depth cap can apply
@@ -202,7 +204,7 @@ class _Builder:
 
 def serialize(tree: LogicTree) -> str:
     """Canonical JSON text; parses back to a structurally identical tree."""
-    return json.dumps(_node_dict(tree.root), indent=2)
+    return jsonio.dumps(_node_dict(tree.root))
 
 
 def _node_dict(node: TreeNode):

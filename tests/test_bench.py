@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -7,9 +8,9 @@ from himu.bench import (
     Event,
     EventScript,
     generate,
-    load_report,
     load_scripts,
     matched_tree_document,
+    report_to_obj,
     run_benchmark,
     save_report,
     save_scripts,
@@ -23,6 +24,7 @@ from himu.errors import (
     LeafEvaluationError,
     MissingRowError,
 )
+from himu.cli import main
 from himu.experts import bundle_digest, dumps_ovd, score_asr_leaf
 from himu.tree import ExpertKind
 
@@ -186,6 +188,40 @@ def test_script_round_trip(tmp_path):
     assert script_from_obj(script_to_obj(scripts[0])) == scripts[0]
 
 
+_SCRIPT_DOC = {
+    "script_id": "s",
+    "T": 20,
+    "seed": 0,
+    "events": [
+        {"expert": "CLIP", "query": "a dog", "support": [1, 5], "modality_offset": 0},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("script_id", 7),
+        ("T", 20.9),
+        ("seed", True),
+        ("query", 123),
+        ("support", [1.7, "5"]),
+        ("modality_offset", 2.5),
+    ],
+)
+def test_script_values_are_checked_not_cast(tmp_path, key, value):
+    script = copy.deepcopy(_SCRIPT_DOC)
+    assert script_from_obj(script).events[0].support == (1, 5)
+    (script if key in script else script["events"][0])[key] = value
+    path = tmp_path / "scripts.json"
+    path.write_text(json.dumps({"format_version": 1, "scripts": [script]}))
+    with pytest.raises(InvalidScriptError):
+        load_scripts(path)
+    out_dir = tmp_path / "gen"
+    assert main(["gen", "--scripts", str(path), "--out", str(out_dir)]) == 1
+    assert not out_dir.exists()
+
+
 def test_benchmark_small_suite_and_report_round_trip(tmp_path):
     scripts = [
         script_with(
@@ -216,8 +252,7 @@ def test_benchmark_small_suite_and_report_round_trip(tmp_path):
 
     path = tmp_path / "report.json"
     save_report(report, path)
-    loaded = load_report(path)
-    assert loaded == report
+    assert json.loads(path.read_text(encoding="utf-8")) == report_to_obj(report)
     with pytest.raises(KeyError):
         report.entry("pass", 999)
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import himu.experts.bundle as bundle_module
+import himu.jsonio
+from himu.bench import Event, EventScript, RecallReport, save_report, save_scripts
 from himu.cache import cache_root, entry_key, entry_path, read_entry, write_through
 from himu.experts import (
     OvdSource,
@@ -16,6 +17,7 @@ from himu.experts import (
     save_bundle,
     save_ovd_source,
 )
+from himu.tree import ExpertKind
 
 
 def test_cache_root_env_override(tmp_path, monkeypatch):
@@ -85,12 +87,18 @@ _WRITERS = {
         OvdSource("vid", (("red car", np.array([0.0, 0.5, 0.9])),)), tmp_path / "o.json"
     ),
     "write_through": lambda bundle, tmp_path: write_through(bundle, "k", root=tmp_path),
+    "save_scripts": lambda bundle, tmp_path: save_scripts(
+        [EventScript("s", 10, (Event(ExpertKind.CLIP, "a dog", (1, 3)),))], tmp_path / "s.json"
+    ),
+    "save_report": lambda bundle, tmp_path: save_report(
+        RecallReport(("pass",), (8,), 0), tmp_path / "r.json"
+    ),
 }
 
 
 @pytest.mark.parametrize("writer", list(_WRITERS))
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, rich_bundle, writer):
-    monkeypatch.setattr(bundle_module, "open", _disk_full_open, raising=False)
+    monkeypatch.setattr(himu.jsonio, "open", _disk_full_open, raising=False)
     with pytest.raises(OSError, match="No space left"):
         _WRITERS[writer](rich_bundle, tmp_path)
     assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import himu
+import himu.jsonio
 from himu.bench import Event, EventScript, generate, save_scripts
 from himu.cache import entry_path
 from himu.cli import main
@@ -70,6 +71,13 @@ def test_validate_syntax_error_exit_2(tmp_path, capsys):
     path = write_tree(tmp_path, "{not json")
     assert main(["validate", "--tree", str(path)]) == 2
     assert "[syntax]" in capsys.readouterr().err
+    # An integer past the interpreter's digit limit (Python >= 3.11) is a
+    # syntax error; without a limit the unknown field is a schema error.
+    huge = write_tree(tmp_path, '{"op": "LEAF", "expert": "CLIP", "query": "x", "n": '
+                      + "9" * 5000 + "}", "huge.json")
+    limited = hasattr(sys, "get_int_max_str_digits")
+    assert main(["validate", "--tree", str(huge)]) == (2 if limited else 3)
+    assert ("[syntax]" if limited else "[schema]") in capsys.readouterr().err
     undecodable = tmp_path / "utf16.json"
     undecodable.write_bytes(b"\xff\xfe{\x00}\x00")
     for command in (["validate"], ["select", "--bundle", "absent.json", "--frames", "4"]):
@@ -370,19 +378,28 @@ def test_invalid_cache_entry_is_a_miss_and_rewritten(rich_workspace, capsys, cas
 
 def test_failed_artifact_write_leaves_no_file(workspace, monkeypatch):
     tmp_path, tree_path, bundle_path = workspace
-    write_text = Path.write_text
+    cache_dir = tmp_path / "cache"
+    for failing in ("curve.json", ".entry"):
 
-    def disk_full_on_curve(self, data, *args, **kwargs):
-        if self.name != "curve.json":
-            return write_text(self, data, *args, **kwargs)
-        write_text(self, data[: len(data) // 2], *args, **kwargs)
-        raise OSError(errno.ENOSPC, "No space left on device")
+        def disk_full_on(file, mode="r", **kwargs):
+            """``open`` that fails halfway through the first write to ``failing``."""
+            fh = open(file, mode, **kwargs)
+            if failing in Path(file).name:
+                write = fh.write
 
-    monkeypatch.setattr(Path, "write_text", disk_full_on_curve)
-    out_dir = tmp_path / "out"
-    assert main(["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
-                 "--frames", "8", "--out", str(out_dir)]) == 1
-    assert list(out_dir.iterdir()) == []
+                def half_then_fail(data):
+                    write(data[: len(data) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                fh.write = half_then_fail
+            return fh
+
+        monkeypatch.setattr(himu.jsonio, "open", disk_full_on, raising=False)
+        out_dir = tmp_path / f"out{failing}"
+        assert main(["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
+                     "--frames", "8", "--out", str(out_dir)]) == 1
+        assert list(out_dir.iterdir()) == []
+        assert list(cache_dir.glob("*")) == []
 
 
 def test_select_strategy_flag(workspace):

@@ -351,6 +351,17 @@ def test_bundle_document_validation():
     with pytest.raises(BundleFormatError):
         loads_bundle(json.dumps(bad))
 
+    # Text is checked, never turned into a string with str().
+    for text in (["turn", "left"], {"a": 1}, None):
+        bad = json.loads(dumps_bundle(full_bundle()))
+        bad["transcript"][0]["text"] = text
+        with pytest.raises(BundleFormatError):
+            loads_bundle(json.dumps(bad))
+        bad = json.loads(dumps_bundle(full_bundle()))
+        bad["ocr"][0]["detections"].append(text)
+        with pytest.raises(BundleFormatError):
+            loads_bundle(json.dumps(bad))
+
     with pytest.raises(BundleFormatError):
         loads_bundle("not json at all")
     with pytest.raises(BundleFormatError):
