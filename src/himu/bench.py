@@ -33,7 +33,6 @@ from .tree import ExpertKind, parse_tree
 SCRIPT_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
-_TABLE_EXPERTS = (ExpertKind.CLIP, ExpertKind.CLAP)
 _TEXT_EXPERTS = (ExpertKind.ASR, ExpertKind.OCR)
 _SHIFTED_EXPERTS = (ExpertKind.ASR, ExpertKind.CLAP)
 
@@ -149,7 +148,6 @@ def generate(script: EventScript) -> GeneratedInstance:
     match exactly at scoring time, which is why their amplitude is pinned
     to 1.0.
     """
-    validate_script(script)
     rng = np.random.default_rng(script.seed)
 
     clip_rows = _table_rows(script, ExpertKind.CLIP, rng)
@@ -367,9 +365,14 @@ def script_to_obj(script: EventScript) -> dict:
     }
 
 
+_SCRIPT_KEYS = {"script_id", "T", "frame_rate", "noise_level", "seed", "events"}
+_EVENT_KEYS = {"expert", "query", "support", "amplitude", "modality_offset"}
+
+
 def _event_from_obj(obj) -> Event:
     err, what = InvalidScriptError, "event"
     jsonio.mapping(obj, err, what)
+    jsonio.known_keys(obj, _EVENT_KEYS, err, what)
     name = jsonio.field(obj, "expert", jsonio.string, err, what)
     try:
         expert = ExpertKind(name.upper())
@@ -388,9 +391,11 @@ def _event_from_obj(obj) -> Event:
 
 
 def script_from_obj(obj) -> EventScript:
-    """Validate a parsed script document; values are checked, never cast."""
+    """Validate a parsed script document; values are checked, never cast,
+    and an unknown key is an error."""
     err, what = InvalidScriptError, "script"
     jsonio.mapping(obj, err, what)
+    jsonio.known_keys(obj, _SCRIPT_KEYS, err, what)
     events = jsonio.field(obj, "events", jsonio.array, err, what, [])
     return EventScript(
         script_id=jsonio.field(obj, "script_id", jsonio.string, err, what),
@@ -412,6 +417,7 @@ def save_scripts(scripts, path) -> None:
 def load_scripts(path) -> list[EventScript]:
     err, what = InvalidScriptError, "script file"
     obj = jsonio.mapping(jsonio.load_json(path, err, what), err, what)
+    jsonio.known_keys(obj, {"format_version", "scripts"}, err, what)
     version = jsonio.field(obj, "format_version", jsonio.integer, err, what)
     if version != SCRIPT_FORMAT_VERSION:
         raise err(f"unsupported script format_version {version}")

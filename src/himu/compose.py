@@ -1,6 +1,6 @@
-"""Bottom-up fuzzy-logic evaluation of a tree over processed signals.
+"""Bottom-up fuzzy-logic evaluation of a tree over processed leaf rows.
 
-Leaves return their smoothed score curves; internal nodes combine children
+Leaves return their smoothed score rows; internal nodes combine children
 with continuous operators: product t-norm (AND), probabilistic sum (OR),
 chronological sequencing (SEQ), and exponential-decay adjacency
 (RIGHT_AFTER). The root yields the satisfaction curve, one [0, 1] score per
@@ -15,8 +15,7 @@ from functools import reduce
 import numpy as np
 
 from . import _kernels
-from .errors import ArityError, LengthMismatchError, MissingLeafSignalError
-from .signals import Signal, Stage
+from .errors import ArityError, LengthMismatchError
 from .tree import LogicTree, OperatorKind
 
 DEFAULT_KAPPA = 2.0
@@ -48,7 +47,7 @@ class SatisfactionCurve:
 class AttributionMatrix:
     """Per-leaf processed scores: row = leaf id, column = frame index.
 
-    Rows are bit-identical to the smoothed leaf signals that entered the
+    Rows are bit-identical to the smoothed leaf rows that entered the
     composition, so any selected frame can be explained by reading its
     column.
     """
@@ -122,25 +121,25 @@ def op_right_after(cause, effect, kappa: float = DEFAULT_KAPPA) -> np.ndarray:
 
 def evaluate(
     tree: LogicTree,
-    leaf_signals: dict[int, Signal],
+    leaf_rows: np.ndarray,
     kappa: float = DEFAULT_KAPPA,
 ) -> tuple[SatisfactionCurve, AttributionMatrix]:
-    """Evaluate the whole tree bottom-up over smoothed leaf signals."""
-    rows = []
-    for leaf in tree.leaves:
-        sig = leaf_signals.get(leaf.leaf_id)
-        if sig is None:
-            raise MissingLeafSignalError(leaf.leaf_id)
-        if sig.stage is not Stage.SMOOTHED:
-            raise ValueError(f"leaf {leaf.leaf_id} signal is {sig.stage}, expected Smoothed")
-        rows.append(sig.values)
-    lengths = {r.shape[0] for r in rows}
-    if len(lengths) > 1:
-        raise LengthMismatchError(f"leaf signals disagree on length: {sorted(lengths)}")
+    """Evaluate the whole tree bottom-up over its smoothed leaf rows.
+
+    ``leaf_rows`` is an (L, T) array whose row i is leaf id i's smoothed
+    scores. It becomes the attribution matrix, and each leaf reads its row
+    from that matrix.
+    """
+    attribution = AttributionMatrix(leaf_rows)
+    rows = attribution.values
+    if rows.shape[0] != tree.num_leaves:
+        raise LengthMismatchError(
+            f"tree has {tree.num_leaves} leaves, got {rows.shape[0]} leaf rows"
+        )
 
     def rec(node):
         if node.is_leaf:
-            return leaf_signals[node.leaf_id].values
+            return rows[node.leaf_id]
         kids = [rec(c) for c in node.children]
         if node.op is OperatorKind.AND:
             return op_and(kids)
@@ -150,5 +149,4 @@ def evaluate(
             return op_seq(kids)
         return op_right_after(kids[0], kids[1], kappa)
 
-    curve = SatisfactionCurve(rec(tree.root))
-    return curve, AttributionMatrix(np.stack(rows))
+    return SatisfactionCurve(rec(tree.root)), attribution

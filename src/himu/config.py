@@ -75,10 +75,6 @@ class EngineConfig:
             min_distance=self.min_distance,
         )
 
-    def with_overrides(self, **kwargs) -> "EngineConfig":
-        """New config with the given fields replaced."""
-        return replace(self, **kwargs)
-
 
 def _expert(name) -> ExpertKind:
     try:
@@ -131,7 +127,7 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
         else:
             raise SchemaError(f"unknown config key {key!r}")
     try:
-        return base.with_overrides(**updates)
+        return replace(base, **updates)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

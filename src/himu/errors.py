@@ -95,16 +95,6 @@ class LeafEvaluationError(ExpertError):
         self.cause = cause
 
 
-# --- composition -------------------------------------------------------------
-
-class MissingLeafSignalError(HimuError):
-    """Composition was handed a signal map that does not cover every leaf."""
-
-    def __init__(self, leaf_id):
-        super().__init__(f"no signal provided for leaf {leaf_id}")
-        self.leaf_id = leaf_id
-
-
 # --- benchmark ----------------------------------------------------------------
 
 class InvalidScriptError(HimuError):

@@ -32,10 +32,21 @@ _BUNDLE_KEYS = {
     "ocr",
     "meta",
 }
+_NUMBER_TYPES = {int, float}
 
 
 def _check_values(values, what) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    """A read-only float64 copy of a nonempty, finite 1-D row.
+
+    A JSON list may hold numbers only: a string, bool or null element is
+    rejected rather than cast, and so is an integer no float can hold.
+    """
+    if isinstance(values, list) and not set(map(type, values)) <= _NUMBER_TYPES:
+        raise BundleFormatError(f"{what}: values must be numbers")
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise BundleFormatError(f"{what}: values are out of range") from None
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise BundleFormatError(f"{what}: values must be a nonempty 1-D array")
     if not np.all(np.isfinite(arr)):
@@ -242,9 +253,7 @@ def bundle_from_obj(obj) -> ExpertBundle:
     """
     err = BundleFormatError
     jsonio.mapping(obj, err, "bundle document")
-    unknown = set(obj) - _BUNDLE_KEYS
-    if unknown:
-        raise err(f"bundle has unknown keys: {sorted(unknown)}")
+    jsonio.known_keys(obj, _BUNDLE_KEYS, err, "bundle")
     version = jsonio.field(obj, "format_version", jsonio.integer, err, "bundle")
     if version != FORMAT_VERSION:
         raise err(f"unsupported bundle format_version {version}, expected {FORMAT_VERSION}")
@@ -340,9 +349,8 @@ def dumps_ovd(source: OvdSource) -> str:
 def ovd_from_obj(obj) -> OvdSource:
     err = BundleFormatError
     jsonio.mapping(obj, err, "detection source")
-    unknown = set(obj) - {"video_id", "entries", "format_version"}
-    if unknown:
-        raise err(f"detection source has unknown keys: {sorted(unknown)}")
+    jsonio.known_keys(obj, {"video_id", "entries", "format_version"}, err,
+                      "detection source")
     version = jsonio.field(obj, "format_version", jsonio.integer, err, "detection source",
                            FORMAT_VERSION)
     if version != FORMAT_VERSION:

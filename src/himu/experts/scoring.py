@@ -1,4 +1,4 @@
-"""Leaf scoring: turn (expert, query) predicates into raw per-frame signals.
+"""Leaf scoring: turn (expert, query) predicates into raw per-frame rows.
 
 Embedding-style experts read score-table rows from the per-video bundle.
 Object detection is query-conditioned: its scores come from a separate
@@ -18,7 +18,6 @@ from ..errors import (
     MissingArtifactError,
     MissingRowError,
 )
-from ..signals import Signal, Stage
 from ..tree import ExpertKind, LogicTree
 from .bundle import ExpertBundle, OvdSource, ScoreTable, OcrFrameText, TranscriptSegment
 from .matching import match_score, windowed_match_score
@@ -45,8 +44,8 @@ def query_variants(query: str) -> tuple[str, ...]:
     return tuple(unique)
 
 
-def score_embedding_leaf(bundle: ExpertBundle, expert: ExpertKind, query: str) -> Signal:
-    """Raw signal for a CLIP or CLAP leaf from the bundle's score table."""
+def score_embedding_leaf(bundle: ExpertBundle, expert: ExpertKind, query: str) -> np.ndarray:
+    """Raw row for a CLIP or CLAP leaf from the bundle's score table."""
     if expert is ExpertKind.CLIP:
         table: ScoreTable | None = bundle.clip_table
     elif expert is ExpertKind.CLAP:
@@ -62,20 +61,18 @@ def score_embedding_leaf(bundle: ExpertBundle, expert: ExpertKind, query: str) -
         raise MissingRowError(
             f"{expert.value} table for {bundle.video_id!r} has no row for {query!r}"
         )
-    return Signal(values=values, stage=Stage.RAW)
+    return values
 
 
-def score_ovd_leaf(source: OvdSource | None, query: str, num_frames: int) -> Signal:
-    """Raw detection signal: per-frame max confidence over query variants.
+def score_ovd_leaf(source: OvdSource | None, query: str, num_frames: int) -> np.ndarray:
+    """Raw detection row: per-frame max confidence over query variants.
 
     A missing source or unmatched query yields zeros; detection absence is
     a legitimate score of 0, not an error.
     """
     if source is None:
-        values = np.zeros(num_frames, dtype=np.float64)
-    else:
-        values = source.max_over(query_variants(query), num_frames)
-    return Signal(values=values, stage=Stage.RAW)
+        return np.zeros(num_frames, dtype=np.float64)
+    return source.max_over(query_variants(query), num_frames)
 
 
 def score_asr_leaf(
@@ -83,8 +80,8 @@ def score_asr_leaf(
     query: str,
     num_frames: int,
     frame_rate: float,
-) -> Signal:
-    """Raw speech signal: segment match scores spread over overlapped frames.
+) -> np.ndarray:
+    """Raw speech row: segment match scores spread over overlapped frames.
 
     Each segment scores via windowed text matching, then frame t (covering
     [t/fps, (t+1)/fps)) receives max over segments of segment score times
@@ -105,20 +102,20 @@ def score_asr_leaf(
                 continue
             fraction = overlap * frame_rate
             values[t] = max(values[t], score * fraction)
-    return Signal(values=values, stage=Stage.RAW)
+    return values
 
 
 def score_ocr_leaf(
     ocr: tuple[OcrFrameText, ...], query: str, num_frames: int
-) -> Signal:
-    """Raw on-screen-text signal: per-frame max detection match score."""
+) -> np.ndarray:
+    """Raw on-screen-text row: per-frame max detection match score."""
     values = np.zeros(num_frames, dtype=np.float64)
     for entry in ocr:
         for detection in entry.detections:
             score = match_score(query, detection)
             if score > values[entry.frame]:
                 values[entry.frame] = score
-    return Signal(values=values, stage=Stage.RAW)
+    return values
 
 
 @dataclass
@@ -151,7 +148,7 @@ def _score_one(
     query: str,
     bundle: ExpertBundle,
     ovd_source: OvdSource | None,
-) -> Signal:
+) -> np.ndarray:
     if expert in (ExpertKind.CLIP, ExpertKind.CLAP):
         return score_embedding_leaf(bundle, expert, query)
     if expert is ExpertKind.OVD:
@@ -172,29 +169,27 @@ def evaluate_leaves(
     bundle: ExpertBundle,
     ovd_source: OvdSource | None = None,
     counters: ProviderCounters | None = None,
-) -> dict[int, Signal]:
-    """Raw signals for every leaf, computing each (expert, query) pair once.
+) -> np.ndarray:
+    """Raw rows for every leaf as an (L, T) array, row i for leaf id i.
 
-    Experts with no leaves in the tree are never consulted, and duplicate
-    predicates share one scoring call while still receiving their own map
-    entries. Failures carry the offending leaf's identity.
+    Each (expert, query) pair is scored once: experts with no leaves in the
+    tree are never consulted, and duplicate predicates share one scoring
+    call while still receiving their own row. Failures carry the offending
+    leaf's identity.
     """
     if counters is None:
         counters = ProviderCounters()
-    shared: dict[tuple[ExpertKind, str], Signal] = {}
-    out: dict[int, Signal] = {}
+    scored: dict[tuple[ExpertKind, str], np.ndarray] = {}
+    rows = []
     for leaf in tree.leaves:
         key = (leaf.expert, leaf.query.casefold())
-        if key not in shared:
+        if key not in scored:
             try:
-                shared[key] = _score_one(leaf.expert, leaf.query, bundle, ovd_source)
+                scored[key] = _score_one(leaf.expert, leaf.query, bundle, ovd_source)
             except Exception as exc:
                 raise LeafEvaluationError(
                     leaf.leaf_id, leaf.expert.value, leaf.query, exc
                 ) from exc
             counters.record(leaf.expert)
-        base = shared[key]
-        out[leaf.leaf_id] = Signal(
-            values=base.values, stage=Stage.RAW, source_leaf=leaf.leaf_id
-        )
-    return out
+        rows.append(scored[key])
+    return np.stack(rows)

@@ -136,6 +136,13 @@ def mapping(value, error: type[HimuError], what: str) -> dict:
     return value
 
 
+def known_keys(obj: dict, keys, error: type[HimuError], what: str) -> None:
+    """Raise ``error`` when ``obj`` holds a key outside ``keys``."""
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise error(f"{what} has unknown keys: {sorted(unknown)}")
+
+
 def field(obj: dict, key: str, check, error: type[HimuError], what: str,
           default=_REQUIRED):
     """``obj[key]`` passed through ``check``; a missing key raises ``error``

@@ -1,20 +1,23 @@
-"""End-to-end selection: score leaves, condition signals, compose, select.
+"""End-to-end selection: score leaves, condition their rows, compose, select.
 
-The stages run in a fixed order. Raw leaf signals are produced per
-(expert, query) pair, normalized jointly per expert so siblings share one
-scale, smoothed with the expert's bandwidth, composed bottom-up into the
-satisfaction curve, and finally reduced to a budgeted frame set.
+The stages run in a fixed order on one (leaves x frames) array. Raw leaf
+rows are produced per (expert, query) pair, normalized jointly per expert
+so siblings share one scale, smoothed with the expert's bandwidth, composed
+bottom-up into the satisfaction curve, and finally reduced to a budgeted
+frame set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .compose import AttributionMatrix, SatisfactionCurve, evaluate
 from .config import EngineConfig
 from .experts.bundle import ExpertBundle, OvdSource
 from .experts.scoring import ProviderCounters, evaluate_leaves
 from .select import SelectionResult, pass_select, topk_select, uniform_select
-from .signals import Signal, normalize_joint, smooth
+from .signals import normalize_joint, smooth
 from .tree import LogicTree, leaves_by_expert
 
 STRATEGIES = ("pass", "topk", "uniform")
@@ -32,23 +35,23 @@ class PipelineResult:
 
 def condition_signals(
     tree: LogicTree,
-    raw: dict[int, Signal],
+    raw: np.ndarray,
     config: EngineConfig,
-) -> dict[int, Signal]:
-    """Normalize raw leaf signals jointly per expert, then smooth each.
+) -> np.ndarray:
+    """Normalize the raw (L, T) leaf rows jointly per expert, then smooth each.
 
     Joint normalization pools the median and spread over all of one
-    expert's leaves so sibling queries stay comparable; smoothing then
-    applies that expert's bandwidth to every leaf in the group.
+    expert's rows so sibling queries stay comparable; smoothing then
+    applies that expert's bandwidth to every row in the group. The result
+    is a new (L, T) array, row i for leaf id i.
     """
     norm_params = config.normalization_params()
     smooth_params = config.smoothing_params()
-    out: dict[int, Signal] = {}
+    out = np.empty(raw.shape)
     for expert, leaf_ids in leaves_by_expert(tree).items():
-        group = [raw[i] for i in leaf_ids]
-        normalized = normalize_joint(group, norm_params)
-        for leaf_id, sig in zip(leaf_ids, normalized):
-            out[leaf_id] = smooth(sig, expert, smooth_params)
+        normalized = normalize_joint(raw[leaf_ids], norm_params)
+        for leaf_id, row in zip(leaf_ids, normalized):
+            out[leaf_id] = smooth(row, expert, smooth_params)
     return out
 
 

@@ -201,31 +201,20 @@ def topk_select(curve, budget: int) -> SelectionResult:
 def uniform_select(num_frames: int, budget: int, curve=None) -> SelectionResult:
     """Evenly spaced frames, ignoring scores.
 
-    Ideal positions are round(i * (T - 1) / (K - 1)); a single-frame budget
-    takes frame 0. When rounding collides, the nearest unused frame is
-    substituted (probing lower first, then higher, at growing distance) so
-    exactly min(budget, T) distinct frames come back.
+    With k = min(budget, T) frames, frame i is round(i * (T - 1) / (k - 1)),
+    rounding half to even; a single-frame budget takes frame 0. Positions
+    before rounding are at least 1 apart, and more than 1 apart when k < T,
+    so they round to exactly k distinct frames.
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = min(budget, num_frames)
-    used = np.zeros(num_frames, dtype=bool)
-    chosen: list[int] = []
-    for i in range(k):
-        ideal = 0 if k == 1 else round(i * (num_frames - 1) / (k - 1))
-        t = ideal
-        if used[t]:
-            for d in range(1, num_frames):
-                if ideal - d >= 0 and not used[ideal - d]:
-                    t = ideal - d
-                    break
-                if ideal + d < num_frames and not used[ideal + d]:
-                    t = ideal + d
-                    break
-        chosen.append(t)
-        used[t] = True
+    if k == 1:
+        chosen = [0]
+    else:
+        chosen = np.round(np.arange(k) * (num_frames - 1) / (k - 1)).astype(int).tolist()
     values = _check_curve(curve) if curve is not None else np.zeros(num_frames)
     phase = {t: SelectionPhase.FILL for t in chosen}
     return _result(values, chosen, phase, [], "uniform")

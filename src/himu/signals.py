@@ -1,17 +1,18 @@
-"""Per-frame score series and the post-processing stack.
+"""Per-frame leaf score rows and the post-processing stack.
 
-Raw expert scores live on incomparable scales (cosine similarities,
-detection confidences, binary text matches). ``normalize_joint`` maps each
-group of same-expert signals through a sigmoid of the median/MAD-centered
-scores, with the statistics taken over the concatenation of the whole group
-so relative magnitudes between leaves survive. ``smooth`` then convolves
-each normalized signal with a per-expert Gaussian whose bandwidth matches
-the modality's temporal resolution, so that e.g. speech peaks widen enough
-to co-fire with frame-precise visual peaks under conjunction.
+Leaf scores are plain float64 arrays: one row of T per-frame scores per
+leaf, and a tree's rows stack into an (L, T) array whose row i belongs to
+leaf id i. Raw expert scores live on incomparable scales (cosine
+similarities, detection confidences, binary text matches).
+``normalize_joint`` maps the rows of one expert group through a sigmoid of
+the median/MAD-centered scores, with the statistics taken over the whole
+group so relative magnitudes between leaves survive. ``smooth`` then
+convolves each normalized row with a per-expert Gaussian whose bandwidth
+matches the modality's temporal resolution, so that e.g. speech peaks widen
+enough to co-fire with frame-precise visual peaks under conjunction.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -24,40 +25,6 @@ from .errors import (
     MissingBandwidthError,
 )
 from .tree import ExpertKind
-
-
-class Stage(enum.Enum):
-    RAW = "raw"
-    NORMALIZED = "normalized"
-    SMOOTHED = "smoothed"
-
-
-@dataclass(frozen=True)
-class Signal:
-    """A length-T score series tagged with its processing stage.
-
-    ``values`` is an immutable float64 array. Normalized values lie in the
-    open interval (0, 1) mathematically; float64 rounding can reach the
-    endpoints exactly when the sigmoid saturates. Smoothed values lie in
-    [0, 1].
-    """
-
-    values: np.ndarray
-    stage: Stage = Stage.RAW
-    source_leaf: int | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.shape[0] < 1:
-            raise ValueError("signal must be a nonempty 1-D array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("signal values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return self.values.shape[0]
 
 
 DEFAULT_GAMMA = 3.0
@@ -120,65 +87,49 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def normalize_joint(
-    signals: list[Signal], params: NormalizationParams | None = None
-) -> list[Signal]:
+def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarray:
     """Sigmoid median/MAD normalization with group-joint statistics.
 
-    All inputs must be Raw and share one length (they are expected to share
-    one expert; that grouping is the caller's job). The median and MAD are
-    computed over the concatenation of every input, then each value maps to
-    sigmoid(gamma * (u - med) / (MAD + delta)). A fully constant group
-    concatenation lands exactly on 0.5 everywhere.
+    ``rows`` are one expert group's raw rows (a list of equal-length 1-D
+    arrays, or an (n, T) array); grouping by expert is the caller's job.
+    The median and MAD are computed over every value of the group, then
+    each value maps to sigmoid(gamma * (u - med) / (MAD + delta)), returned
+    as an (n, T) array. A fully constant group lands exactly on 0.5
+    everywhere. Values lie in the open interval (0, 1) mathematically;
+    float64 rounding can reach the endpoints when the sigmoid saturates.
     """
     if params is None:
         params = NormalizationParams()
-    if not signals:
-        raise EmptyInputError("normalize_joint requires at least one signal")
-    length = len(signals[0])
-    for s in signals:
-        if s.stage is not Stage.RAW:
-            raise ValueError(f"expected Raw signals, got {s.stage}")
-        if len(s) != length:
-            raise LengthMismatchError(
-                f"signal lengths differ: {len(s)} vs {length}"
-            )
-    pooled = np.concatenate([s.values for s in signals])
-    med = np.median(pooled)
-    mad = np.median(np.abs(pooled - med))
+    if len(rows) == 0:
+        raise EmptyInputError("normalize_joint requires at least one row")
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise LengthMismatchError(f"row lengths differ: {lengths}")
+    group = np.asarray(rows, dtype=np.float64)
+    med = np.median(group)
+    mad = np.median(np.abs(group - med))
     scale = params.gamma / (mad + params.delta)
-    return [
-        Signal(
-            values=_sigmoid(scale * (s.values - med)),
-            stage=Stage.NORMALIZED,
-            source_leaf=s.source_leaf,
-        )
-        for s in signals
-    ]
+    return _sigmoid(scale * (group - med))
 
 
 def smooth(
-    signal: Signal, expert: ExpertKind, params: SmoothingParams | None = None
-) -> Signal:
-    """Gaussian-smooth one normalized signal with its expert's bandwidth.
+    values: np.ndarray, expert: ExpertKind, params: SmoothingParams | None = None
+) -> np.ndarray:
+    """Gaussian-smooth one normalized row with its expert's bandwidth.
 
-    Bandwidth 0 returns the values unchanged (stage still advances to
-    Smoothed). In strict mode the raw convolution can drift outside [0, 1]
-    because the discrete analytic kernel does not sum to exactly 1; the
-    result is clamped so downstream fuzzy composition stays bounded.
+    Bandwidth 0 returns the values unchanged. In strict mode the raw
+    convolution can drift outside [0, 1] because the discrete analytic
+    kernel does not sum to exactly 1; the result is clamped so downstream
+    fuzzy composition stays bounded.
     """
     if params is None:
         params = SmoothingParams()
-    if signal.stage is not Stage.NORMALIZED:
-        raise ValueError(f"expected a Normalized signal, got {signal.stage}")
     try:
         sigma = params.sigma_by_expert[expert]
     except KeyError:
         raise MissingBandwidthError(f"no bandwidth configured for {expert}") from None
     if sigma == 0:
-        values = signal.values
-    elif params.mode == "renormalized":
-        values = _kernels.smooth_renorm(signal.values, sigma)
-    else:
-        values = np.clip(_kernels.smooth_strict(signal.values, sigma), 0.0, 1.0)
-    return Signal(values=values, stage=Stage.SMOOTHED, source_leaf=signal.source_leaf)
+        return values
+    if params.mode == "renormalized":
+        return _kernels.smooth_renorm(values, sigma)
+    return np.clip(_kernels.smooth_strict(values, sigma), 0.0, 1.0)

@@ -9,6 +9,7 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from himu.errors import TreeError
 from himu.experts import ProviderCounters, bundle_digest, load_bundle, save_bundle
 from himu.pipeline import run_pipeline
 from himu.select import PassParams, pass_select, topk_select
-from himu.signals import Signal, SmoothingParams, Stage, normalize_joint, smooth
+from himu.signals import SmoothingParams, normalize_joint, smooth
 from himu.tree import ALL_EXPERTS, ExpertKind, LogicTree, parse_tree
 from oracles import (
     pass_reference,
@@ -31,7 +32,7 @@ from oracles import (
 
 
 def raw(values):
-    return Signal(values=np.asarray(values, dtype=np.float64), stage=Stage.RAW)
+    return np.asarray(values, dtype=np.float64)
 
 
 def leaf(expert, query):
@@ -122,7 +123,7 @@ def test_criterion_04_normalization():
     # A constant channel is uninformative and must land exactly on 0.5.
     for value in (0.0, 0.3, 1.0):
         (out,) = normalize_joint([raw(np.full(64, value))])
-        assert np.all(out.values == 0.5)
+        assert np.all(out == 0.5)
 
     rng = np.random.default_rng(404)
     for _ in range(1000):
@@ -130,33 +131,32 @@ def test_criterion_04_normalization():
         u = rng.random(T) * float(rng.uniform(0.1, 10.0))
         (out,) = normalize_joint([raw(u)])
         order = np.argsort(u, kind="stable")
-        assert np.all(np.diff(out.values[order]) >= 0.0)
+        assert np.all(np.diff(out[order]) >= 0.0)
 
     # Jointly normalized constant pairs keep their relative order instead of
     # both collapsing to the same score.
     for low, high in ((0.2, 0.8), (0.45, 0.55), (0.0, 1.0)):
         low_n, high_n = normalize_joint([raw(np.full(32, low)), raw(np.full(32, high))])
-        assert np.all(low_n.values < high_n.values)
+        assert np.all(low_n < high_n)
         (alone_low,) = normalize_joint([raw(np.full(32, low))])
         (alone_high,) = normalize_joint([raw(np.full(32, high))])
-        assert np.all(alone_low.values == 0.5) and np.all(alone_high.values == 0.5)
+        assert np.all(alone_low == 0.5) and np.all(alone_high == 0.5)
 
 
 @pytest.mark.criterion(5, "bandwidth-matched smoothing oracle equivalence")
 def test_criterion_05_smoothing():
     rng = np.random.default_rng(505)
-    normalized = Signal(values=rng.random(50), stage=Stage.NORMALIZED)
+    normalized = rng.random(50)
 
     # Width 0 is the identity.
     zero_width = SmoothingParams(sigma_by_expert={k: 0.0 for k in ExpertKind})
     out = smooth(normalized, ExpertKind.CLIP, zero_width)
-    np.testing.assert_array_equal(out.values, normalized.values)
+    np.testing.assert_array_equal(out, normalized)
 
     # Constants survive the boundary renormalization.
     for expert in ALL_EXPERTS:
-        flat = Signal(values=np.full(40, 0.7), stage=Stage.NORMALIZED)
-        out = smooth(flat, expert)
-        np.testing.assert_allclose(out.values, 0.7, rtol=0, atol=1e-12)
+        out = smooth(np.full(40, 0.7), expert)
+        np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-12)
 
     # Impulse responses match the scalar truncated-Gaussian oracle, both in
     # the interior and against the edges where renormalization kicks in.
@@ -165,9 +165,9 @@ def test_criterion_05_smoothing():
         for position in (0, 1, 12, 24):
             impulse = np.zeros(25)
             impulse[position] = 1.0
-            out = smooth(Signal(values=impulse, stage=Stage.NORMALIZED), expert)
+            out = smooth(impulse, expert)
             np.testing.assert_allclose(
-                out.values, smooth_renorm_scalar(impulse, sigma), rtol=0, atol=1e-12
+                out, smooth_renorm_scalar(impulse, sigma), rtol=0, atol=1e-12
             )
 
 
@@ -377,7 +377,7 @@ def test_criterion_11_asynchrony_margin():
         "children": [leaf("CLIP", "a red car"), leaf("ASR", "turn left")],
     }))
     default = EngineConfig()
-    disabled = default.with_overrides(sigma_by_expert={k: 0.0 for k in ExpertKind})
+    disabled = replace(default, sigma_by_expert={k: 0.0 for k in ExpertKind})
     with_smoothing = run_pipeline(tree, instance.bundle, 8, config=default)
     without = run_pipeline(tree, instance.bundle, 8, config=disabled)
     peak_smoothed = float(with_smoothing.curve.values.max())

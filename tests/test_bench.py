@@ -105,7 +105,7 @@ def test_modality_offset_shifts_signal_not_ground_truth():
     assert segment.start == 12.0 and segment.end == 16.0
     values = score_asr_leaf(
         instance.bundle.transcript, "hello there", script.num_frames, script.frame_rate
-    ).values
+    )
     assert np.all(values[12:16] == 1.0)
     assert np.all(values[10:12] == 0.0)
     # Recall is still judged against the stated support.
@@ -186,6 +186,10 @@ def test_script_round_trip(tmp_path):
     loaded = load_scripts(path)
     assert [script_to_obj(s) for s in loaded] == [script_to_obj(s) for s in scripts]
     assert script_from_obj(script_to_obj(scripts[0])) == scripts[0]
+    # A misspelt key in the file is an error, not an empty suite.
+    path.write_text(json.dumps({"format_version": 1, "scripts": [], "scirpts": []}))
+    with pytest.raises(InvalidScriptError):
+        load_scripts(path)
 
 
 _SCRIPT_DOC = {
@@ -198,6 +202,9 @@ _SCRIPT_DOC = {
 }
 
 
+_EVENT_KEYS = ("query", "support", "modality_offset", "amplitud")
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -207,12 +214,16 @@ _SCRIPT_DOC = {
         ("query", 123),
         ("support", [1.7, "5"]),
         ("modality_offset", 2.5),
+        # Unknown keys are errors, not ignored: a misspelt key would
+        # otherwise load as its default (noise 0.0, amplitude 1.0).
+        ("noise", 0.5),
+        ("amplitud", 0.2),
     ],
 )
 def test_script_values_are_checked_not_cast(tmp_path, key, value):
     script = copy.deepcopy(_SCRIPT_DOC)
     assert script_from_obj(script).events[0].support == (1, 5)
-    (script if key in script else script["events"][0])[key] = value
+    (script["events"][0] if key in _EVENT_KEYS else script)[key] = value
     path = tmp_path / "scripts.json"
     path.write_text(json.dumps({"format_version": 1, "scripts": [script]}))
     with pytest.raises(InvalidScriptError):

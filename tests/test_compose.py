@@ -13,20 +13,11 @@ from himu.compose import (
     op_right_after,
     op_seq,
 )
-from himu.errors import ArityError, LengthMismatchError, MissingLeafSignalError
-from himu.signals import Signal, Stage
+from himu.errors import ArityError, LengthMismatchError
 from himu.tree import parse_tree
 from oracles import right_after_direct, seq_brute_force
 
 RNG = np.random.default_rng(99)
-
-
-def smoothed(values, leaf=None):
-    return Signal(
-        values=np.asarray(values, dtype=np.float64),
-        stage=Stage.SMOOTHED,
-        source_leaf=leaf,
-    )
 
 
 def test_satisfaction_curve_validation():
@@ -144,9 +135,7 @@ def test_evaluate_hand_instance():
     }
     tree = parse_tree(json.dumps(doc))
     a, b, c = RNG.random((3, 6))
-    curve, attribution = evaluate(
-        tree, {0: smoothed(a, 0), 1: smoothed(b, 1), 2: smoothed(c, 2)}
-    )
+    curve, attribution = evaluate(tree, np.stack([a, b, c]))
     expected = (a * b) + c - (a * b) * c
     np.testing.assert_allclose(curve.values, expected, atol=1e-12)
     # Attribution rows are the smoothed inputs, bit for bit.
@@ -165,15 +154,12 @@ def test_evaluate_requires_full_smoothed_coverage():
             }
         )
     )
-    a = smoothed(RNG.random(4), 0)
-    with pytest.raises(MissingLeafSignalError) as info:
-        evaluate(tree, {0: a})
-    assert info.value.leaf_id == 1
-    not_smoothed = Signal(values=RNG.random(4), stage=Stage.NORMALIZED)
+    # One row per leaf: too few or too many rows is a length mismatch.
+    for num_rows in (1, 3):
+        with pytest.raises(LengthMismatchError):
+            evaluate(tree, RNG.random((num_rows, 4)))
     with pytest.raises(ValueError):
-        evaluate(tree, {0: a, 1: not_smoothed})
-    with pytest.raises(LengthMismatchError):
-        evaluate(tree, {0: a, 1: smoothed(RNG.random(5), 1)})
+        evaluate(tree, RNG.random(4))
 
 
 def test_evaluate_right_after_uses_kappa():
@@ -193,5 +179,5 @@ def test_evaluate_right_after_uses_kappa():
     effect = np.zeros(8)
     effect[4] = 1.0
     for kappa in (0.5, 2.0):
-        curve, _ = evaluate(tree, {0: smoothed(cause, 0), 1: smoothed(effect, 1)}, kappa)
+        curve, _ = evaluate(tree, np.stack([cause, effect]), kappa)
         assert curve.values[4] == pytest.approx(math.exp(-2 * kappa), abs=1e-12)

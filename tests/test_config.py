@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ def test_defaults():
 
 def test_with_overrides_returns_new_config():
     base = EngineConfig()
-    changed = base.with_overrides(gamma=5.0, kappa=0.5)
+    changed = replace(base, gamma=5.0, kappa=0.5)
     assert changed.gamma == 5.0 and changed.kappa == 0.5
     assert base.gamma == 3.0
     assert changed.sigma_by_expert == base.sigma_by_expert

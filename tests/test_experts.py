@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -27,6 +28,7 @@ from himu.experts import (
     load_ovd_source,
     loads_bundle,
     match_score,
+    ovd_from_obj,
     query_variants,
     save_bundle,
     save_ovd_source,
@@ -37,7 +39,6 @@ from himu.experts import (
     similarity,
     windowed_match_score,
 )
-from himu.signals import Stage
 from himu.tree import ExpertKind, parse_tree
 from oracles import (
     levenshtein_matrix,
@@ -157,9 +158,8 @@ def test_score_embedding_leaf_case_insensitive_row():
         ExpertKind.CLIP, "vid", (("person speaking", np.array([0.21, 0.30, 0.19])),)
     )
     bundle = make_bundle(T=3, clip_table=table)
-    sig = score_embedding_leaf(bundle, ExpertKind.CLIP, "Person Speaking")
-    assert sig.stage is Stage.RAW
-    np.testing.assert_array_equal(sig.values, [0.21, 0.30, 0.19])
+    row = score_embedding_leaf(bundle, ExpertKind.CLIP, "Person Speaking")
+    np.testing.assert_array_equal(row, [0.21, 0.30, 0.19])
 
 
 def test_score_embedding_leaf_missing_row_and_table():
@@ -193,37 +193,37 @@ def test_score_ovd_leaf_max_over_variants():
             ("unrelated", np.full(10, 0.9)),
         ),
     )
-    sig = score_ovd_leaf(source, "red car", 10)
-    assert sig.values[7] == pytest.approx(0.6)
-    assert np.all(sig.values[:7] == 0.0)
+    row = score_ovd_leaf(source, "red car", 10)
+    assert row[7] == pytest.approx(0.6)
+    assert np.all(row[:7] == 0.0)
 
 
 def test_score_ovd_leaf_absent_is_zero():
-    sig = score_ovd_leaf(None, "ghost", 6)
-    np.testing.assert_array_equal(sig.values, np.zeros(6))
-    sig = score_ovd_leaf(OvdSource("vid", ()), "ghost", 6)
-    np.testing.assert_array_equal(sig.values, np.zeros(6))
+    row = score_ovd_leaf(None, "ghost", 6)
+    np.testing.assert_array_equal(row, np.zeros(6))
+    row = score_ovd_leaf(OvdSource("vid", ()), "ghost", 6)
+    np.testing.assert_array_equal(row, np.zeros(6))
 
 
 def test_score_asr_overlap_fractions():
     # Segment 12.0-13.5 s at 1 fps: frame 12 fully covered, frame 13 half.
     transcript = (TranscriptSegment(12.0, 13.5, "the chemical reaction begins"),)
-    sig = score_asr_leaf(transcript, "reaction", 20, 1.0)
-    assert sig.values[12] == pytest.approx(1.0)
-    assert sig.values[13] == pytest.approx(0.5)
-    assert np.count_nonzero(sig.values) == 2
+    row = score_asr_leaf(transcript, "reaction", 20, 1.0)
+    assert row[12] == pytest.approx(1.0)
+    assert row[13] == pytest.approx(0.5)
+    assert np.count_nonzero(row) == 2
 
 
 def test_score_asr_overlap_mass_equals_duration_in_frames():
     transcript = (TranscriptSegment(3.25, 7.75, "hello world"),)
-    sig = score_asr_leaf(transcript, "hello", 20, 2.0)
-    assert sig.values.sum() == pytest.approx((7.75 - 3.25) * 2.0)
+    row = score_asr_leaf(transcript, "hello", 20, 2.0)
+    assert row.sum() == pytest.approx((7.75 - 3.25) * 2.0)
 
 
 def test_score_asr_no_match_and_empty_transcript():
     transcript = (TranscriptSegment(1.0, 2.0, "completely different words"),)
-    assert np.all(score_asr_leaf(transcript, "chemistry", 5, 1.0).values == 0.0)
-    assert np.all(score_asr_leaf((), "anything", 5, 1.0).values == 0.0)
+    assert np.all(score_asr_leaf(transcript, "chemistry", 5, 1.0) == 0.0)
+    assert np.all(score_asr_leaf((), "anything", 5, 1.0) == 0.0)
 
 
 def test_score_asr_takes_max_over_overlapping_segments():
@@ -231,9 +231,9 @@ def test_score_asr_takes_max_over_overlapping_segments():
         TranscriptSegment(0.0, 2.0, "the dog barks"),
         TranscriptSegment(1.0, 2.0, "dog"),
     )
-    sig = score_asr_leaf(transcript, "dog", 4, 1.0)
-    assert sig.values[0] == pytest.approx(1.0)
-    assert sig.values[1] == pytest.approx(1.0)
+    row = score_asr_leaf(transcript, "dog", 4, 1.0)
+    assert row[0] == pytest.approx(1.0)
+    assert row[1] == pytest.approx(1.0)
 
 
 def test_score_ocr_examples():
@@ -242,11 +242,11 @@ def test_score_ocr_examples():
         OcrFrameText(5, ("K0rea",)),
         OcrFrameText(5, ("nothing",)),
     )
-    sig = score_ocr_leaf(ocr, "exit", 8)
-    assert sig.values[3] == 1.0
-    sig = score_ocr_leaf(ocr, "Korea", 8)
-    assert sig.values[5] == pytest.approx(0.8)
-    assert np.all(score_ocr_leaf((), "exit", 8).values == 0.0)
+    row = score_ocr_leaf(ocr, "exit", 8)
+    assert row[3] == 1.0
+    row = score_ocr_leaf(ocr, "Korea", 8)
+    assert row[5] == pytest.approx(0.8)
+    assert np.all(score_ocr_leaf((), "exit", 8) == 0.0)
 
 
 # --- bundle format ----------------------------------------------------------------
@@ -350,6 +350,20 @@ def test_bundle_document_validation():
     bad["frame_rate"] = 10**400
     with pytest.raises(BundleFormatError):
         loads_bundle(json.dumps(bad))
+    # Score rows of bundles and detection sources hold numbers only; a
+    # string, bool or null is rejected, never cast to a float.
+    good_ovd = {"video_id": "vid", "format_version": 1,
+                "entries": [{"query": "car", "values": [0.5, 1]}]}
+    assert ovd_from_obj(good_ovd).entries[0][1].tolist() == [0.5, 1.0]
+    for value in ("0.5", True, None, 10**400):
+        bad = json.loads(dumps_bundle(full_bundle()))
+        bad["clip_table"][0]["values"][0] = value
+        with pytest.raises(BundleFormatError):
+            loads_bundle(json.dumps(bad))
+        bad = copy.deepcopy(good_ovd)
+        bad["entries"][0]["values"][0] = value
+        with pytest.raises(BundleFormatError):
+            ovd_from_obj(bad)
 
     # Text is checked, never turned into a string with str().
     for text in (["turn", "left"], {"a": 1}, None):
@@ -406,11 +420,12 @@ def test_evaluate_leaves_covers_all_and_tags_source():
             }
         )
     )
-    out = evaluate_leaves(tree, scored_bundle())
-    assert sorted(out) == [0, 1]
-    assert out[0].source_leaf == 0
-    assert out[1].source_leaf == 1
-    assert all(sig.stage is Stage.RAW for sig in out.values())
+    bundle = scored_bundle()
+    out = evaluate_leaves(tree, bundle)
+    # Row i holds leaf id i's raw scores.
+    assert out.shape == (2, 8) and out.dtype == np.float64
+    np.testing.assert_array_equal(out[0], score_embedding_leaf(bundle, ExpertKind.CLIP, "a dog"))
+    np.testing.assert_array_equal(out[1], score_asr_leaf(bundle.transcript, "good dog", 8, 1.0))
 
 
 def test_evaluate_leaves_conditional_execution_counters():
@@ -438,7 +453,7 @@ def test_evaluate_leaves_shares_duplicate_predicates():
     out = evaluate_leaves(tree, scored_bundle(), counters=counters)
     assert counters.snapshot()["CLIP"] == 1
     assert len(out) == 2
-    np.testing.assert_array_equal(out[0].values, out[1].values)
+    np.testing.assert_array_equal(out[0], out[1])
 
 
 def test_evaluate_leaves_wraps_failures_with_leaf_identity():

@@ -174,6 +174,21 @@ def test_uniform_handles_collisions():
     assert res.frames == (0, 1, 2)
 
 
+def test_uniform_rounds_ideal_positions_to_distinct_frames():
+    # Ideal positions are at least one frame apart, so rounding them (half
+    # to even) never collides: every budget gets min(budget, T) frames.
+    for T in range(1, 301):
+        for budget in range(1, T + 3):
+            k = min(budget, T)
+            if k == 1:
+                expected = [0]
+            else:
+                expected = np.round(np.arange(k) * (T - 1) / (k - 1)).astype(int).tolist()
+            frames = uniform_select(T, budget).frames
+            assert list(frames) == expected
+            assert len(set(frames)) == k
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=120),

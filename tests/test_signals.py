@@ -1,45 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from himu.config import EngineConfig
 from himu.errors import EmptyInputError, LengthMismatchError, MissingBandwidthError
+from himu.pipeline import condition_signals
 from himu.signals import (
     DEFAULT_BANDWIDTHS,
     NormalizationParams,
-    Signal,
     SmoothingParams,
-    Stage,
     normalize_joint,
     smooth,
 )
-from himu.tree import ExpertKind
+from himu.tree import ExpertKind, parse_tree
 from oracles import smooth_renorm_scalar
 
 
 def raw(values):
-    return Signal(values=np.asarray(values, dtype=np.float64), stage=Stage.RAW)
-
-
-def test_signal_validation():
-    with pytest.raises(ValueError):
-        Signal(values=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        Signal(values=np.array([]))
-    with pytest.raises(ValueError):
-        Signal(values=np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        Signal(values=np.array([np.inf]))
-
-
-def test_signal_values_are_immutable_copies():
-    source = np.array([0.1, 0.2])
-    sig = Signal(values=source)
-    source[0] = 9.0
-    assert sig.values[0] == 0.1
-    with pytest.raises(ValueError):
-        sig.values[0] = 5.0
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_params_validation():
@@ -67,48 +49,41 @@ def test_default_bandwidths():
 
 def test_constant_group_maps_to_exactly_half():
     out = normalize_joint([raw(np.full(17, 0.42))])
-    assert np.all(out[0].values == 0.5)
-    # Constant across a group of several signals, too.
+    assert out.shape == (1, 17)
+    assert np.all(out[0] == 0.5)
+    # Constant across a group of several rows, too.
     group = [raw(np.full(5, 1.3)), raw(np.full(5, 1.3))]
-    for sig in normalize_joint(group):
-        assert np.all(sig.values == 0.5)
+    for row in normalize_joint(group):
+        assert np.all(row == 0.5)
 
 
 def test_normalization_frozen_values():
     # med = 0.35, MAD = 0.15, scale = 3 / 0.150001; endpoints frozen by an
     # arbitrary-precision sigmoid evaluation.
-    out = normalize_joint([raw([0.1, 0.2, 0.3, 0.4, 0.5, 0.9])])[0].values
+    out = normalize_joint([raw([0.1, 0.2, 0.3, 0.4, 0.5, 0.9])])[0]
     assert out[0] == pytest.approx(0.006693072528340463, abs=1e-12)
     assert out[5] == pytest.approx(0.9999832973533647, abs=1e-12)
 
 
 def test_joint_normalization_separates_constant_pair():
-    # Normalized separately, two flat signals both collapse to 0.5 and look
+    # Normalized separately, two flat rows both collapse to 0.5 and look
     # equally relevant; jointly they keep their order.
     low, high = raw(np.full(4, 0.2)), raw(np.full(4, 0.8))
-    alone = [normalize_joint([s])[0].values for s in (low, high)]
+    alone = [normalize_joint([row])[0] for row in (low, high)]
     assert np.all(alone[0] == 0.5) and np.all(alone[1] == 0.5)
     joint = normalize_joint([low, high])
-    assert joint[0].values[0] == pytest.approx(0.04742632494470278, abs=1e-12)
-    assert joint[1].values[0] == pytest.approx(0.9525736750552972, abs=1e-12)
-    assert np.all(joint[0].values < joint[1].values)
+    assert joint[0][0] == pytest.approx(0.04742632494470278, abs=1e-12)
+    assert joint[1][0] == pytest.approx(0.9525736750552972, abs=1e-12)
+    assert np.all(joint[0] < joint[1])
+    # A group given as one (n, T) array normalizes the same as its rows.
+    np.testing.assert_array_equal(normalize_joint(np.stack([low, high])), joint)
 
 
-def test_normalize_stage_and_shape_checks():
+def test_normalize_shape_checks():
     with pytest.raises(EmptyInputError):
         normalize_joint([])
     with pytest.raises(LengthMismatchError):
         normalize_joint([raw([0.1, 0.2]), raw([0.1, 0.2, 0.3])])
-    normalized = normalize_joint([raw([0.1, 0.2])])[0]
-    with pytest.raises(ValueError):
-        normalize_joint([normalized])
-
-
-def test_normalize_preserves_source_leaf():
-    sig = Signal(values=np.array([0.1, 0.9]), stage=Stage.RAW, source_leaf=7)
-    out = normalize_joint([sig])[0]
-    assert out.source_leaf == 7
-    assert out.stage is Stage.NORMALIZED
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,27 +96,20 @@ def test_normalize_preserves_source_leaf():
     st.floats(0.5, 10.0),
 )
 def test_normalization_is_monotone_and_bounded(values, gamma):
-    out = normalize_joint([raw(values)], NormalizationParams(gamma=gamma))[0].values
+    out = normalize_joint([raw(values)], NormalizationParams(gamma=gamma))[0]
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     order = np.argsort(values, kind="stable")
     assert np.all(np.diff(out[order]) >= 0.0)
 
 
-def normalized(values):
-    return Signal(values=np.asarray(values, dtype=np.float64), stage=Stage.NORMALIZED)
+normalized = raw
 
 
-def test_smooth_requires_normalized_stage():
-    with pytest.raises(ValueError):
-        smooth(raw([0.1, 0.2]), ExpertKind.CLIP)
-
-
-def test_smooth_zero_bandwidth_is_identity_but_advances_stage():
+def test_smooth_zero_bandwidth_is_identity():
     sig = normalized([0.2, 0.9, 0.1])
     params = SmoothingParams(sigma_by_expert={ExpertKind.CLIP: 0.0})
     out = smooth(sig, ExpertKind.CLIP, params)
-    assert out.stage is Stage.SMOOTHED
-    np.testing.assert_array_equal(out.values, sig.values)
+    np.testing.assert_array_equal(out, sig)
 
 
 def test_smooth_missing_bandwidth():
@@ -155,33 +123,29 @@ def test_smooth_uses_expert_bandwidth():
     sig = normalized(rng.random(60))
     clip_out = smooth(sig, ExpertKind.CLIP)
     clap_out = smooth(sig, ExpertKind.CLAP)
-    np.testing.assert_allclose(
-        clip_out.values, smooth_renorm_scalar(sig.values, 0.5), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        clap_out.values, smooth_renorm_scalar(sig.values, 2.0), atol=1e-12
-    )
+    np.testing.assert_allclose(clip_out, smooth_renorm_scalar(sig, 0.5), atol=1e-12)
+    np.testing.assert_allclose(clap_out, smooth_renorm_scalar(sig, 2.0), atol=1e-12)
 
 
 def test_smooth_preserves_constants_in_default_mode():
     sig = normalized(np.full(25, 0.73))
     for expert in ExpertKind:
         out = smooth(sig, expert)
-        np.testing.assert_allclose(out.values, 0.73, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, 0.73, rtol=0, atol=1e-12)
 
 
 def test_strict_mode_is_clamped_and_depresses_boundaries():
     sig = normalized(np.ones(40))
     params = SmoothingParams(mode="strict")
     out = smooth(sig, ExpertKind.CLAP, params)
-    assert np.all(out.values <= 1.0)
-    assert np.all(out.values >= 0.0)
-    assert out.values[0] < out.values[20]
+    assert np.all(out <= 1.0)
+    assert np.all(out >= 0.0)
+    assert out[0] < out[20]
     # At sigma = 0.5 the discrete analytic kernel sums to ~1.014, so a
     # constant 1 signal would exceed 1 interiorly without the clamp.
     flat = normalized(np.ones(21))
     clipped = smooth(flat, ExpertKind.CLIP, params)
-    assert clipped.values[10] == 1.0
+    assert clipped[10] == 1.0
     from himu import _kernels
 
     assert _kernels.smooth_strict(np.ones(21), 0.5)[10] > 1.0
@@ -198,7 +162,25 @@ def test_strict_mode_is_clamped_and_depresses_boundaries():
 )
 def test_smoothing_keeps_unit_interval_and_mass_center(values, expert):
     out = smooth(normalized(values), expert)
-    assert np.all(out.values >= -1e-15)
-    assert np.all(out.values <= 1.0 + 1e-15)
-    assert out.values.min() >= values.min() - 1e-12
-    assert out.values.max() <= values.max() + 1e-12
+    assert np.all(out >= -1e-15)
+    assert np.all(out <= 1.0 + 1e-15)
+    assert out.min() >= values.min() - 1e-12
+    assert out.max() <= values.max() + 1e-12
+
+
+def test_condition_signals_fills_rows_by_leaf_id():
+    # Leaves 0 and 2 (CLIP) are normalized as one group around leaf 1 (ASR),
+    # and each conditioned row lands back at its own leaf id.
+    tree = parse_tree(json.dumps({"op": "OR", "children": [
+        {"op": "LEAF", "expert": "CLIP", "query": "a"},
+        {"op": "LEAF", "expert": "ASR", "query": "b"},
+        {"op": "LEAF", "expert": "CLIP", "query": "c"},
+    ]}))
+    raw_rows = np.random.default_rng(8).random((3, 30))
+    out = condition_signals(tree, raw_rows, EngineConfig())
+    assert out.shape == (3, 30)
+    clip = normalize_joint(raw_rows[[0, 2]])
+    np.testing.assert_array_equal(out[0], smooth(clip[0], ExpertKind.CLIP))
+    np.testing.assert_array_equal(out[2], smooth(clip[1], ExpertKind.CLIP))
+    asr = normalize_joint(raw_rows[[1]])
+    np.testing.assert_array_equal(out[1], smooth(asr[0], ExpertKind.ASR))
