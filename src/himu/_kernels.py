@@ -1,4 +1,4 @@
-"""Hot numeric kernels, one numpy implementation each.
+"""Hot numeric kernels, one implementation each.
 
 Both Gaussian smoothing modes are the same truncated convolution: each
 output frame sums the in-bounds frames within a radius, and the two modes
@@ -7,6 +7,7 @@ differ only in their weights and their radius.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,21 +81,27 @@ def seq_compose(u) -> np.ndarray:
 # --- RIGHT_AFTER --------------------------------------------------------------
 #
 # Exponential-decay pairing of a cause curve with an effect curve, O(T) via
-# forward/backward accumulators instead of the O(T^2) direct sums.
+# forward/backward accumulators instead of the O(T^2) direct sums. Each
+# accumulator is the sequential recurrence acc = (acc + x) * decay, run by
+# itertools.accumulate over Python floats: those are IEEE doubles like
+# float64, so every step rounds exactly as a loop over numpy scalars would,
+# without the cost of scalar indexing. The order of the additions is kept on
+# purpose. A re-associated (blockwise or prefix-scan) form differs in the
+# last bits, and on plateaus, where the sequential sums come out exactly
+# equal, those bits decide which tied frames selection keeps.
+
+
+def _decayed_prefix(values: list[float], decay: float) -> np.ndarray:
+    """out[i] = sum over j < i of values[j] * decay**(i - j), accumulated in order."""
+    # decay is bound as a default argument: a local read is cheaper per call
+    # than a closure cell, and this lambda runs once per frame.
+    sums = accumulate(values, lambda acc, x, decay=decay: (acc + x) * decay, initial=0.0)
+    return np.fromiter(sums, dtype=np.float64, count=len(values) + 1)[:-1]
 
 
 def right_after_compose(cause, effect, kappa: float) -> np.ndarray:
     cause, effect = _as_f64(cause), _as_f64(effect)
-    T = cause.shape[0]
     decay = math.exp(-float(kappa))
-    s_effect = np.empty(T)
-    s_cause = np.empty(T)
-    acc = 0.0
-    for t in range(T):
-        s_effect[t] = effect[t] * acc
-        acc = (acc + cause[t]) * decay
-    acc = 0.0
-    for t in range(T - 1, -1, -1):
-        s_cause[t] = cause[t] * acc
-        acc = (acc + effect[t]) * decay
-    return np.maximum(s_effect, s_cause)
+    before = _decayed_prefix(cause.tolist(), decay)
+    after = _decayed_prefix(effect[::-1].tolist(), decay)[::-1]
+    return np.maximum(effect * before, cause * after)

@@ -86,12 +86,25 @@ def _check_curve(curve) -> np.ndarray:
     values = np.asarray(curve, dtype=np.float64)
     if values.ndim != 1 or values.shape[0] < 1:
         raise ValueError("curve must be a nonempty 1-D array")
+    if not np.isfinite(values).all():
+        raise ValueError("curve values must be finite")
     return values
 
 
-def _by_score_then_index(values: np.ndarray) -> np.ndarray:
-    """Frame indices ordered by descending score, ties by ascending index."""
-    return np.argsort(-values, kind="stable")
+def _best(values: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray:
+    """The k best of ``frames`` (ascending indices), best first, ties to the
+    lower index: the first k of a stable descending sort, found without
+    sorting them all. The values must be finite (no NaN to order)."""
+    scores = values[frames]
+    if k < scores.shape[0]:
+        # the k-th largest score; keep every frame above it, then as many
+        # frames tied with it as are still needed, lowest index first
+        kth = np.partition(scores, scores.shape[0] - k)[scores.shape[0] - k]
+        above = scores > kth
+        tied = np.flatnonzero(scores == kth)[: k - int(above.sum())]
+        above[tied] = True
+        frames, scores = frames[above], scores[above]
+    return frames[np.argsort(-scores, kind="stable")]
 
 
 def find_peaks(curve, max_peaks: int, min_distance: int) -> list[int]:
@@ -175,13 +188,9 @@ def pass_select(curve, params: PassParams) -> SelectionResult:
             phase[int(t)] = SelectionPhase.NEIGHBOR
 
     if len(selected) < budget:
-        for t in _by_score_then_index(values):
-            if len(selected) >= budget:
-                break
-            if not taken[t]:
-                selected.append(int(t))
-                taken[t] = True
-                phase[int(t)] = SelectionPhase.FILL
+        for t in _best(values, np.flatnonzero(~taken), budget - len(selected)).tolist():
+            selected.append(t)
+            phase[t] = SelectionPhase.FILL
 
     kept_peaks = [p for p in peaks if p in phase]
     return _result(values, selected, phase, kept_peaks, "pass")
@@ -193,7 +202,7 @@ def topk_select(curve, budget: int) -> SelectionResult:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = min(budget, values.shape[0])
-    selected = [int(t) for t in _by_score_then_index(values)[:k]]
+    selected = _best(values, np.arange(values.shape[0]), k).tolist()
     phase = {t: SelectionPhase.FILL for t in selected}
     return _result(values, selected, phase, [], "topk")
 

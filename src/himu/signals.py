@@ -82,9 +82,10 @@ class SmoothingParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp() only ever sees non-positive arguments, so it cannot overflow
+    # exp() only ever sees non-positive arguments, so it cannot overflow;
+    # 1/(1+e) for x >= 0 and e/(1+e) below, as one division over all values
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarray:

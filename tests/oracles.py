@@ -239,3 +239,21 @@ def windowed_match_score_reference(query: str, text: str) -> float:
         for i in range(len(words) - width + 1):
             best = max(best, similarity_reference(q, " ".join(words[i : i + width])))
     return best if best >= 0.5 else 0.0
+
+
+def right_after_loop(cause: np.ndarray, effect: np.ndarray, kappa: float) -> np.ndarray:
+    """Adjacency composition by the sequential accumulator loops, one frame
+    at a time on numpy scalars: the rounding the fast kernel must reproduce."""
+    T = cause.shape[0]
+    decay = math.exp(-float(kappa))
+    s_effect = np.empty(T)
+    s_cause = np.empty(T)
+    acc = 0.0
+    for t in range(T):
+        s_effect[t] = effect[t] * acc
+        acc = (acc + cause[t]) * decay
+    acc = 0.0
+    for t in range(T - 1, -1, -1):
+        s_cause[t] = cause[t] * acc
+        acc = (acc + effect[t]) * decay
+    return np.maximum(s_effect, s_cause)

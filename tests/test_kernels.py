@@ -5,6 +5,7 @@ from himu import _kernels
 from oracles import (
     right_after_dense,
     right_after_direct,
+    right_after_loop,
     seq_brute_force,
     seq_running_max,
     smooth_renorm_dense,
@@ -50,17 +51,42 @@ def test_seq_backends_agree():
 
 
 def test_right_after_backends_agree():
-    for _ in range(200):
-        T = int(RNG.integers(1, 120))
+    cases = [
+        (int(RNG.integers(1, 120)), float(RNG.uniform(0.1, 5.0))) for _ in range(200)
+    ]
+    # a slow decay over a long timeline sums the most terms per frame
+    cases.append((2000, 0.01))
+    for T, kappa in cases:
         cause = RNG.random(T)
         effect = RNG.random(T)
-        kappa = float(RNG.uniform(0.1, 5.0))
         np.testing.assert_allclose(
             _kernels.right_after_compose(cause, effect, kappa),
             right_after_dense(cause, effect, kappa),
             rtol=0,
             atol=1e-12,
         )
+
+
+def _plateaus(T, levels):
+    """Runs of 1 to 8 equal values drawn from ``levels``, cut to length T."""
+    runs = [np.full(int(RNG.integers(1, 9)), RNG.choice(levels)) for _ in range(T)]
+    return np.concatenate(runs)[:T]
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 0.01, 0.5, 2.0, 30.0, 700.0, 1e300])
+@pytest.mark.parametrize("T", [1, 2, 3, 500])
+def test_right_after_is_bit_identical_to_sequential_loop(kappa, T):
+    # Selection breaks exact ties by frame index, so the kernel must round
+    # like the one-frame-at-a-time loop, not merely come within 1e-12.
+    inputs = [
+        (RNG.random(T), RNG.random(T)),
+        (_plateaus(T, [0.0, 0.5, 1.0]), _plateaus(T, [0.0, 0.25, 1.0])),
+        (np.full(T, 0.3), np.full(T, 0.3)),
+        (np.round(RNG.random(T), 1), np.zeros(T)),
+    ]
+    for cause, effect in inputs:
+        got = _kernels.right_after_compose(cause, effect, kappa)
+        assert got.tobytes() == right_after_loop(cause, effect, kappa).tobytes()
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0, 3.7])

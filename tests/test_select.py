@@ -202,3 +202,44 @@ def test_pass_property_budget_and_order(values, budget):
     assert set(res.phase) == set(res.frames)
     for peak in res.peaks:
         assert res.phase[peak] is SelectionPhase.PEAK
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_selectors_reject_non_finite_curves(bad):
+    curve = np.array([0.1, 0.2, 0.3, 0.9, 0.2, 0.4, 0.05])
+    curve[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        pass_select(curve, PassParams(budget=3))
+    with pytest.raises(ValueError, match="finite"):
+        topk_select(curve, 3)
+    with pytest.raises(ValueError, match="finite"):
+        uniform_select(7, 3, curve=curve)
+    with pytest.raises(ValueError, match="finite"):
+        find_peaks(curve, 2, 1)
+
+
+def _stable_prefix(curve, excluded, n):
+    """The first n frames of a stable descending sort, skipping ``excluded``."""
+    order = np.argsort(-curve, kind="stable")
+    return [int(t) for t in order if int(t) not in excluded][:n]
+
+
+# few distinct levels, so most frames tie; -0.0 ties with 0.0
+_TIED_CURVES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5 + 2**-53, 1.0]), min_size=1, max_size=150
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TIED_CURVES, st.integers(min_value=1, max_value=160))
+def test_fill_and_topk_equal_stable_sort_prefix(values, budget):
+    curve = np.array(values)
+    k = min(budget, len(values))
+    top = topk_select(curve, budget)
+    assert list(top.frames) == sorted(_stable_prefix(curve, set(), k))
+
+    res = pass_select(curve, PassParams(budget=budget))
+    fills = {t for t, p in res.phase.items() if p is SelectionPhase.FILL}
+    earlier = set(res.frames) - fills
+    assert fills == set(_stable_prefix(curve, earlier, k - len(earlier)))
+

@@ -13,6 +13,7 @@ from himu.signals import (
     DEFAULT_BANDWIDTHS,
     NormalizationParams,
     SmoothingParams,
+    _sigmoid,
     normalize_joint,
     smooth,
 )
@@ -63,6 +64,16 @@ def test_normalization_frozen_values():
     out = normalize_joint([raw([0.1, 0.2, 0.3, 0.4, 0.5, 0.9])])[0]
     assert out[0] == pytest.approx(0.006693072528340463, abs=1e-12)
     assert out[5] == pytest.approx(0.9999832973533647, abs=1e-12)
+
+
+def test_sigmoid_matches_two_division_formula_bit_for_bit():
+    x = np.concatenate([
+        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 5e-324, 36.0, -36.0, 745.2, -745.2],
+        np.random.default_rng(5).normal(scale=8.0, size=2000),
+    ])
+    e = np.exp(-np.abs(x))
+    two_divisions = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert _sigmoid(x).tobytes() == two_divisions.tobytes()
 
 
 def test_joint_normalization_separates_constant_pair():
