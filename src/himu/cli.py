@@ -233,7 +233,7 @@ def cmd_select(args) -> int:
     curve_obj = {
         "video_id": bundle.video_id,
         "T": bundle.num_frames,
-        "values": [float(v) for v in result.curve.values],
+        "values": result.curve.values.tolist(),
     }
     attribution_obj = {
         "video_id": bundle.video_id,
@@ -242,10 +242,7 @@ def cmd_select(args) -> int:
             {"leaf_id": leaf.leaf_id, "expert": leaf.expert.value, "query": leaf.query}
             for leaf in tree.leaves
         ],
-        "matrix": [
-            [float(v) for v in row]
-            for row in result.attribution.restrict(selection.frames)
-        ],
+        "matrix": result.attribution.restrict(selection.frames).tolist(),
     }
     stats_obj = {
         "video_id": bundle.video_id,

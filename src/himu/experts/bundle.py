@@ -197,7 +197,7 @@ class OvdSource:
 def _table_to_obj(table: ScoreTable | None):
     if table is None:
         return None
-    return [{"query": q, "values": [float(v) for v in vals]} for q, vals in table.rows]
+    return [{"query": q, "values": vals.tolist()} for q, vals in table.rows]
 
 
 def bundle_to_obj(bundle: ExpertBundle) -> dict:
@@ -337,7 +337,7 @@ def ovd_to_obj(source: OvdSource) -> dict:
         "video_id": source.video_id,
         "format_version": FORMAT_VERSION,
         "entries": [
-            {"query": q, "values": [float(v) for v in vals]} for q, vals in source.entries
+            {"query": q, "values": vals.tolist()} for q, vals in source.entries
         ],
     }
 

@@ -3,8 +3,10 @@
 Embedding-style experts read score-table rows from the per-video bundle.
 Object detection is query-conditioned: its scores come from a separate
 per-query source and are recomputed on every evaluation instead of being
-cached. Transcript and on-screen-text scoring run the text matchers and map
-results onto the frame timeline.
+cached. Transcript and on-screen-text scoring match the query against every
+segment or detection of the video in one batch (``matching.match_scores``,
+``matching.windowed_match_scores``) and map the scores onto the frame
+timeline with ``np.maximum.at``.
 """
 from __future__ import annotations
 
@@ -20,7 +22,12 @@ from ..errors import (
 )
 from ..tree import ExpertKind, LogicTree
 from .bundle import ExpertBundle, OvdSource, ScoreTable, OcrFrameText, TranscriptSegment
-from .matching import match_score, windowed_match_score
+from .matching import match_scores, windowed_match_scores
+# Counted by perfbench/spans.py; the scorers call the batched forms above.
+from .matching import match_score, windowed_match_score  # noqa: F401
+
+# (segment, frame) pairs spread per vectorized step of ``score_asr_leaf``.
+_PAIR_CHUNK = 1 << 16
 
 
 def query_variants(query: str) -> tuple[str, ...]:
@@ -83,38 +90,48 @@ def score_asr_leaf(
 ) -> np.ndarray:
     """Raw speech row: segment match scores spread over overlapped frames.
 
-    Each segment scores via windowed text matching, then frame t (covering
-    [t/fps, (t+1)/fps)) receives max over segments of segment score times
-    the fraction of the frame interval the segment overlaps.
+    Each segment scores via windowed text matching, all segments in one
+    batch, then frame t (covering [t/fps, (t+1)/fps)) receives max over
+    segments of segment score times the fraction of the frame interval the
+    segment overlaps.
     """
     values = np.zeros(num_frames, dtype=np.float64)
-    for seg in transcript:
-        score = windowed_match_score(query, seg.text)
-        if score <= 0.0:
-            continue
-        first = max(0, int(np.floor(seg.start * frame_rate)))
-        last = min(num_frames - 1, int(np.ceil(seg.end * frame_rate)))
-        for t in range(first, last + 1):
-            frame_start = t / frame_rate
-            frame_end = (t + 1) / frame_rate
-            overlap = min(seg.end, frame_end) - max(seg.start, frame_start)
-            if overlap <= 0.0:
-                continue
-            fraction = overlap * frame_rate
-            values[t] = max(values[t], score * fraction)
+    scores = windowed_match_scores(query, [seg.text for seg in transcript])
+    matched = np.flatnonzero(scores > 0.0)
+    if matched.size == 0:
+        return values
+    score = scores[matched]
+    start = np.array([transcript[i].start for i in matched], dtype=np.float64)
+    end = np.array([transcript[i].end for i in matched], dtype=np.float64)
+    # Frames floor(start * fps) .. ceil(end * fps), clipped to the timeline;
+    # a segment starting past the end covers none.
+    first = np.clip(np.floor(start * frame_rate), 0, num_frames).astype(np.intp)
+    last = np.minimum(np.ceil(end * frame_rate), num_frames - 1).astype(np.intp)
+    count = np.maximum(last - first + 1, 0)
+    stop = np.cumsum(count)
+    # (segment, frame) pairs are laid out back to back and taken in chunks,
+    # so overlapping long segments cannot demand one huge allocation.
+    for lo in range(0, int(stop[-1]), _PAIR_CHUNK):
+        pair = np.arange(lo, min(lo + _PAIR_CHUNK, int(stop[-1])))
+        seg = np.searchsorted(stop, pair, side="right")
+        t = first[seg] + (pair - (stop[seg] - count[seg]))
+        frame_start = t / frame_rate
+        frame_end = (t + 1) / frame_rate
+        overlap = np.minimum(end[seg], frame_end) - np.maximum(start[seg], frame_start)
+        keep = overlap > 0.0
+        np.maximum.at(values, t[keep], score[seg[keep]] * (overlap[keep] * frame_rate))
     return values
 
 
 def score_ocr_leaf(
     ocr: tuple[OcrFrameText, ...], query: str, num_frames: int
 ) -> np.ndarray:
-    """Raw on-screen-text row: per-frame max detection match score."""
+    """Raw on-screen-text row: per-frame max detection match score, every
+    detection of the video matched in one batch."""
     values = np.zeros(num_frames, dtype=np.float64)
-    for entry in ocr:
-        for detection in entry.detections:
-            score = match_score(query, detection)
-            if score > values[entry.frame]:
-                values[entry.frame] = score
+    detections = [text for entry in ocr for text in entry.detections]
+    frames = [entry.frame for entry in ocr for _ in entry.detections]
+    np.maximum.at(values, np.array(frames, dtype=np.intp), match_scores(query, detections))
     return values
 
 

@@ -213,7 +213,8 @@ def uniform_select(num_frames: int, budget: int, curve=None) -> SelectionResult:
     With k = min(budget, T) frames, frame i is round(i * (T - 1) / (k - 1)),
     rounding half to even; a single-frame budget takes frame 0. Positions
     before rounding are at least 1 apart, and more than 1 apart when k < T,
-    so they round to exactly k distinct frames.
+    so they round to exactly k distinct frames. A curve, if given, only
+    supplies the reported scores and must have ``num_frames`` values.
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
@@ -224,6 +225,13 @@ def uniform_select(num_frames: int, budget: int, curve=None) -> SelectionResult:
         chosen = [0]
     else:
         chosen = np.round(np.arange(k) * (num_frames - 1) / (k - 1)).astype(int).tolist()
-    values = _check_curve(curve) if curve is not None else np.zeros(num_frames)
+    if curve is None:
+        values = np.zeros(num_frames)
+    else:
+        values = _check_curve(curve)
+        if values.shape[0] != num_frames:
+            raise ValueError(
+                f"curve has {values.shape[0]} values, expected num_frames={num_frames}"
+            )
     phase = {t: SelectionPhase.FILL for t in chosen}
     return _result(values, chosen, phase, [], "uniform")

@@ -257,3 +257,36 @@ def right_after_loop(cause: np.ndarray, effect: np.ndarray, kappa: float) -> np.
         s_cause[t] = cause[t] * acc
         acc = (acc + effect[t]) * decay
     return np.maximum(s_effect, s_cause)
+
+
+def score_asr_leaf_loop(transcript, query, num_frames, frame_rate) -> np.ndarray:
+    """Speech row one segment and one frame at a time: each segment's
+    windowed score times the fraction of each frame interval
+    [t/fps, (t+1)/fps) it overlaps, maximized per frame."""
+    values = np.zeros(num_frames, dtype=np.float64)
+    for seg in transcript:
+        score = windowed_match_score_reference(query, seg.text)
+        if score <= 0.0:
+            continue
+        first = max(0, int(np.floor(seg.start * frame_rate)))
+        last = min(num_frames - 1, int(np.ceil(seg.end * frame_rate)))
+        for t in range(first, last + 1):
+            frame_start = t / frame_rate
+            frame_end = (t + 1) / frame_rate
+            overlap = min(seg.end, frame_end) - max(seg.start, frame_start)
+            if overlap <= 0.0:
+                continue
+            fraction = overlap * frame_rate
+            values[t] = max(values[t], score * fraction)
+    return values
+
+
+def score_ocr_leaf_loop(ocr, query, num_frames) -> np.ndarray:
+    """On-screen-text row one detection at a time: per-frame max match score."""
+    values = np.zeros(num_frames, dtype=np.float64)
+    for entry in ocr:
+        for detection in entry.detections:
+            score = match_score_reference(query, detection)
+            if score > values[entry.frame]:
+                values[entry.frame] = score
+    return values

@@ -39,10 +39,13 @@ from himu.experts import (
     similarity,
     windowed_match_score,
 )
+from himu.experts.matching import levenshtein_batch
 from himu.tree import ExpertKind, parse_tree
 from oracles import (
     levenshtein_matrix,
     match_score_reference,
+    score_asr_leaf_loop,
+    score_ocr_leaf_loop,
     similarity_reference,
     windowed_match_score_reference,
 )
@@ -100,6 +103,24 @@ def test_matchers_at_word_size_boundaries(n, edit):
     assert match_score(query, candidate) == match_score_reference(query, candidate)
     text = f"xyz {candidate} xyz"
     assert windowed_match_score(query, text) == windowed_match_score_reference(query, text)
+
+
+# A lone surrogate is a valid Python str character that strict UTF-32
+# encoding rejects; the batch must still compare it like any other.
+_BATCH_ALPHABET = "abcAB ßİ\ud800"
+_BATCH_TEXT = st.text(alphabet=_BATCH_ALPHABET, max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_BATCH_TEXT, st.text(alphabet=_BATCH_ALPHABET, min_size=60, max_size=130)),
+    st.lists(st.text(alphabet=_BATCH_ALPHABET, max_size=140), max_size=12),
+)
+def test_levenshtein_batch_matches_matrix_oracle(a, texts):
+    # Queries past 64 characters run on Python-int lanes instead of uint64.
+    got = levenshtein_batch(a, texts)
+    assert got.dtype == np.int64
+    assert got.tolist() == [levenshtein_matrix(a, t) for t in texts]
 
 
 def test_match_score_examples():
@@ -247,6 +268,127 @@ def test_score_ocr_examples():
     row = score_ocr_leaf(ocr, "Korea", 8)
     assert row[5] == pytest.approx(0.8)
     assert np.all(score_ocr_leaf((), "exit", 8) == 0.0)
+
+
+# --- batched leaf rows against the per-text loops ----------------------------------
+
+_WORD = st.text(alphabet="abcABßİ\ud800", min_size=1, max_size=6)
+_QUERY = st.lists(_WORD, min_size=1, max_size=4).map(" ".join)
+_PAD = st.text(alphabet=_BATCH_ALPHABET, max_size=8)
+
+
+@st.composite
+def _text_leaf_case(draw):
+    """A query, and segment and detection texts around it: verbatim and
+    sliced copies (substring and near-miss paths), one-letter edits,
+    unrelated, empty and whitespace-only texts, and repeats."""
+    query = draw(_QUERY)
+    texts = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["slice", "edit", "other", "blank", "repeat"]))
+        if kind == "slice":
+            i = draw(st.integers(0, len(query)))
+            j = draw(st.integers(i, len(query)))
+            texts.append(draw(_PAD) + query[i:j] + draw(_PAD))
+        elif kind == "edit":
+            i = draw(st.integers(0, len(query) - 1))
+            texts.append(query[:i] + draw(st.sampled_from("aBß ")) + query[i + 1 :])
+        elif kind == "other":
+            texts.append(draw(_BATCH_TEXT))
+        elif kind == "blank":
+            texts.append(draw(st.sampled_from(["", " ", " \t\n "])))
+        elif texts:
+            texts.append(draw(st.sampled_from(texts)))
+    return query, texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _text_leaf_case(),
+    st.integers(1, 40),
+    st.sampled_from([1.0, 2.5, 0.3, 30.0]),
+    st.data(),
+)
+def test_text_leaf_rows_equal_per_text_loops_bytewise(case, num_frames, frame_rate, data):
+    query, texts = case
+    transcript = []
+    for text in texts:
+        start = data.draw(st.floats(0.0, num_frames / frame_rate + 2.0))
+        length = data.draw(st.floats(1e-3, 10.0))
+        transcript.append(TranscriptSegment(start, start + length, text))
+    transcript = make_bundle(T=num_frames, transcript=transcript).transcript
+    frames = data.draw(st.lists(st.integers(0, num_frames - 1), min_size=len(texts),
+                                max_size=len(texts)))
+    ocr = tuple(OcrFrameText(frame, (text,)) for frame, text in zip(frames, texts))
+    ocr += (OcrFrameText(0, tuple(texts)),)
+
+    asr = score_asr_leaf(transcript, query, num_frames, frame_rate)
+    assert asr.tobytes() == score_asr_leaf_loop(transcript, query, num_frames, frame_rate).tobytes()
+    row = score_ocr_leaf(ocr, query, num_frames)
+    assert row.tobytes() == score_ocr_leaf_loop(ocr, query, num_frames).tobytes()
+
+
+def _assert_rows_equal_loops(transcript, ocr, query, num_frames, frame_rate=1.0):
+    asr = score_asr_leaf(transcript, query, num_frames, frame_rate)
+    assert asr.tobytes() == score_asr_leaf_loop(transcript, query, num_frames, frame_rate).tobytes()
+    row = score_ocr_leaf(ocr, query, num_frames)
+    assert row.tobytes() == score_ocr_leaf_loop(ocr, query, num_frames).tobytes()
+    return asr, row
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_text_leaf_rows_at_the_uint64_boundary(n):
+    # 64 characters is the widest query a uint64 lane holds; 65 runs on
+    # Python-int lanes.
+    query = ("abcdefgh" * 9)[:n]
+    candidates = [
+        query[:i] + "z" + query[i + 1 :] for i in (0, n // 2, n - 1)
+    ] + [query[1:], query + "zz", query[: n // 2 - 1]]
+    assert levenshtein_batch(query, candidates).tolist() == [1, 1, 1, 1, 2, n - n // 2 + 1]
+    transcript = tuple(
+        TranscriptSegment(float(i), i + 1.0, f"xyz {c} xyz") for i, c in enumerate(candidates)
+    )
+    ocr = tuple(OcrFrameText(i, (c,)) for i, c in enumerate(candidates))
+    asr, row = _assert_rows_equal_loops(transcript, ocr, query, len(candidates))
+    assert row[0] == 1.0 - 1 / n
+    assert row[5] == 0.0  # 2 * (n - (n // 2 - 1)) > n: cut by length, never scored
+    assert asr[0] == 1.0 - 1 / n
+
+
+def test_text_leaf_rows_keep_a_window_at_the_cutoff_limit():
+    # "abcde" is half of "abcdefghij": 2 * |10 - 5| == 10, so it is scored
+    # and reaches exactly 0.5; against an 11-letter query it is cut.
+    transcript = (TranscriptSegment(0.0, 1.0, "abcde xyz"),)
+    ocr = (OcrFrameText(0, ("abcde",)),)
+    asr, row = _assert_rows_equal_loops(transcript, ocr, "abcdefghij", 1)
+    assert asr[0] == row[0] == 0.5
+    asr, row = _assert_rows_equal_loops(transcript, ocr, "abcdefghijk", 1)
+    assert asr[0] == row[0] == 0.0
+
+
+def test_text_leaf_rows_casefold_before_lengths():
+    # casefold turns "ß" into "ss" and "İ" into "i" plus a combining dot.
+    transcript = (
+        TranscriptSegment(0.0, 1.0, "die STRASSE hier"),
+        TranscriptSegment(1.0, 2.0, "istanbul"),
+    )
+    ocr = (OcrFrameText(0, ("Straße",)), OcrFrameText(1, ("istanbul",)))
+    asr, row = _assert_rows_equal_loops(transcript, ocr, "straße", 2)
+    assert asr[0] == row[0] == 1.0
+    asr, row = _assert_rows_equal_loops(transcript, ocr, "İstanbul", 2)
+    assert asr[1] == row[1] == 1.0 - 1 / 9
+
+
+def test_asr_row_over_fractional_frames():
+    # 1.3-2.9 s at 2.5 fps covers frames 3 (1.2-1.6 s, 3/4 of it) to 7
+    # (2.8-3.2 s, 1/4 of it); frame 8 is in the scanned range but starts
+    # after the segment ends.
+    transcript = (TranscriptSegment(1.3, 2.9, "the reaction"),)
+    asr, _ = _assert_rows_equal_loops(transcript, (), "reaction", 10, frame_rate=2.5)
+    assert np.flatnonzero(asr).tolist() == [3, 4, 5, 6, 7]
+    assert asr[4] == asr[5] == asr[6] == pytest.approx(1.0)
+    assert asr[3] == pytest.approx(0.75) and asr[7] == pytest.approx(0.25)
+    assert asr.sum() == pytest.approx((2.9 - 1.3) * 2.5)
 
 
 # --- bundle format ----------------------------------------------------------------

@@ -174,6 +174,15 @@ def test_uniform_handles_collisions():
     assert res.frames == (0, 1, 2)
 
 
+@pytest.mark.parametrize("length", [3, 9])
+def test_uniform_rejects_a_curve_of_another_length(length):
+    # Too short once failed with an IndexError; too long silently scored
+    # frames of the wrong timeline.
+    with pytest.raises(ValueError, match="num_frames"):
+        uniform_select(5, 3, curve=np.arange(float(length)))
+    assert uniform_select(5, 3, curve=np.ones(5)).frames == (0, 2, 4)
+
+
 def test_uniform_rounds_ideal_positions_to_distinct_frames():
     # Ideal positions are at least one frame apart, so rounding them (half
     # to even) never collides: every budget gets min(budget, T) frames.
