@@ -7,27 +7,25 @@ below 0.5 zeroed so weak coincidental matches never leak into the signal.
 Edit distance is computed bit-parallel (Myers 1999, in Hyyrö's 2001 form
 for global distance): the bits of a word hold one DP column over the
 query, and one pass over the other string updates it with a handful of
-integer operations per character. ``levenshtein`` runs that recurrence on
-Python ints for one pair of strings. ``levenshtein_batch`` runs it for one
-query against many texts at once, with one numpy lane per text: one loop
-over character positions, vector operations across the texts, and each
-lane stops at its own length. Lanes are ``uint64`` words for queries of
-at most 64 characters and Python ints (an ``object`` array) for longer
-ones; the code is the same.
+integer operations per character. ``levenshtein_batch`` runs that
+recurrence for one query against many texts at once, with one numpy lane
+per text: one loop over character positions, vector operations across the
+texts, and each lane stops at its own length. Lanes are ``uint64`` words
+for queries of at most 64 characters and Python ints (an ``object`` array)
+for longer ones; the code is the same.
 
-``match_scores`` and ``windowed_match_scores`` give the scores of
-``match_score`` and ``windowed_match_score`` for a whole list of texts:
-the query is normalized once, each distinct text or word window is scored
-once, and every distance a list needs comes from one batched pass. A
-candidate or window whose length differs from the query's so much that
-even the distance lower bound |len(q) - len(w)| puts it under the
-threshold is skipped without computing a distance (Ukkonen 1985). None of
-this changes a score: every result is the float the textbook dynamic
-program gives, which the tests keep as the reference.
+``match_scores`` and ``windowed_match_scores`` score a whole list of
+texts: the query is normalized once, and every distance a list needs
+comes from one batched pass. A candidate or window whose length differs
+from the query's so much that even the distance lower bound
+|len(q) - len(w)| puts it under the threshold is skipped without
+computing a distance (Ukkonen 1985). The scalar ``levenshtein``,
+``similarity``, ``match_score`` and ``windowed_match_score`` are these
+batches over a single text. None of this changes a score: every result
+is the float the textbook dynamic program gives, which the tests keep as
+the reference.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,58 +36,22 @@ def _normalize(text: str) -> str:
     return " ".join(text.casefold().split())
 
 
-@lru_cache(maxsize=256)
 def _match_masks(pattern: str) -> dict[str, int]:
-    """Bit i of ``masks[c]`` is set where ``pattern[i] == c``.
-
-    Cached, because a leaf scores one query against every segment or
-    detection; the returned dict is shared and must not be mutated.
-    """
+    """Bit i of ``masks[c]`` is set where ``pattern[i] == c``."""
     masks: dict[str, int] = {}
     for i, c in enumerate(pattern):
         masks[c] = masks.get(c, 0) | (1 << i)
     return masks
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit insert/delete/substitute costs.
-
-    One pass over ``b``; the bit vectors hold the vertical deltas (+1 in
-    ``pv``, -1 in ``mv``) of the current DP column over ``a``, and
-    ``score`` tracks its last cell.
-    """
-    m = len(a)
-    if m == 0:
-        return len(b)
-    masks = _match_masks(a)
-    full = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv, mv, score = full, 0, m
-    for c in b:
-        eq = masks.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (full & ~(xh | pv))
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        # Row 0 of a global alignment grows by one per character of b.
-        ph = ((ph << 1) | 1) & full
-        mh = (mh << 1) & full
-        pv = mh | (full & ~(xv | ph))
-        mv = ph & xv
-    return score
-
-
 def levenshtein_batch(a: str, texts) -> np.ndarray:
-    """``levenshtein(a, t)`` for every ``t`` of ``texts``, as an int64 array.
+    """Edit distance from ``a`` to every ``t`` of ``texts``, as an int64 array.
 
-    The recurrence of ``levenshtein`` with lanes across texts instead of
-    across pattern bits: one step per character position, each a few
-    vector operations over the lanes whose text is that long, so each
-    lane's state freezes once its text ends.
+    The bits of a lane hold the vertical deltas (+1 in ``pv``, -1 in
+    ``mv``) of the current DP column over ``a``, and ``score`` tracks its
+    last cell. Lanes run across texts: one step per character position,
+    each a few vector operations over the lanes whose text is that long,
+    so each lane's state freezes once its text ends.
     """
     texts = list(texts)
     n, m = len(texts), len(a)
@@ -120,10 +82,9 @@ def levenshtein_batch(a: str, texts) -> np.ndarray:
     width = int(lengths[order[0]])
     live = n - np.cumsum(np.bincount(lengths, minlength=width + 1))[:width]
 
-    # ``levenshtein`` without its masks to m bits: and, or, xor, not, add
-    # and left shift carry nothing from higher bits to lower ones, so bits
-    # m and up never reach the m bits that hold the column, and only bit
-    # m - 1 is read.
+    # No mask to m bits is needed: and, or, xor, not, add and left shift
+    # carry nothing from higher bits to lower ones, so bits m and up never
+    # reach the m bits that hold the column, and only bit m - 1 is read.
     pv = np.full(n, full, dtype=word)
     mv = np.zeros(n, dtype=word)
     score = np.full(n, m, dtype=np.int64)
@@ -144,68 +105,15 @@ def levenshtein_batch(a: str, texts) -> np.ndarray:
     return out
 
 
-def similarity(a: str, b: str) -> float:
-    """1 - edits / max(len); 1.0 for two empty strings."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longest
-
-
-def _fuzzy_score(query: str, text: str) -> float:
-    """``similarity`` when it reaches the threshold, else 0.0.
+def _fuzzy_scores(q: str, texts: list[str]) -> np.ndarray:
+    """``similarity(q, t)`` for every ``t`` where it reaches the threshold,
+    else 0.0, with one batched distance pass over the texts the length
+    cutoff keeps.
 
     The distance is at least the length difference, so with
-    ``2 * |len(query) - len(text)| > longest`` the score is below 0.5 and
-    no distance is computed.
+    ``2 * |len(q) - len(t)| > longest`` the score is below 0.5 and no
+    distance is computed.
     """
-    if 2 * abs(len(query) - len(text)) > max(len(query), len(text)):
-        return 0.0
-    score = similarity(query, text)
-    return score if score >= FUZZY_THRESHOLD else 0.0
-
-
-def match_score(query: str, candidate: str) -> float:
-    """Whole-string match score for one detection or token string."""
-    q, c = _normalize(query), _normalize(candidate)
-    if not q or not c:
-        return 0.0
-    if q in c:
-        return 1.0
-    return _fuzzy_score(q, c)
-
-
-def windowed_match_score(query: str, text: str) -> float:
-    """Best match of the query against word windows of the text.
-
-    Window widths of the query's word count plus or minus one are scanned
-    so a query can align to its own span inside a longer utterance instead
-    of being diluted by the whole string.
-    """
-    q, t = _normalize(query), _normalize(text)
-    if not q or not t:
-        return 0.0
-    if q in t:
-        return 1.0
-    n_query_words = len(q.split())
-    t_words = t.split()
-    best = 0.0
-    for width in range(max(1, n_query_words - 1), n_query_words + 2):
-        for i in range(len(t_words) - width + 1):
-            best = max(best, _fuzzy_score(q, " ".join(t_words[i : i + width])))
-    return best
-
-
-def _distinct(texts) -> tuple[list[str], np.ndarray]:
-    """The distinct texts in first-seen order, and each text's index among them."""
-    texts = list(texts)
-    index = {t: i for i, t in enumerate(dict.fromkeys(texts))}
-    return list(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
-
-
-def _fuzzy_scores(q: str, texts: list[str]) -> np.ndarray:
-    """``_fuzzy_score(q, t)`` for every ``t``, with one batched distance pass
-    over the texts the length cutoff keeps."""
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     longest = np.maximum(lengths, len(q))
     near = np.flatnonzero(2 * np.abs(lengths - len(q)) <= longest)
@@ -216,45 +124,39 @@ def _fuzzy_scores(q: str, texts: list[str]) -> np.ndarray:
 
 
 def match_scores(query: str, candidates) -> np.ndarray:
-    """``match_score(query, c)`` for every candidate, as a float64 array.
-
-    Each distinct candidate is normalized once, and each distinct
-    normalized text that needs a distance is scored once.
-    """
+    """``match_score(query, c)`` for every candidate, as a float64 array."""
     q = _normalize(query)
-    distinct, inverse = _distinct(candidates)
-    scores = np.zeros(len(distinct))
+    candidates = list(candidates)
+    scores = np.zeros(len(candidates))
     if not q:
-        return scores[inverse]
-    lanes: dict[str, int] = {}  # normalized text -> its index in the batch
-    fuzzy, lane = [], []
-    for i, candidate in enumerate(distinct):
+        return scores
+    fuzzy, texts = [], []
+    for i, candidate in enumerate(candidates):
         c = _normalize(candidate)
         if q in c:
             scores[i] = 1.0
         elif c:
             fuzzy.append(i)
-            lane.append(lanes.setdefault(c, len(lanes)))
-    scores[fuzzy] = _fuzzy_scores(q, list(lanes))[lane]
-    return scores[inverse]
+            texts.append(c)
+    scores[fuzzy] = _fuzzy_scores(q, texts)
+    return scores
 
 
 def windowed_match_scores(query: str, texts) -> np.ndarray:
     """``windowed_match_score(query, t)`` for every text, as a float64 array.
 
-    The distinct windows of all texts are scored in one batch, and each
-    text takes the maximum over its own windows.
+    The windows of all texts are scored in one batch, and each text takes
+    the maximum over its own windows.
     """
     q = _normalize(query)
-    distinct, inverse = _distinct(texts)
-    scores = np.zeros(len(distinct))
+    texts = list(texts)
+    scores = np.zeros(len(texts))
     if not q:
-        return scores[inverse]
+        return scores
     n_query_words = len(q.split())
     widths = range(max(1, n_query_words - 1), n_query_words + 2)
-    lanes: dict[str, int] = {}  # window -> its index in the batch
-    owner, lane = [], []
-    for i, text in enumerate(distinct):
+    owner, windows = [], []
+    for i, text in enumerate(texts):
         t = _normalize(text)
         if q in t:
             scores[i] = 1.0
@@ -263,7 +165,33 @@ def windowed_match_scores(query: str, texts) -> np.ndarray:
         for width in widths:
             for s in range(len(words) - width + 1):
                 owner.append(i)
-                lane.append(lanes.setdefault(" ".join(words[s : s + width]), len(lanes)))
-    window_scores = _fuzzy_scores(q, list(lanes))[np.array(lane, dtype=np.intp)]
-    np.maximum.at(scores, np.array(owner, dtype=np.intp), window_scores)
-    return scores[inverse]
+                windows.append(" ".join(words[s : s + width]))
+    np.maximum.at(scores, np.array(owner, dtype=np.intp), _fuzzy_scores(q, windows))
+    return scores
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance with unit insert/delete/substitute costs."""
+    return int(levenshtein_batch(a, [b])[0])
+
+
+def similarity(a: str, b: str) -> float:
+    """1 - edits / max(len); 1.0 for two empty strings."""
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 1.0
+    return 1.0 - levenshtein(a, b) / longest
+
+
+def match_score(query: str, candidate: str) -> float:
+    """Whole-string match score for one detection or token string."""
+    return float(match_scores(query, [candidate])[0])
+
+
+def windowed_match_score(query: str, text: str) -> float:
+    """Best match of the query against word windows of the text.
+
+    Window widths of the query's word count plus or minus one are scanned
+    so a query can align to its own span inside a longer utterance instead
+    of being diluted by the whole string.
+    """
+    return float(windowed_match_scores(query, [text])[0])

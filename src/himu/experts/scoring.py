@@ -10,6 +10,7 @@ timeline with ``np.maximum.at``.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -25,9 +26,6 @@ from .bundle import ExpertBundle, OvdSource, ScoreTable, OcrFrameText, Transcrip
 from .matching import match_scores, windowed_match_scores
 # Counted by perfbench/spans.py; the scorers call the batched forms above.
 from .matching import match_score, windowed_match_score  # noqa: F401
-
-# (segment, frame) pairs spread per vectorized step of ``score_asr_leaf``.
-_PAIR_CHUNK = 1 << 16
 
 
 def query_variants(query: str) -> tuple[str, ...]:
@@ -97,29 +95,17 @@ def score_asr_leaf(
     """
     values = np.zeros(num_frames, dtype=np.float64)
     scores = windowed_match_scores(query, [seg.text for seg in transcript])
-    matched = np.flatnonzero(scores > 0.0)
-    if matched.size == 0:
-        return values
-    score = scores[matched]
-    start = np.array([transcript[i].start for i in matched], dtype=np.float64)
-    end = np.array([transcript[i].end for i in matched], dtype=np.float64)
-    # Frames floor(start * fps) .. ceil(end * fps), clipped to the timeline;
-    # a segment starting past the end covers none.
-    first = np.clip(np.floor(start * frame_rate), 0, num_frames).astype(np.intp)
-    last = np.minimum(np.ceil(end * frame_rate), num_frames - 1).astype(np.intp)
-    count = np.maximum(last - first + 1, 0)
-    stop = np.cumsum(count)
-    # (segment, frame) pairs are laid out back to back and taken in chunks,
-    # so overlapping long segments cannot demand one huge allocation.
-    for lo in range(0, int(stop[-1]), _PAIR_CHUNK):
-        pair = np.arange(lo, min(lo + _PAIR_CHUNK, int(stop[-1])))
-        seg = np.searchsorted(stop, pair, side="right")
-        t = first[seg] + (pair - (stop[seg] - count[seg]))
-        frame_start = t / frame_rate
-        frame_end = (t + 1) / frame_rate
-        overlap = np.minimum(end[seg], frame_end) - np.maximum(start[seg], frame_start)
-        keep = overlap > 0.0
-        np.maximum.at(values, t[keep], score[seg[keep]] * (overlap[keep] * frame_rate))
+    for i in np.flatnonzero(scores > 0.0).tolist():
+        seg = transcript[i]
+        # Frames floor(start * fps) .. ceil(end * fps), clipped to the
+        # timeline before rounding, so a time that overflows to inf still
+        # clips; a segment starting past the end covers none.
+        first = math.floor(min(seg.start * frame_rate, num_frames))
+        last = math.ceil(min(seg.end * frame_rate, num_frames - 1))
+        t = np.arange(first, last + 1)
+        overlap = np.minimum(seg.end, (t + 1) / frame_rate) - np.maximum(seg.start, t / frame_rate)
+        row = values[first : last + 1]
+        np.maximum(row, scores[i] * (overlap * frame_rate), out=row, where=overlap > 0.0)
     return values
 
 

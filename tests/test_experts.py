@@ -391,6 +391,19 @@ def test_asr_row_over_fractional_frames():
     assert asr.sum() == pytest.approx((2.9 - 1.3) * 2.5)
 
 
+def test_asr_row_when_segment_times_overflow_in_frames():
+    # 1e308 s times 30 fps is inf: the segment runs to the last frame, and
+    # each frame gets what a segment ending just past the timeline gives it.
+    # One starting that late covers no frame.
+    asr = score_asr_leaf((TranscriptSegment(0.1, 1e308, "the reaction"),), "reaction", 12, 30.0)
+    past_end = (TranscriptSegment(0.1, 1.0, "the reaction"),)
+    assert asr.tobytes() == score_asr_leaf_loop(past_end, "reaction", 12, 30.0).tobytes()
+    assert np.flatnonzero(asr).tolist() == list(range(3, 12))
+    assert asr[4:] == pytest.approx(1.0)
+    late = (TranscriptSegment(1e307, 1e308, "the reaction"),)
+    assert not score_asr_leaf(late, "reaction", 12, 30.0).any()
+
+
 # --- bundle format ----------------------------------------------------------------
 
 def full_bundle():
