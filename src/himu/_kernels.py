@@ -7,7 +7,7 @@ differ only in their weights and their radius.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from bisect import bisect_right
 
 import numpy as np
 
@@ -66,42 +66,161 @@ def smooth_strict(x, sigma: float) -> np.ndarray:
 
 
 def seq_compose(u) -> np.ndarray:
+    # Row by row: terms[i] = u[i] * before[i] * after[i], where before[i] is
+    # the product of the earlier steps' past maxima and after[i] that of the
+    # later steps' future maxima, multiplied in the order a cumprod over the
+    # steps takes (first step first for before, last step first for after).
+    # Step 0 has no before factor and the last step no after factor; a
+    # factor of 1.0 changes no bits, so skipping it keeps them.
     u = _as_f64(u)
-    has_occurred = np.zeros_like(u)
-    yet_to_occur = np.zeros_like(u)
-    has_occurred[:, 1:] = np.maximum.accumulate(u[:, :-1], axis=1)
-    yet_to_occur[:, :-1] = np.maximum.accumulate(u[:, :0:-1], axis=1)[:, ::-1]
-    before = np.ones_like(u)
-    after = np.ones_like(u)
-    before[1:] = np.cumprod(has_occurred[:-1], axis=0)
-    after[:-1] = np.cumprod(yet_to_occur[:0:-1], axis=0)[::-1]
-    return (u * before * after).max(axis=0)
+    terms = u.copy()
+    product = None
+    for i in range(1, u.shape[0]):
+        past = np.zeros(u.shape[1])  # max(u[i-1, :t]), 0 at t = 0
+        np.maximum.accumulate(u[i - 1, :-1], out=past[1:])
+        product = past if product is None else np.multiply(product, past, out=product)
+        terms[i] *= product
+    product = None
+    for i in range(u.shape[0] - 2, -1, -1):
+        future = np.zeros(u.shape[1])  # max(u[i+1, t+1:]), 0 at t = T-1
+        np.maximum.accumulate(u[i + 1, :0:-1], out=future[-2::-1])
+        product = future if product is None else np.multiply(product, future, out=product)
+        terms[i] *= product
+    return terms.max(axis=0)
 
 
 # --- RIGHT_AFTER --------------------------------------------------------------
 #
 # Exponential-decay pairing of a cause curve with an effect curve, O(T) via
 # forward/backward accumulators instead of the O(T^2) direct sums. Each
-# accumulator is the sequential recurrence acc = (acc + x) * decay, run by
-# itertools.accumulate over Python floats: those are IEEE doubles like
-# float64, so every step rounds exactly as a loop over numpy scalars would,
-# without the cost of scalar indexing. The order of the additions is kept on
-# purpose. A re-associated (blockwise or prefix-scan) form differs in the
-# last bits, and on plateaus, where the sequential sums come out exactly
-# equal, those bits decide which tied frames selection keeps.
+# accumulator is the recurrence acc = (acc + x) * decay, and its output must
+# have the bits of the one-frame-at-a-time loop: on plateaus, where the sums
+# come out exactly equal, the last bits decide which tied frames selection
+# keeps, so a re-associated (prefix-scan) form is ruled out.
+#
+# The recurrence forgets its past: after W = ceil(60/kappa) frames, an
+# earlier state weighs exp(-60) ~ 1e-26 of what it did, far below the last
+# bit of a state of similar size. So the timeline is cut into blocks of
+# B >= W frames and each block gets a numpy lane that runs the same two
+# operations from acc = 0, starting W frames before the block (speculate).
+# Lane 0 starts at frame 0 and is exact. A lane whose start state has the
+# same bits as the end state of an exact predecessor repeats the loop's
+# operations on the loop's operands from there on, so it is exact as well
+# (verify; the bits are compared as uint64, because -0.0 == 0.0). Failing
+# lanes are recomputed in order from the verified state by one generator
+# pass over Python floats, which are IEEE doubles like float64 (repair): a
+# run of lanes that failed against each other takes one pass, and a redo
+# that still ends on a state its next lane missed is followed by one twice
+# as long, so even an input that fails every lane takes O(log lanes)
+# passes. Such an input is a spike followed by zeros in every block: the
+# loop's state decays through tiny nonzero values for about 745/kappa
+# frames, while a lane warmed up on the zeros starts at 0. It pays for the
+# lanes and then for the in-order pass. Speculation, verification and
+# repair follow Maleki, Yang & Mytkowicz, "Parallelizing Dynamic Programming
+# Through Rank Convergence" (PPoPP 2014).
+#
+# A lane step is two numpy calls over all lanes and costs about as much as
+# 15 frames of the in-order pass, so lanes run only where T >= 100 (W + B),
+# and there take about a tenth to a third of its time. Otherwise, and
+# when W >= T, the whole curve runs in order.
+
+_LANE_REACH = 60.0
+_MIN_BLOCK = 64
+_FRAMES_PER_LANE_STEP = 100
 
 
-def _decayed_prefix(values: list[float], decay: float) -> np.ndarray:
-    """out[i] = sum over j < i of values[j] * decay**(i - j), accumulated in order."""
-    # decay is bound as a default argument: a local read is cheaper per call
-    # than a closure cell, and this lambda runs once per frame.
-    sums = accumulate(values, lambda acc, x, decay=decay: (acc + x) * decay, initial=0.0)
-    return np.fromiter(sums, dtype=np.float64, count=len(values) + 1)[:-1]
+def _recurrence(values: list[float], decay: float, acc: float):
+    for x in values:
+        yield acc
+        acc = (acc + x) * decay
+    yield acc
+
+
+def _states(values: list[float], decay: float, state: float) -> np.ndarray:
+    """The recurrence's state before each of ``values`` and after the last."""
+    # A plain generator, not accumulate() with a lambda: it saves a Python
+    # call per frame, and each step is the same two IEEE double operations.
+    return np.fromiter(_recurrence(values, decay, state), dtype=np.float64, count=len(values) + 1)
+
+
+def _lane_shape(T: int, kappa: float) -> tuple[int, int] | None:
+    """(warm-up W, block B) of the lanes over T frames, or None to run in order."""
+    reach = _LANE_REACH / kappa  # inf for a subnormal kappa, so no ceil before the test
+    if not reach < T:
+        return None
+    warmup = math.ceil(reach)
+    block = max(warmup, _MIN_BLOCK)
+    if (warmup + block) * _FRAMES_PER_LANE_STEP > T:
+        return None
+    return warmup, block
+
+
+def _speculate(x: np.ndarray, decay: float, warmup: int, block: int):
+    """Run one lane per block from acc = 0, ``warmup`` frames early.
+
+    Returns the lanes' outputs as one timeline, exact wherever the lane is,
+    and each lane's state at the start and after the end of its block.
+    """
+    T = x.shape[0]
+    n = -(-T // block)
+    # Column-major lanes: xs[k, j] is frame j*block + k, zero past the end.
+    xs = np.zeros((block, n))
+    full, rest = divmod(T, block)
+    xs[:, :full] = x[: full * block].reshape(full, block).T
+    if rest:
+        xs[:rest, full] = x[full * block :]
+    # states[k, j] is lane j's state before frame j*block + k; the last row
+    # is its state after the block.
+    states = np.empty((block + 1, n))
+    states[0] = 0.0
+    warm = states[0, 1:]
+    for row in xs[block - warmup :, :-1]:  # lane j warms up on block j-1's tail
+        np.add(warm, row, warm)
+        np.multiply(warm, decay, warm)
+    for row, state, following in zip(xs, states, states[1:]):
+        np.add(state, row, following)
+        np.multiply(following, decay, following)
+    out = np.ascontiguousarray(states[:-1].T).reshape(-1)[:T]
+    return out, states[0], states[-1]
+
+
+def _decayed_prefix(x: np.ndarray, decay: float, lanes: tuple[int, int] | None) -> np.ndarray:
+    """out[i] = sum over j < i of x[j] * decay**(i - j), accumulated in order."""
+    if lanes is None:
+        return _states(x.tolist(), decay, 0.0)[:-1]
+    block = lanes[1]
+    out, starts, ends = _speculate(x, decay, *lanes)
+    n = starts.shape[0]
+    start_bits = starts.view(np.uint64)
+    chained = start_bits[1:] == ends[:-1].view(np.uint64)
+    broken = (np.flatnonzero(~chained) + 1).tolist() + [n]
+    linked = (np.flatnonzero(chained) + 1).tolist() + [n]
+    lane = broken[0]  # every lane before it is exact
+    state = float(ends[lane - 1])
+    extra = 1
+    while lane < n:
+        # Redo lanes lane..stop-1 in order: at least up to the next lane
+        # that matched its predecessor, and twice as far as last time when
+        # the previous redo still ended on a state its next lane missed.
+        stop = max(linked[bisect_right(linked, lane)], min(lane + extra, n))
+        lo, hi = lane * block, min(stop * block, x.shape[0])
+        redone = _states(x[lo:hi].tolist(), decay, state)
+        out[lo:hi] = redone[:-1]
+        if stop < n and redone.view(np.uint64)[-1] == start_bits[stop]:
+            # Lane stop is exact, and so is every lane chained after it.
+            lane = broken[bisect_right(broken, stop)]
+            state = float(ends[lane - 1])
+            extra = 1
+        else:
+            lane, state = stop, float(redone[-1])
+            extra *= 2
+    return out
 
 
 def right_after_compose(cause, effect, kappa: float) -> np.ndarray:
-    cause, effect = _as_f64(cause), _as_f64(effect)
-    decay = math.exp(-float(kappa))
-    before = _decayed_prefix(cause.tolist(), decay)
-    after = _decayed_prefix(effect[::-1].tolist(), decay)[::-1]
+    cause, effect, kappa = _as_f64(cause), _as_f64(effect), float(kappa)
+    decay = math.exp(-kappa)
+    lanes = _lane_shape(cause.shape[0], kappa)
+    before = _decayed_prefix(cause, decay, lanes)
+    after = _decayed_prefix(effect[::-1], decay, lanes)[::-1]
     return np.maximum(effect * before, cause * after)

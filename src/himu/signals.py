@@ -82,10 +82,59 @@ class SmoothingParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of ``x``, computed in place: ``x`` is overwritten."""
     # exp() only ever sees non-positive arguments, so it cannot overflow;
     # 1/(1+e) for x >= 0 and e/(1+e) below, as one division over all values
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    positive = x >= 0
+    e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
+    denominator = np.add(1.0, e)
+    np.copyto(e, 1.0, where=positive)
+    return np.divide(e, denominator, out=e)
+
+
+def _kth_deviation(s: np.ndarray, med: float, split: int, k: int) -> float:
+    """The k-th smallest (from 0) of |s - med| over sorted ``s``.
+
+    The deviations form two ascending runs, med - s[split-1], med -
+    s[split-2], ... and s[split] - med, s[split+1] - med, ...: rounding is
+    monotone and fl(med - x) == -fl(x - med). A binary search over how many
+    of the k+1 smallest come from the first run finds the k-th without
+    building either run (Frederickson & Johnson 1982).
+    """
+    left, right = split, s.shape[0] - split
+    lo, hi = max(0, k + 1 - right), min(k + 1, left)
+    while lo < hi:  # the first i where left run[i] >= right run[k - i]
+        i = (lo + hi) // 2
+        if med - s[split - 1 - i] < s[split + k - i] - med:
+            lo = i + 1
+        else:
+            hi = i
+    candidates = []
+    if lo > 0:
+        candidates.append(med - s[split - lo])
+    if lo <= k:
+        candidates.append(s[split + k - lo] - med)
+    return abs(max(candidates))
+
+
+def _median_and_mad(s: np.ndarray) -> tuple[float, float]:
+    """np.median of sorted ``s`` and of its absolute deviations from it.
+
+    As np.median does, an even count takes the mean (a + b) / 2 of the two
+    middle values, and a NaN among the values makes the median NaN. Both
+    equal np.median's bit for bit when the median is finite; otherwise
+    every value minus the median is NaN or infinite, and every normalized
+    value is NaN whatever the MAD.
+    """
+    n = s.shape[0]
+    h = n // 2
+    if np.isnan(s[-1]):  # np.sort puts NaN last
+        return math.nan, math.nan
+    med = float(s[h]) if n % 2 else (float(s[h - 1]) + float(s[h])) / 2
+    split = int(np.searchsorted(s, med))
+    if n % 2:
+        return med, _kth_deviation(s, med, split, h)
+    return med, (_kth_deviation(s, med, split, h - 1) + _kth_deviation(s, med, split, h)) / 2
 
 
 def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarray:
@@ -93,11 +142,12 @@ def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarr
 
     ``rows`` are one expert group's raw rows (a list of equal-length 1-D
     arrays, or an (n, T) array); grouping by expert is the caller's job.
-    The median and MAD are computed over every value of the group, then
-    each value maps to sigmoid(gamma * (u - med) / (MAD + delta)), returned
-    as an (n, T) array. A fully constant group lands exactly on 0.5
-    everywhere. Values lie in the open interval (0, 1) mathematically;
-    float64 rounding can reach the endpoints when the sigmoid saturates.
+    The median and MAD are taken over every value of the group, from one
+    sort of the group: they equal np.median's bit for bit. Each value then
+    maps to sigmoid(gamma * (u - med) / (MAD + delta)), returned as an
+    (n, T) array. A fully constant group lands exactly on 0.5 everywhere.
+    Values lie in the open interval (0, 1) mathematically; float64 rounding
+    can reach the endpoints when the sigmoid saturates.
     """
     if params is None:
         params = NormalizationParams()
@@ -107,10 +157,10 @@ def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarr
     if len(lengths) > 1:
         raise LengthMismatchError(f"row lengths differ: {lengths}")
     group = np.asarray(rows, dtype=np.float64)
-    med = np.median(group)
-    mad = np.median(np.abs(group - med))
+    med, mad = _median_and_mad(np.sort(group, axis=None))
     scale = params.gamma / (mad + params.delta)
-    return _sigmoid(scale * (group - med))
+    centered = np.subtract(group, med)
+    return _sigmoid(np.multiply(centered, scale, out=centered))
 
 
 def smooth(

@@ -112,6 +112,31 @@ def seq_running_max(curves: np.ndarray) -> np.ndarray:
     return out
 
 
+def seq_cumprod(curves: np.ndarray) -> np.ndarray:
+    """Sequence composition from whole-array running maxima and two cumprods
+    over the steps: the rounding the row-wise kernel must reproduce."""
+    has_occurred = np.zeros_like(curves)
+    yet_to_occur = np.zeros_like(curves)
+    has_occurred[:, 1:] = np.maximum.accumulate(curves[:, :-1], axis=1)
+    yet_to_occur[:, :-1] = np.maximum.accumulate(curves[:, :0:-1], axis=1)[:, ::-1]
+    before = np.ones_like(curves)
+    after = np.ones_like(curves)
+    before[1:] = np.cumprod(has_occurred[:-1], axis=0)
+    after[:-1] = np.cumprod(yet_to_occur[:0:-1], axis=0)[::-1]
+    return (curves * before * after).max(axis=0)
+
+
+def normalize_two_medians(group: np.ndarray, gamma: float, delta: float) -> np.ndarray:
+    """Joint sigmoid normalization from two np.median calls, the median of
+    the values and of their absolute deviations: the bytes the one-sort
+    kernel must reproduce."""
+    med = np.median(group)
+    mad = np.median(np.abs(group - med))
+    x = gamma / (mad + delta) * (group - med)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def right_after_dense(cause: np.ndarray, effect: np.ndarray, kappa: float) -> np.ndarray:
     """Adjacency composition as strictly lower/upper T x T decay matrices."""
     T = cause.shape[0]

@@ -7,6 +7,7 @@ from oracles import (
     right_after_direct,
     right_after_loop,
     seq_brute_force,
+    seq_cumprod,
     seq_running_max,
     smooth_renorm_dense,
     smooth_renorm_scalar,
@@ -73,8 +74,22 @@ def _plateaus(T, levels):
     return np.concatenate(runs)[:T]
 
 
-@pytest.mark.parametrize("kappa", [1e-300, 0.01, 0.5, 2.0, 30.0, 700.0, 1e300])
-@pytest.mark.parametrize("T", [1, 2, 3, 500])
+def _spikes(T):
+    """1.0 at offset 28 of every 128-frame block: at kappa = 2 the true state
+    at every lane's first frame is a decayed spike far below 1 but not 0,
+    while the lane, warmed up on zeros, starts at 0, so every lane fails."""
+    x = np.zeros(T)
+    x[28::128] = 1.0
+    return x
+
+
+# 5e-324 overflows 60/kappa to inf and 1e-300 gives W >= T at every T here;
+# at kappa = 0.01 the lanes' W + B steps are too many for T, so these run in
+# order. At T = 6_700 lanes run for kappa >= 30 and at T = 24_001 for
+# kappa >= 0.5, over a last block cut short (neither is a multiple of the
+# block size).
+@pytest.mark.parametrize("kappa", [5e-324, 1e-300, 0.01, 0.5, 2.0, 30.0, 700.0, 1e300])
+@pytest.mark.parametrize("T", [1, 2, 3, 500, 6_700, 24_001])
 def test_right_after_is_bit_identical_to_sequential_loop(kappa, T):
     # Selection breaks exact ties by frame index, so the kernel must round
     # like the one-frame-at-a-time loop, not merely come within 1e-12.
@@ -83,10 +98,61 @@ def test_right_after_is_bit_identical_to_sequential_loop(kappa, T):
         (_plateaus(T, [0.0, 0.5, 1.0]), _plateaus(T, [0.0, 0.25, 1.0])),
         (np.full(T, 0.3), np.full(T, 0.3)),
         (np.round(RNG.random(T), 1), np.zeros(T)),
+        (_spikes(T), _spikes(T)[::-1].copy()),
+        # Between the -1.0 spikes the loop's state decays to -0.0 and stays
+        # there (-0.0 + -0.0 is -0.0), while a lane warmed up from +0.0 on
+        # -0.0 stays at +0.0: equal under ==, different in bits. The spikes
+        # sit on the first frame of every other 64-frame block, so a lane
+        # with a spike starts where its spike-free predecessor ended, and
+        # at that frame cause * after < 0 lets the sign of effect * before
+        # show.
+        (np.where(np.arange(T) % 128 == 0, -1.0, -0.0), np.full(T, 0.5)),
     ]
     for cause, effect in inputs:
         got = _kernels.right_after_compose(cause, effect, kappa)
         assert got.tobytes() == right_after_loop(cause, effect, kappa).tobytes()
+
+
+def test_right_after_cases_reach_lanes_and_repairs(monkeypatch):
+    # The bit-identity cases above cover the lane path, the in-order path
+    # and the repair of lanes that fail their check; pin that coverage.
+    assert _kernels._lane_shape(500, 2.0) is None
+    assert _kernels._lane_shape(24_001, 5e-324) is None
+    assert _kernels._lane_shape(6_700, 30.0) == (2, 64)
+    assert _kernels._lane_shape(24_001, 0.5) == (120, 120)
+    assert _kernels._lane_shape(24_001, 2.0) == (30, 64)
+    redone = []
+    states = _kernels._states
+
+    def counting(values, decay, state):
+        redone.append(len(values))
+        return states(values, decay, state)
+
+    monkeypatch.setattr(_kernels, "_states", counting)
+    _kernels.right_after_compose(RNG.random(24_001), RNG.random(24_001), 2.0)
+    assert redone == []  # noise needs no repair
+    x = _spikes(24_001)
+    # the backward pass reverses the effect, so it sees the spikes in order too
+    _kernels.right_after_compose(x, x[::-1].copy(), 2.0)
+    # every lane but lane 0 of each direction fails its check and is redone,
+    # in runs that double in length: 9 runs cover the other 375 lanes
+    assert sum(redone) == 2 * (24_001 - 64)
+    assert len(redone) == 2 * 9
+
+
+def test_seq_is_bit_identical_to_cumprod_form():
+    # Same products in the same order as two cumprods over the steps, and
+    # the same max reduction.
+    for L in range(1, 6):
+        for T in (1, 2, 3, 500):
+            inputs = [
+                RNG.random((L, T)),
+                np.round(RNG.random((L, T)), 1),
+                np.zeros((L, T)),
+                RNG.choice([0.0, -0.0, 5e-324, 0.5, 1.0], (L, T)),
+            ]
+            for u in inputs:
+                assert _kernels.seq_compose(u).tobytes() == seq_cumprod(u).tobytes()
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0, 3.7])

@@ -18,7 +18,7 @@ from himu.signals import (
     smooth,
 )
 from himu.tree import ExpertKind, parse_tree
-from oracles import smooth_renorm_scalar
+from oracles import normalize_two_medians, smooth_renorm_scalar
 
 
 def raw(values):
@@ -111,6 +111,57 @@ def test_normalization_is_monotone_and_bounded(values, gamma):
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     order = np.argsort(values, kind="stable")
     assert np.all(np.diff(out[order]) >= 0.0)
+
+
+# Values that stress the order statistics: ties, both zeros, subnormals,
+# the smallest normal, and magnitudes whose sums and differences overflow.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.25,
+                0.5, 1.0, -1.0, 1e308, -1e308]
+
+
+def _groups():
+    """(rows, T) groups: any finite floats, heavy ties from a small pool, or
+    one constant; odd and even sizes, down to a single value."""
+    shapes = st.tuples(st.integers(1, 4), st.integers(1, 9))
+    any_finite = st.floats(allow_nan=False, allow_infinity=False)
+    tied = st.sampled_from(_EDGE_VALUES)
+    return st.one_of(
+        shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=any_finite)),
+        shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=tied)),
+        st.tuples(shapes, st.one_of(tied, any_finite)).map(lambda a: np.full(a[0], a[1])),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(_groups(), st.floats(0.5, 10.0), st.sampled_from([1e-6, 1e-300, 1.0]))
+def test_normalization_is_bit_identical_to_two_medians(group, gamma, delta):
+    params = NormalizationParams(gamma=gamma, delta=delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = normalize_joint(group, params)
+        want = normalize_two_medians(group, gamma, delta)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, 2.0],
+        [0.0, -0.0],
+        [np.inf, 1.0, 2.0],
+        [np.inf, np.inf, 2.0],
+        [-np.inf, np.inf],
+        [-np.inf, -np.inf, 1.0, np.inf],
+        [1e308, 1.7e308],
+        [np.nan, 1.0],
+        [np.nan, 1.0, 2.0],
+    ],
+)
+def test_normalization_of_non_finite_groups_matches_two_medians(values):
+    group = raw([values])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = normalize_joint(group)
+        want = normalize_two_medians(group, 3.0, 1e-6)
+    assert got.tobytes() == want.tobytes()
 
 
 normalized = raw
