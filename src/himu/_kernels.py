@@ -7,7 +7,6 @@ differ only in their weights and their radius.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -106,23 +105,26 @@ def seq_compose(u) -> np.ndarray:
 # Lane 0 starts at frame 0 and is exact. A lane whose start state has the
 # same bits as the end state of an exact predecessor repeats the loop's
 # operations on the loop's operands from there on, so it is exact as well
-# (verify; the bits are compared as uint64, because -0.0 == 0.0). Failing
-# lanes are recomputed in order from the verified state by one generator
-# pass over Python floats, which are IEEE doubles like float64 (repair): a
-# run of lanes that failed against each other takes one pass, and a redo
-# that still ends on a state its next lane missed is followed by one twice
-# as long, so even an input that fails every lane takes O(log lanes)
-# passes. Such an input is a spike followed by zeros in every block: the
-# loop's state decays through tiny nonzero values for about 745/kappa
-# frames, while a lane warmed up on the zeros starts at 0. It pays for the
-# lanes and then for the in-order pass. Speculation, verification and
-# repair follow Maleki, Yang & Mytkowicz, "Parallelizing Dynamic Programming
-# Through Rank Convergence" (PPoPP 2014).
+# (verify; the bits are compared as uint64, because -0.0 == 0.0). From the
+# first lane that fails, the rest of the curve is recomputed in order from
+# the verified end state of the lane before it, by one generator pass over
+# Python floats, which are IEEE doubles like float64 (repair). A lane fails
+# where the loop's state still holds a tiny nonzero remainder that the lane,
+# warmed up from 0 on zeros, lacks: a spike followed by zeros decays through
+# such values for about 745/kappa frames. On perfbench's rows no lane
+# fails, so the repair pass is there for exactness; its worst case, lane 1
+# failing, costs the lanes plus the in-order pass.
+# Speculation, verification and repair follow Maleki, Yang & Mytkowicz,
+# "Parallelizing Dynamic Programming Through Rank Convergence" (PPoPP 2014).
 #
-# A lane step is two numpy calls over all lanes and costs about as much as
-# 15 frames of the in-order pass, so lanes run only where T >= 100 (W + B),
-# and there take about a tenth to a third of its time. Otherwise, and
-# when W >= T, the whole curve runs in order.
+# A lane step is two numpy calls over all lanes. Measured on noise, lanes
+# beat the in-order pass from about T = 25 (W + B), but an input that
+# fails an early lane pays for both, and that stays within the time of
+# an itertools.accumulate() pass over the same floats only from about
+# T = 60 (W + B) on (1.0-1.2x of it at 40, 0.9-0.97x at 100, for kappa
+# from 0.03 to 30 on a 2-vCPU VM). So lanes run where T >= 100 (W + B),
+# and there take about a tenth to a third of the in-order time. Otherwise,
+# and when W >= T, the whole curve runs in order.
 
 _LANE_REACH = 60.0
 _MIN_BLOCK = 64
@@ -188,32 +190,12 @@ def _decayed_prefix(x: np.ndarray, decay: float, lanes: tuple[int, int] | None) 
     """out[i] = sum over j < i of x[j] * decay**(i - j), accumulated in order."""
     if lanes is None:
         return _states(x.tolist(), decay, 0.0)[:-1]
-    block = lanes[1]
     out, starts, ends = _speculate(x, decay, *lanes)
-    n = starts.shape[0]
-    start_bits = starts.view(np.uint64)
-    chained = start_bits[1:] == ends[:-1].view(np.uint64)
-    broken = (np.flatnonzero(~chained) + 1).tolist() + [n]
-    linked = (np.flatnonzero(chained) + 1).tolist() + [n]
-    lane = broken[0]  # every lane before it is exact
-    state = float(ends[lane - 1])
-    extra = 1
-    while lane < n:
-        # Redo lanes lane..stop-1 in order: at least up to the next lane
-        # that matched its predecessor, and twice as far as last time when
-        # the previous redo still ended on a state its next lane missed.
-        stop = max(linked[bisect_right(linked, lane)], min(lane + extra, n))
-        lo, hi = lane * block, min(stop * block, x.shape[0])
-        redone = _states(x[lo:hi].tolist(), decay, state)
-        out[lo:hi] = redone[:-1]
-        if stop < n and redone.view(np.uint64)[-1] == start_bits[stop]:
-            # Lane stop is exact, and so is every lane chained after it.
-            lane = broken[bisect_right(broken, stop)]
-            state = float(ends[lane - 1])
-            extra = 1
-        else:
-            lane, state = stop, float(redone[-1])
-            extra *= 2
+    missed = np.flatnonzero(starts[1:].view(np.uint64) != ends[:-1].view(np.uint64))
+    if missed.size:
+        lane = int(missed[0]) + 1  # every lane before it is exact
+        lo = lane * lanes[1]
+        out[lo:] = _states(x[lo:].tolist(), decay, float(ends[lane - 1]))[:-1]
     return out
 
 

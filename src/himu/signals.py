@@ -157,6 +157,8 @@ def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarr
     if len(lengths) > 1:
         raise LengthMismatchError(f"row lengths differ: {lengths}")
     group = np.asarray(rows, dtype=np.float64)
+    if group.size == 0:  # rows of no frames: nothing to normalize
+        return np.empty_like(group)
     med, mad = _median_and_mad(np.sort(group, axis=None))
     scale = params.gamma / (mad + params.delta)
     centered = np.subtract(group, med)

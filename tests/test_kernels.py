@@ -134,10 +134,9 @@ def test_right_after_cases_reach_lanes_and_repairs(monkeypatch):
     x = _spikes(24_001)
     # the backward pass reverses the effect, so it sees the spikes in order too
     _kernels.right_after_compose(x, x[::-1].copy(), 2.0)
-    # every lane but lane 0 of each direction fails its check and is redone,
-    # in runs that double in length: 9 runs cover the other 375 lanes
-    assert sum(redone) == 2 * (24_001 - 64)
-    assert len(redone) == 2 * 9
+    # every lane but lane 0 of each direction fails its check, and one pass
+    # per direction redoes the other 375 lanes
+    assert redone == [24_001 - 64] * 2
 
 
 def test_seq_is_bit_identical_to_cumprod_form():

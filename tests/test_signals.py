@@ -95,6 +95,8 @@ def test_normalize_shape_checks():
         normalize_joint([])
     with pytest.raises(LengthMismatchError):
         normalize_joint([raw([0.1, 0.2]), raw([0.1, 0.2, 0.3])])
+    # rows of no frames normalize to rows of no frames
+    assert normalize_joint([raw([]), raw([])]).shape == (2, 0)
 
 
 @settings(max_examples=300, deadline=None)
