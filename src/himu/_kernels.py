@@ -39,20 +39,25 @@ def _gaussian(T: int, radius: int, sigma: float) -> np.ndarray:
 
 
 def _truncated_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum over in-bounds s of w[s - t + r] * x[s], for odd symmetric w of radius r."""
-    r = w.shape[0] // 2
-    return np.convolve(x, w)[r : r + x.shape[0]]
+    """sum over in-bounds s of w[s - t + r] * x[..., s], along the last axis
+    of a row or an (n, T) group, for odd symmetric w of radius r."""
+    r, T = w.shape[0] // 2, x.shape[-1]
+    out = np.empty(x.shape)
+    for row, smoothed in zip(x.reshape(-1, T), out.reshape(-1, T)):
+        smoothed[:] = np.convolve(row, w)[r : r + T]
+    return out
 
 
 def smooth_renorm(x, sigma: float) -> np.ndarray:
     x, sigma = _as_f64(x), float(sigma)
-    w = _gaussian(x.shape[0], math.ceil(4.0 * sigma), sigma)
-    return _truncated_convolve(x, w) / _truncated_convolve(np.ones_like(x), w)
+    w = _gaussian(x.shape[-1], math.ceil(4.0 * sigma), sigma)
+    smoothed = _truncated_convolve(x, w)
+    return np.divide(smoothed, _truncated_convolve(np.ones(x.shape[-1]), w), out=smoothed)
 
 
 def smooth_strict(x, sigma: float) -> np.ndarray:
     x, sigma = _as_f64(x), float(sigma)
-    w = _gaussian(x.shape[0], math.ceil(STRICT_RADIUS_SIGMAS * sigma), sigma)
+    w = _gaussian(x.shape[-1], math.ceil(STRICT_RADIUS_SIGMAS * sigma), sigma)
     w /= math.sqrt(2.0 * math.pi) * sigma
     return _truncated_convolve(x, w)
 

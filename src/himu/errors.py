@@ -57,6 +57,10 @@ class LengthMismatchError(SignalError):
     pass
 
 
+class RowShapeError(SignalError):
+    """Rows that do not form a 2-D (rows x frames) group."""
+
+
 class MissingBandwidthError(SignalError):
     """No smoothing bandwidth configured for the requested expert."""
 

@@ -5,8 +5,8 @@ Object detection is query-conditioned: its scores come from a separate
 per-query source and are recomputed on every evaluation instead of being
 cached. Transcript and on-screen-text scoring match the query against every
 segment or detection of the video in one batch (``matching.match_scores``,
-``matching.windowed_match_scores``) and map the scores onto the frame
-timeline with ``np.maximum.at``.
+``matching.windowed_match_scores``); OCR keeps each frame's best score with
+``np.maximum.at``, ASR spreads each matched segment over its own frames.
 """
 from __future__ import annotations
 

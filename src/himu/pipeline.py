@@ -42,16 +42,15 @@ def condition_signals(
 
     Joint normalization pools the median and spread over all of one
     expert's rows so sibling queries stay comparable; smoothing then
-    applies that expert's bandwidth to every row in the group. The result
-    is a new (L, T) array, row i for leaf id i.
+    applies that expert's bandwidth to the whole group in one call. The
+    result is a new (L, T) array, row i for leaf id i.
     """
     norm_params = config.normalization_params()
     smooth_params = config.smoothing_params()
     out = np.empty(raw.shape)
     for expert, leaf_ids in leaves_by_expert(tree).items():
         normalized = normalize_joint(raw[leaf_ids], norm_params)
-        for leaf_id, row in zip(leaf_ids, normalized):
-            out[leaf_id] = smooth(row, expert, smooth_params)
+        out[leaf_ids] = smooth(normalized, expert, smooth_params)
     return out
 
 

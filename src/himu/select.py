@@ -94,7 +94,9 @@ def _check_curve(curve) -> np.ndarray:
 def _best(values: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray:
     """The k best of ``frames`` (ascending indices), best first, ties to the
     lower index: the first k of a stable descending sort, found without
-    sorting them all. The values must be finite (no NaN to order)."""
+    sorting them all; none if k <= 0. Values must be finite (no NaN to order)."""
+    if k <= 0:
+        return frames[:0]
     scores = values[frames]
     if k < scores.shape[0]:
         # the k-th largest score; keep every frame above it, then as many
@@ -123,20 +125,20 @@ def find_peaks(curve, max_peaks: int, min_distance: int) -> list[int]:
     interior = np.flatnonzero(
         (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
     ) + 1
-    if interior.size == 0:
-        return []
-    order = np.argsort(-values[interior], kind="stable")
+    # Strict maxima are at least 2 frames apart, so each kept peak rules out
+    # at most min_distance - 1 other candidates: the walk keeps its last peak
+    # within the best max_peaks * min_distance candidates.
     kept: list[int] = []
-    for t in interior[order]:
-        if len(kept) >= max_peaks:
+    for t in _best(values, interior, max_peaks * min_distance).tolist():
+        if len(kept) == max_peaks:
             break
-        if all(abs(int(t) - p) >= min_distance for p in kept):
-            kept.append(int(t))
+        if all(abs(t - p) >= min_distance for p in kept):
+            kept.append(t)
     return kept
 
 
-def _result(values, selected, phase, peaks, strategy):
-    frames = tuple(sorted(selected))
+def _result(values, phase, peaks, strategy):
+    frames = tuple(sorted(phase))
     return SelectionResult(
         frames=frames,
         scores=tuple(float(values[t]) for t in frames),
@@ -149,51 +151,32 @@ def _result(values, selected, phase, peaks, strategy):
 def pass_select(curve, params: PassParams) -> SelectionResult:
     """Peak-and-spread selection of min(budget, T) frames.
 
-    Phase 1 keeps the separated peaks. Phase 2 walks peaks in selection
-    order and adds each peak's neighbors_per_peak best unselected frames
-    within window // 2. Phase 3 fills the rest of the budget with the
-    globally best unselected frames. A budget beyond the timeline returns
-    every frame.
+    Phase 1 keeps the first ``budget`` separated peaks. Phase 2 adds each
+    kept peak's best untaken frames within window // 2, at most
+    neighbors_per_peak and the budget left. Phase 3 fills the rest with the
+    globally best untaken frames. Every phase ranks through ``_best``. A
+    budget beyond the timeline returns every frame.
     """
     values = _check_curve(curve)
     T = values.shape[0]
     budget = min(params.budget, T)
 
-    peaks = find_peaks(values, params.max_peaks, params.min_distance)
-    phase: dict[int, SelectionPhase] = {}
-    selected: list[int] = []
+    peaks = find_peaks(values, params.max_peaks, params.min_distance)[:budget]
+    phase = dict.fromkeys(peaks, SelectionPhase.PEAK)
     taken = np.zeros(T, dtype=bool)
-    for p in peaks:
-        if len(selected) >= budget:
-            break
-        selected.append(p)
-        taken[p] = True
-        phase[p] = SelectionPhase.PEAK
+    taken[peaks] = True
 
     half = params.window // 2
     for p in peaks:
-        if len(selected) >= budget:
-            break
-        lo, hi = max(0, p - half), min(T - 1, p + half)
-        local = np.arange(lo, hi + 1)
-        local = local[~taken[local]]
-        if local.size == 0:
-            continue
-        ranked = local[np.argsort(-values[local], kind="stable")]
-        for t in ranked[: params.neighbors_per_peak]:
-            if len(selected) >= budget:
-                break
-            selected.append(int(t))
-            taken[t] = True
-            phase[int(t)] = SelectionPhase.NEIGHBOR
+        window = np.arange(max(0, p - half), min(T, p + half + 1))
+        k = min(params.neighbors_per_peak, budget - len(phase))
+        chosen = _best(values, window[~taken[window]], k)
+        taken[chosen] = True
+        phase.update(dict.fromkeys(chosen.tolist(), SelectionPhase.NEIGHBOR))
 
-    if len(selected) < budget:
-        for t in _best(values, np.flatnonzero(~taken), budget - len(selected)).tolist():
-            selected.append(t)
-            phase[t] = SelectionPhase.FILL
-
-    kept_peaks = [p for p in peaks if p in phase]
-    return _result(values, selected, phase, kept_peaks, "pass")
+    fill = _best(values, np.flatnonzero(~taken), budget - len(phase))
+    phase.update(dict.fromkeys(fill.tolist(), SelectionPhase.FILL))
+    return _result(values, phase, peaks, "pass")
 
 
 def topk_select(curve, budget: int) -> SelectionResult:
@@ -203,8 +186,7 @@ def topk_select(curve, budget: int) -> SelectionResult:
         raise ValueError("budget must be >= 1")
     k = min(budget, values.shape[0])
     selected = _best(values, np.arange(values.shape[0]), k).tolist()
-    phase = {t: SelectionPhase.FILL for t in selected}
-    return _result(values, selected, phase, [], "topk")
+    return _result(values, dict.fromkeys(selected, SelectionPhase.FILL), [], "topk")
 
 
 def uniform_select(num_frames: int, budget: int, curve=None) -> SelectionResult:
@@ -233,5 +215,4 @@ def uniform_select(num_frames: int, budget: int, curve=None) -> SelectionResult:
             raise ValueError(
                 f"curve has {values.shape[0]} values, expected num_frames={num_frames}"
             )
-    phase = {t: SelectionPhase.FILL for t in chosen}
-    return _result(values, chosen, phase, [], "uniform")
+    return _result(values, dict.fromkeys(chosen, SelectionPhase.FILL), [], "uniform")

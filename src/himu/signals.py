@@ -7,7 +7,7 @@ similarities, detection confidences, binary text matches).
 ``normalize_joint`` maps the rows of one expert group through a sigmoid of
 the median/MAD-centered scores, with the statistics taken over the whole
 group so relative magnitudes between leaves survive. ``smooth`` then
-convolves each normalized row with a per-expert Gaussian whose bandwidth
+convolves each row of the group with a per-expert Gaussian whose bandwidth
 matches the modality's temporal resolution, so that e.g. speech peaks widen
 enough to co-fire with frame-precise visual peaks under conjunction.
 """
@@ -23,6 +23,7 @@ from .errors import (
     EmptyInputError,
     LengthMismatchError,
     MissingBandwidthError,
+    RowShapeError,
 )
 from .tree import ExpertKind
 
@@ -153,6 +154,8 @@ def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarr
         params = NormalizationParams()
     if len(rows) == 0:
         raise EmptyInputError("normalize_joint requires at least one row")
+    if any(np.ndim(row) != 1 for row in rows):
+        raise RowShapeError("rows must be 2-D: a list of 1-D rows or an (n, T) array")
     lengths = sorted({len(row) for row in rows})
     if len(lengths) > 1:
         raise LengthMismatchError(f"row lengths differ: {lengths}")
@@ -168,7 +171,8 @@ def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarr
 def smooth(
     values: np.ndarray, expert: ExpertKind, params: SmoothingParams | None = None
 ) -> np.ndarray:
-    """Gaussian-smooth one normalized row with its expert's bandwidth.
+    """Gaussian-smooth a normalized row, or each row of an (n, T) group, with
+    the expert's bandwidth, computing the renormalizing sums once per call.
 
     Bandwidth 0 returns the values unchanged. In strict mode the raw
     convolution can drift outside [0, 1] because the discrete analytic

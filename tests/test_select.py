@@ -104,15 +104,32 @@ def test_pass_phase_labels_on_simple_bump():
     assert res.strategy == "pass"
 
 
-def test_pass_matches_reference_oracle():
+def _oracle_draws():
+    # continuous curves (no ties) with the knobs derived from the budget
     for _ in range(300):
-        T = int(RNG.integers(1, 120))
-        curve = RNG.random(T)
-        budget = int(RNG.choice([1, 2, 4, 8, 16, 32]))
-        params = PassParams(budget=budget)
+        curve = RNG.random(int(RNG.integers(1, 120)))
+        yield curve, PassParams(budget=int(RNG.choice([1, 2, 4, 8, 16, 32])))
+    # small-integer curves, full of ties and plateaus, with drawn knobs and
+    # budgets both below and above the number of peaks kept
+    for _ in range(600):
+        curve = RNG.integers(0, int(RNG.integers(2, 9)), int(RNG.integers(1, 120)))
+        max_peaks = int(RNG.integers(1, 7))
+        budget = int(RNG.integers(1, max_peaks + 1)) if RNG.random() < 0.3 else int(
+            RNG.integers(1, 41))
+        yield curve.astype(np.float64), PassParams(
+            budget=budget,
+            max_peaks=max_peaks,
+            neighbors_per_peak=int(RNG.integers(0, 5)),
+            window=int(RNG.integers(1, 10)),
+            min_distance=int(RNG.integers(1, 9)),
+        )
+
+
+def test_pass_matches_reference_oracle():
+    for curve, params in _oracle_draws():
         res = pass_select(curve, params)
         frames, phase, peaks = pass_reference(
-            curve, budget, params.max_peaks, params.neighbors_per_peak,
+            curve, params.budget, params.max_peaks, params.neighbors_per_peak,
             params.window, params.min_distance,
         )
         assert list(res.frames) == frames

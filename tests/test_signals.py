@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from himu.config import EngineConfig
-from himu.errors import EmptyInputError, LengthMismatchError, MissingBandwidthError
+from himu.errors import (
+    EmptyInputError,
+    LengthMismatchError,
+    MissingBandwidthError,
+    RowShapeError,
+    SignalError,
+)
 from himu.pipeline import condition_signals
 from himu.signals import (
     DEFAULT_BANDWIDTHS,
+    SMOOTHING_MODES,
     NormalizationParams,
     SmoothingParams,
     _sigmoid,
@@ -95,6 +102,11 @@ def test_normalize_shape_checks():
         normalize_joint([])
     with pytest.raises(LengthMismatchError):
         normalize_joint([raw([0.1, 0.2]), raw([0.1, 0.2, 0.3])])
+    # one 1-D row, scalars or a 3-D block are not a group of rows
+    for bad in (raw([0.1, 0.2]), [0.1, 0.2], np.zeros((2, 3, 4))):
+        with pytest.raises(RowShapeError, match="2-D"):
+            normalize_joint(bad)
+    assert issubclass(RowShapeError, SignalError)
     # rows of no frames normalize to rows of no frames
     assert normalize_joint([raw([]), raw([])]).shape == (2, 0)
 
@@ -233,18 +245,21 @@ def test_smoothing_keeps_unit_interval_and_mass_center(values, expert):
 
 
 def test_condition_signals_fills_rows_by_leaf_id():
-    # Leaves 0 and 2 (CLIP) are normalized as one group around leaf 1 (ASR),
-    # and each conditioned row lands back at its own leaf id.
+    # Leaves 0 and 2 (CLIP) are normalized and smoothed as one group around
+    # leaf 1 (ASR), each row as if smoothed alone, and each conditioned row
+    # lands back at its own leaf id.
     tree = parse_tree(json.dumps({"op": "OR", "children": [
         {"op": "LEAF", "expert": "CLIP", "query": "a"},
         {"op": "LEAF", "expert": "ASR", "query": "b"},
         {"op": "LEAF", "expert": "CLIP", "query": "c"},
     ]}))
     raw_rows = np.random.default_rng(8).random((3, 30))
-    out = condition_signals(tree, raw_rows, EngineConfig())
-    assert out.shape == (3, 30)
     clip = normalize_joint(raw_rows[[0, 2]])
-    np.testing.assert_array_equal(out[0], smooth(clip[0], ExpertKind.CLIP))
-    np.testing.assert_array_equal(out[2], smooth(clip[1], ExpertKind.CLIP))
     asr = normalize_joint(raw_rows[[1]])
-    np.testing.assert_array_equal(out[1], smooth(asr[0], ExpertKind.ASR))
+    for mode in SMOOTHING_MODES:
+        out = condition_signals(tree, raw_rows, EngineConfig(smoothing_mode=mode))
+        assert out.shape == (3, 30)
+        params = SmoothingParams(mode=mode)
+        np.testing.assert_array_equal(out[0], smooth(clip[0], ExpertKind.CLIP, params))
+        np.testing.assert_array_equal(out[2], smooth(clip[1], ExpertKind.CLIP, params))
+        np.testing.assert_array_equal(out[1], smooth(asr[0], ExpertKind.ASR, params))
