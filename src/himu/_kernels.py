@@ -43,6 +43,8 @@ def _truncated_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     of a row or an (n, T) group, for odd symmetric w of radius r."""
     r, T = w.shape[0] // 2, x.shape[-1]
     out = np.empty(x.shape)
+    if T == 0:  # rows of no frames: nothing to sum, and no row shape to iterate
+        return out
     for row, smoothed in zip(x.reshape(-1, T), out.reshape(-1, T)):
         smoothed[:] = np.convolve(row, w)[r : r + T]
     return out

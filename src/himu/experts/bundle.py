@@ -12,12 +12,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .. import jsonio
 from ..errors import BundleFormatError, InconsistentLengthError
 from ..tree import ExpertKind
+from .matching import TextIndex, text_index
 
 FORMAT_VERSION = 1
 
@@ -156,6 +158,24 @@ class ExpertBundle:
                         f"[0, {self.num_frames})"
                     )
             object.__setattr__(self, "ocr", entries)
+
+    # Built on the first text leaf and kept for every later one; a
+    # cached_property stores into the instance dict, which a frozen
+    # dataclass does not guard.
+    @cached_property
+    def transcript_index(self) -> TextIndex:
+        """The text index of the transcript, text i for segment i."""
+        return text_index([segment.text for segment in self.transcript])
+
+    @cached_property
+    def ocr_index(self) -> TextIndex:
+        """The text index of every OCR detection, with the frame of each."""
+        texts = [text for entry in self.ocr for text in entry.detections]
+        frames = np.repeat(
+            np.array([entry.frame for entry in self.ocr], dtype=np.intp),
+            [len(entry.detections) for entry in self.ocr],
+        )
+        return text_index(texts, frames)
 
 
 @dataclass(frozen=True)

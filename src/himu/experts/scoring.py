@@ -3,15 +3,17 @@
 Embedding-style experts read score-table rows from the per-video bundle.
 Object detection is query-conditioned: its scores come from a separate
 per-query source and are recomputed on every evaluation instead of being
-cached. Transcript and on-screen-text scoring match the query against every
-segment or detection of the video in one batch (``matching.match_scores``,
-``matching.windowed_match_scores``); OCR keeps each frame's best score with
-``np.maximum.at``, ASR spreads each matched segment over its own frames.
+cached. Transcript and on-screen-text leaves score from the bundle's text
+indexes (``ExpertBundle.transcript_index`` and ``ocr_index``), which are
+built on the first text leaf and shared by every later one, so a leaf does
+only the query's own work: it matches the query against every segment or
+detection of the video in one batch of code spans
+(``matching.windowed_match_scores``, ``matching.match_scores``). OCR keeps
+each frame's best score with ``np.maximum.at``, ASR spreads each matched
+segment over its own frames.
 """
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,7 @@ from ..errors import (
     MissingRowError,
 )
 from ..tree import ExpertKind, LogicTree
-from .bundle import ExpertBundle, OvdSource, ScoreTable, OcrFrameText, TranscriptSegment
+from .bundle import ExpertBundle, OvdSource, ScoreTable
 from .matching import match_scores, windowed_match_scores
 # Counted by perfbench/spans.py; the scorers call the batched forms above.
 from .matching import match_score, windowed_match_score  # noqa: F401
@@ -80,44 +82,50 @@ def score_ovd_leaf(source: OvdSource | None, query: str, num_frames: int) -> np.
     return source.max_over(query_variants(query), num_frames)
 
 
-def score_asr_leaf(
-    transcript: tuple[TranscriptSegment, ...],
-    query: str,
-    num_frames: int,
-    frame_rate: float,
-) -> np.ndarray:
+def score_asr_leaf(bundle: ExpertBundle, query: str) -> np.ndarray:
     """Raw speech row: segment match scores spread over overlapped frames.
 
-    Each segment scores via windowed text matching, all segments in one
-    batch, then frame t (covering [t/fps, (t+1)/fps)) receives max over
-    segments of segment score times the fraction of the frame interval the
-    segment overlaps.
+    Every segment scores via windowed text matching over the bundle's
+    transcript index, all segments in one batch; then frame t (covering
+    [t/fps, (t+1)/fps)) receives max over segments of segment score times
+    the fraction of the frame interval the segment overlaps. The frames
+    of every matched segment are spread in one pass.
     """
+    if bundle.transcript is None:
+        raise MissingArtifactError(f"bundle {bundle.video_id!r} has no transcript")
+    num_frames, frame_rate = bundle.num_frames, bundle.frame_rate
     values = np.zeros(num_frames, dtype=np.float64)
-    scores = windowed_match_scores(query, [seg.text for seg in transcript])
-    for i in np.flatnonzero(scores > 0.0).tolist():
-        seg = transcript[i]
-        # Frames floor(start * fps) .. ceil(end * fps), clipped to the
-        # timeline before rounding, so a time that overflows to inf still
-        # clips; a segment starting past the end covers none.
-        first = math.floor(min(seg.start * frame_rate, num_frames))
-        last = math.ceil(min(seg.end * frame_rate, num_frames - 1))
-        t = np.arange(first, last + 1)
-        overlap = np.minimum(seg.end, (t + 1) / frame_rate) - np.maximum(seg.start, t / frame_rate)
-        row = values[first : last + 1]
-        np.maximum(row, scores[i] * (overlap * frame_rate), out=row, where=overlap > 0.0)
+    scores = windowed_match_scores(query, bundle.transcript_index)
+    matched = np.flatnonzero(scores > 0.0)
+    start = np.array([bundle.transcript[i].start for i in matched.tolist()])
+    end = np.array([bundle.transcript[i].end for i in matched.tolist()])
+    # Frames floor(start * fps) .. ceil(end * fps), clipped to the
+    # timeline before rounding, so a time that overflows to inf still
+    # clips; a segment starting past the end covers none.
+    with np.errstate(over="ignore"):
+        first = np.floor(np.minimum(start * frame_rate, num_frames)).astype(np.int64)
+        last = np.ceil(np.minimum(end * frame_rate, num_frames - 1)).astype(np.int64)
+    # The frames of all matched segments end to end: frame t[j] of segment
+    # owner[j].
+    counts = np.maximum(last - first + 1, 0)
+    owner = np.repeat(np.arange(matched.size), counts)
+    t = np.arange(owner.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    start, end = start[owner], end[owner]
+    overlap = np.minimum(end, (t + 1) / frame_rate) - np.maximum(start, t / frame_rate)
+    covered = overlap > 0.0
+    weighted = scores[matched][owner] * (overlap * frame_rate)
+    np.maximum.at(values, t[covered], weighted[covered])
     return values
 
 
-def score_ocr_leaf(
-    ocr: tuple[OcrFrameText, ...], query: str, num_frames: int
-) -> np.ndarray:
+def score_ocr_leaf(bundle: ExpertBundle, query: str) -> np.ndarray:
     """Raw on-screen-text row: per-frame max detection match score, every
-    detection of the video matched in one batch."""
-    values = np.zeros(num_frames, dtype=np.float64)
-    detections = [text for entry in ocr for text in entry.detections]
-    frames = [entry.frame for entry in ocr for _ in entry.detections]
-    np.maximum.at(values, np.array(frames, dtype=np.intp), match_scores(query, detections))
+    detection of the bundle's OCR index matched in one batch."""
+    if bundle.ocr is None:
+        raise MissingArtifactError(f"bundle {bundle.video_id!r} has no ocr artifacts")
+    index = bundle.ocr_index
+    values = np.zeros(bundle.num_frames, dtype=np.float64)
+    np.maximum.at(values, index.frames, match_scores(query, index))
     return values
 
 
@@ -128,22 +136,18 @@ class ProviderCounters:
     scoring_calls[e] increments once per unique (expert, query) pair each
     time a tree is evaluated, so duplicate leaves share a single call and
     experts absent from the tree stay at zero. Leaves are evaluated one
-    after another; updates and snapshots still take a lock, so one counter
-    object can be shared by threads that each evaluate a tree.
+    after another in one thread, so the counts need no lock.
     """
 
     scoring_calls: dict[ExpertKind, int] = field(
         default_factory=lambda: {kind: 0 for kind in ExpertKind}
     )
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(self, expert: ExpertKind) -> None:
-        with self._lock:
-            self.scoring_calls[expert] += 1
+        self.scoring_calls[expert] += 1
 
     def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {kind.value: count for kind, count in self.scoring_calls.items()}
+        return {kind.value: count for kind, count in self.scoring_calls.items()}
 
 
 def _score_one(
@@ -157,14 +161,8 @@ def _score_one(
     if expert is ExpertKind.OVD:
         return score_ovd_leaf(ovd_source, query, bundle.num_frames)
     if expert is ExpertKind.ASR:
-        if bundle.transcript is None:
-            raise MissingArtifactError(f"bundle {bundle.video_id!r} has no transcript")
-        return score_asr_leaf(
-            bundle.transcript, query, bundle.num_frames, bundle.frame_rate
-        )
-    if bundle.ocr is None:
-        raise MissingArtifactError(f"bundle {bundle.video_id!r} has no ocr artifacts")
-    return score_ocr_leaf(bundle.ocr, query, bundle.num_frames)
+        return score_asr_leaf(bundle, query)
+    return score_ocr_leaf(bundle, query)
 
 
 def evaluate_leaves(

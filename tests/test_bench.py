@@ -103,9 +103,7 @@ def test_modality_offset_shifts_signal_not_ground_truth():
     instance = generate(script)
     (segment,) = instance.bundle.transcript
     assert segment.start == 12.0 and segment.end == 16.0
-    values = score_asr_leaf(
-        instance.bundle.transcript, "hello there", script.num_frames, script.frame_rate
-    )
+    values = score_asr_leaf(instance.bundle, "hello there")
     assert np.all(values[12:16] == 1.0)
     assert np.all(values[10:12] == 0.0)
     # Recall is still judged against the stated support.

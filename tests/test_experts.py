@@ -39,7 +39,7 @@ from himu.experts import (
     similarity,
     windowed_match_score,
 )
-from himu.experts.matching import levenshtein_batch
+from himu.experts.matching import levenshtein_batch, levenshtein_spans, text_index
 from himu.tree import ExpertKind, parse_tree
 from oracles import (
     levenshtein_matrix,
@@ -51,13 +51,19 @@ from oracles import (
 )
 
 
-def make_bundle(T=10, **kwargs):
-    return ExpertBundle(video_id="vid", num_frames=T, frame_rate=1.0, **kwargs)
+def _examples(n):
+    """n examples, or the loaded hypothesis profile's count when that is
+    larger: the byte-equality properties run longer under "thorough"."""
+    return max(n, settings.default.max_examples)
+
+
+def make_bundle(T=10, frame_rate=1.0, **kwargs):
+    return ExpertBundle(video_id="vid", num_frames=T, frame_rate=frame_rate, **kwargs)
 
 
 # --- matching -------------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_examples(300), deadline=None)
 @given(st.text(max_size=80), st.text(max_size=80))
 def test_levenshtein_matches_matrix_oracle(a, b):
     assert levenshtein(a, b) == levenshtein_matrix(a, b)
@@ -111,7 +117,7 @@ _BATCH_ALPHABET = "abcAB ßİ\ud800"
 _BATCH_TEXT = st.text(alphabet=_BATCH_ALPHABET, max_size=80)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_examples(200), deadline=None)
 @given(
     st.one_of(_BATCH_TEXT, st.text(alphabet=_BATCH_ALPHABET, min_size=60, max_size=130)),
     st.lists(st.text(alphabet=_BATCH_ALPHABET, max_size=140), max_size=12),
@@ -229,7 +235,7 @@ def test_score_ovd_leaf_absent_is_zero():
 def test_score_asr_overlap_fractions():
     # Segment 12.0-13.5 s at 1 fps: frame 12 fully covered, frame 13 half.
     transcript = (TranscriptSegment(12.0, 13.5, "the chemical reaction begins"),)
-    row = score_asr_leaf(transcript, "reaction", 20, 1.0)
+    row = score_asr_leaf(make_bundle(T=20, transcript=transcript), "reaction")
     assert row[12] == pytest.approx(1.0)
     assert row[13] == pytest.approx(0.5)
     assert np.count_nonzero(row) == 2
@@ -237,14 +243,14 @@ def test_score_asr_overlap_fractions():
 
 def test_score_asr_overlap_mass_equals_duration_in_frames():
     transcript = (TranscriptSegment(3.25, 7.75, "hello world"),)
-    row = score_asr_leaf(transcript, "hello", 20, 2.0)
+    row = score_asr_leaf(make_bundle(T=20, frame_rate=2.0, transcript=transcript), "hello")
     assert row.sum() == pytest.approx((7.75 - 3.25) * 2.0)
 
 
 def test_score_asr_no_match_and_empty_transcript():
     transcript = (TranscriptSegment(1.0, 2.0, "completely different words"),)
-    assert np.all(score_asr_leaf(transcript, "chemistry", 5, 1.0) == 0.0)
-    assert np.all(score_asr_leaf((), "anything", 5, 1.0) == 0.0)
+    assert np.all(score_asr_leaf(make_bundle(T=5, transcript=transcript), "chemistry") == 0.0)
+    assert np.all(score_asr_leaf(make_bundle(T=5, transcript=()), "anything") == 0.0)
 
 
 def test_score_asr_takes_max_over_overlapping_segments():
@@ -252,7 +258,7 @@ def test_score_asr_takes_max_over_overlapping_segments():
         TranscriptSegment(0.0, 2.0, "the dog barks"),
         TranscriptSegment(1.0, 2.0, "dog"),
     )
-    row = score_asr_leaf(transcript, "dog", 4, 1.0)
+    row = score_asr_leaf(make_bundle(T=4, transcript=transcript), "dog")
     assert row[0] == pytest.approx(1.0)
     assert row[1] == pytest.approx(1.0)
 
@@ -263,11 +269,12 @@ def test_score_ocr_examples():
         OcrFrameText(5, ("K0rea",)),
         OcrFrameText(5, ("nothing",)),
     )
-    row = score_ocr_leaf(ocr, "exit", 8)
+    bundle = make_bundle(T=8, ocr=ocr)
+    row = score_ocr_leaf(bundle, "exit")
     assert row[3] == 1.0
-    row = score_ocr_leaf(ocr, "Korea", 8)
+    row = score_ocr_leaf(bundle, "Korea")
     assert row[5] == pytest.approx(0.8)
-    assert np.all(score_ocr_leaf((), "exit", 8) == 0.0)
+    assert np.all(score_ocr_leaf(make_bundle(T=8, ocr=()), "exit") == 0.0)
 
 
 # --- batched leaf rows against the per-text loops ----------------------------------
@@ -302,7 +309,7 @@ def _text_leaf_case(draw):
     return query, texts
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_examples(300), deadline=None)
 @given(
     _text_leaf_case(),
     st.integers(1, 40),
@@ -316,24 +323,25 @@ def test_text_leaf_rows_equal_per_text_loops_bytewise(case, num_frames, frame_ra
         start = data.draw(st.floats(0.0, num_frames / frame_rate + 2.0))
         length = data.draw(st.floats(1e-3, 10.0))
         transcript.append(TranscriptSegment(start, start + length, text))
-    transcript = make_bundle(T=num_frames, transcript=transcript).transcript
     frames = data.draw(st.lists(st.integers(0, num_frames - 1), min_size=len(texts),
                                 max_size=len(texts)))
     ocr = tuple(OcrFrameText(frame, (text,)) for frame, text in zip(frames, texts))
     ocr += (OcrFrameText(0, tuple(texts)),)
+    _assert_rows_equal_loops(transcript, ocr, query, num_frames, frame_rate)
 
-    asr = score_asr_leaf(transcript, query, num_frames, frame_rate)
-    assert asr.tobytes() == score_asr_leaf_loop(transcript, query, num_frames, frame_rate).tobytes()
-    row = score_ocr_leaf(ocr, query, num_frames)
-    assert row.tobytes() == score_ocr_leaf_loop(ocr, query, num_frames).tobytes()
+
+def _assert_bundle_rows_equal_loops(bundle, query):
+    asr = score_asr_leaf(bundle, query)
+    loop = score_asr_leaf_loop(bundle.transcript, query, bundle.num_frames, bundle.frame_rate)
+    assert asr.tobytes() == loop.tobytes()
+    row = score_ocr_leaf(bundle, query)
+    assert row.tobytes() == score_ocr_leaf_loop(bundle.ocr, query, bundle.num_frames).tobytes()
+    return asr, row
 
 
 def _assert_rows_equal_loops(transcript, ocr, query, num_frames, frame_rate=1.0):
-    asr = score_asr_leaf(transcript, query, num_frames, frame_rate)
-    assert asr.tobytes() == score_asr_leaf_loop(transcript, query, num_frames, frame_rate).tobytes()
-    row = score_ocr_leaf(ocr, query, num_frames)
-    assert row.tobytes() == score_ocr_leaf_loop(ocr, query, num_frames).tobytes()
-    return asr, row
+    bundle = make_bundle(T=num_frames, frame_rate=frame_rate, transcript=transcript, ocr=ocr)
+    return _assert_bundle_rows_equal_loops(bundle, query)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65])
@@ -395,13 +403,150 @@ def test_asr_row_when_segment_times_overflow_in_frames():
     # 1e308 s times 30 fps is inf: the segment runs to the last frame, and
     # each frame gets what a segment ending just past the timeline gives it.
     # One starting that late covers no frame.
-    asr = score_asr_leaf((TranscriptSegment(0.1, 1e308, "the reaction"),), "reaction", 12, 30.0)
+    def bundle(*segments):
+        return make_bundle(T=12, frame_rate=30.0, transcript=segments)
+
+    asr = score_asr_leaf(bundle(TranscriptSegment(0.1, 1e308, "the reaction")), "reaction")
     past_end = (TranscriptSegment(0.1, 1.0, "the reaction"),)
     assert asr.tobytes() == score_asr_leaf_loop(past_end, "reaction", 12, 30.0).tobytes()
     assert np.flatnonzero(asr).tolist() == list(range(3, 12))
     assert asr[4:] == pytest.approx(1.0)
-    late = (TranscriptSegment(1e307, 1e308, "the reaction"),)
-    assert not score_asr_leaf(late, "reaction", 12, 30.0).any()
+    late = TranscriptSegment(1e307, 1e308, "the reaction")
+    assert not score_asr_leaf(bundle(late), "reaction").any()
+
+
+# --- the per-bundle text index ----------------------------------------------------
+
+def _text_bundle():
+    # One ASR and two OCR leaves read these, as in the speech_3h tree shape.
+    return make_bundle(
+        T=6,
+        clip_table=ScoreTable(ExpertKind.CLIP, "vid", (("a dog", np.linspace(0, 1, 6)),)),
+        transcript=(
+            TranscriptSegment(0.0, 2.0, "the jewel amber glows"),
+            TranscriptSegment(2.0, 4.0, "jewel ambqr"),
+        ),
+        ocr=(OcrFrameText(1, ("PEARL RADAR", "exit")), OcrFrameText(4, ("hazel blaqe",))),
+    )
+
+
+def _speech_tree():
+    leaf = lambda expert, query: {"op": "LEAF", "expert": expert, "query": query}  # noqa: E731
+    return parse_tree(json.dumps({"op": "AND", "children": [
+        leaf("ASR", "jewel amber"), leaf("CLIP", "a dog"),
+        leaf("OCR", "pearl radar"), leaf("OCR", "hazel blaze"),
+    ]}))
+
+
+def _counting_index_builds(monkeypatch):
+    import himu.experts.bundle as bundle_module
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return text_index(*args, **kwargs)
+
+    monkeypatch.setattr(bundle_module, "text_index", counting)
+    return built
+
+
+def test_text_leaves_build_one_index_each_per_bundle(monkeypatch):
+    built = _counting_index_builds(monkeypatch)
+    bundle = _text_bundle()
+    first = evaluate_leaves(_speech_tree(), bundle)
+    assert len(built) == 2
+    transcript_index, ocr_index = bundle.transcript_index, bundle.ocr_index
+    again = evaluate_leaves(_speech_tree(), bundle)
+    assert len(built) == 2
+    assert bundle.transcript_index is transcript_index and bundle.ocr_index is ocr_index
+    assert first.tobytes() == again.tobytes()
+    assert ocr_index.frames.tolist() == [1, 1, 4]
+
+
+def test_table_only_bundle_builds_no_text_index(monkeypatch):
+    built = _counting_index_builds(monkeypatch)
+    bundle = scored_bundle()
+    tree = parse_tree(json.dumps({"op": "LEAF", "expert": "CLIP", "query": "a dog"}))
+    evaluate_leaves(tree, bundle)
+    assert built == []
+    assert "transcript_index" not in vars(bundle) and "ocr_index" not in vars(bundle)
+
+
+@settings(max_examples=_examples(200), deadline=None)
+@given(
+    _text_leaf_case(),
+    st.lists(
+        st.one_of(
+            _QUERY,
+            st.sampled_from(["", " ", "a", "ß"]),
+            st.text(alphabet=_BATCH_ALPHABET, min_size=60, max_size=90),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_queries_in_turn_on_one_bundle_equal_loops_bytewise(case, more_queries):
+    # Every query reads the same two indexes; scoring the first query again
+    # at the end shows that no query's masks or match state stayed behind.
+    query, texts = case
+    transcript = tuple(TranscriptSegment(i / 2, i / 2 + 1.5, t) for i, t in enumerate(texts))
+    ocr = tuple(OcrFrameText(i % 3, (t, t[::-1])) for i, t in enumerate(texts))
+    bundle = make_bundle(T=8, transcript=transcript, ocr=ocr)
+    rows = [_assert_bundle_rows_equal_loops(bundle, q) for q in [query, *more_queries]]
+    asr, row = _assert_bundle_rows_equal_loops(bundle, query)
+    assert asr.tobytes() == rows[0][0].tobytes() and row.tobytes() == rows[0][1].tobytes()
+
+
+def test_query_across_a_text_boundary_is_no_containment_hit():
+    # "b c" is in the texts joined by a space, but the index joins them by
+    # a newline, so both texts score by their windows, all under 0.5.
+    texts = ["a b", "c"]
+    assert "b c" in " ".join(texts) and "b c" not in text_index(texts).joined
+    transcript = tuple(TranscriptSegment(float(i), i + 1.0, t) for i, t in enumerate(texts))
+    ocr = (OcrFrameText(0, tuple(texts)),)
+    asr, row = _assert_rows_equal_loops(transcript, ocr, "b c", 2)
+    assert not asr.any() and not row.any()
+
+
+def test_text_index_edge_texts_equal_loops():
+    texts = ["", "   ", "exit exit", "the exit and the exit", "ex\ud800it", "\ud800 exit"]
+    transcript = tuple(TranscriptSegment(float(i), i + 1.0, t) for i, t in enumerate(texts))
+    ocr = tuple(OcrFrameText(i, (t,)) for i, t in enumerate(texts)) + (OcrFrameText(0, ("", " ")),)
+    for query in ["exit", "ex\ud800it", "exit exit", "\ud800", "  "]:
+        _assert_rows_equal_loops(transcript, ocr, query, len(texts))
+    asr, row = _assert_rows_equal_loops(transcript, ocr, "exit", len(texts))
+    assert asr.tolist() == row.tolist() == [0.0, 0.0, 1.0, 1.0, 0.8, 1.0]
+    asr, row = _assert_rows_equal_loops(transcript, ocr, "ex\ud800it", len(texts))
+    assert asr[4] == row[4] == 1.0
+    index = text_index(texts)
+    assert index.lengths.tolist() == [0, 0, 9, 21, 5, 6]
+    words = [index.joined[s:e] for s, e in zip(index.word_starts, index.word_ends)]
+    assert words == [w for t in texts for w in t.casefold().split()]
+    assert index.word_texts.tolist() == [2, 2, 3, 3, 3, 3, 3, 4, 5, 5]
+
+
+@settings(max_examples=_examples(200), deadline=None)
+@given(
+    st.one_of(_BATCH_TEXT, st.text(alphabet=_BATCH_ALPHABET, min_size=60, max_size=130)),
+    st.lists(st.text(alphabet=_BATCH_ALPHABET, max_size=80), max_size=8),
+    st.data(),
+)
+def test_levenshtein_spans_match_matrix_oracle(a, texts, data):
+    # Spans anywhere in an index's code array, across text boundaries and
+    # of length zero included, against the textbook table on the same slice
+    # of the joined string.
+    index = text_index(texts)
+    size = index.codes.size
+    spans = data.draw(st.lists(
+        st.integers(0, size).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, size - s))),
+        max_size=10,
+    ))
+    starts = np.array([s for s, _ in spans], dtype=np.int64)
+    lengths = np.array([n for _, n in spans], dtype=np.int64)
+    got = levenshtein_spans(a, index.codes, starts, lengths)
+    assert got.dtype == np.int64
+    assert got.tolist() == [levenshtein_matrix(a, index.joined[s : s + n]) for s, n in spans]
 
 
 # --- bundle format ----------------------------------------------------------------
@@ -580,7 +725,7 @@ def test_evaluate_leaves_covers_all_and_tags_source():
     # Row i holds leaf id i's raw scores.
     assert out.shape == (2, 8) and out.dtype == np.float64
     np.testing.assert_array_equal(out[0], score_embedding_leaf(bundle, ExpertKind.CLIP, "a dog"))
-    np.testing.assert_array_equal(out[1], score_asr_leaf(bundle.transcript, "good dog", 8, 1.0))
+    np.testing.assert_array_equal(out[1], score_asr_leaf(bundle, "good dog"))
 
 
 def test_evaluate_leaves_conditional_execution_counters():

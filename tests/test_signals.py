@@ -203,6 +203,16 @@ def test_smooth_uses_expert_bandwidth():
     np.testing.assert_allclose(clap_out, smooth_renorm_scalar(sig, 2.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", SMOOTHING_MODES)
+def test_smooth_keeps_rows_of_no_frames(mode):
+    # normalize_joint returns an (n, 0) group for rows of no frames; both
+    # smoothing modes hand back a float64 group of the same shape.
+    params = SmoothingParams(mode=mode)
+    for values in (normalize_joint([raw([]), raw([])]), raw([])):
+        out = smooth(values, ExpertKind.CLAP, params)
+        assert out.shape == values.shape and out.dtype == np.float64
+
+
 def test_smooth_preserves_constants_in_default_mode():
     sig = normalized(np.full(25, 0.73))
     for expert in ExpertKind:
