@@ -541,7 +541,7 @@ def test_levenshtein_spans_match_matrix_oracle(a, texts, data):
     spans = data.draw(st.lists(
         st.integers(0, size).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, size - s))),
         max_size=10,
-    ))
+    )) + [(0, 0), (size, 0)]
     starts = np.array([s for s, _ in spans], dtype=np.int64)
     lengths = np.array([n for _, n in spans], dtype=np.int64)
     got = levenshtein_spans(a, index.codes, starts, lengths)
