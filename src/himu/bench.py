@@ -3,8 +3,8 @@
 A script plants scored events on a frame timeline; the generator turns it
 into the same artifact files a real video would produce (score tables,
 transcript segments, text detections, detection scores), plus ground truth.
-The harness runs the full selection pipeline per script, selector, and
-budget, and reports how often selected frames land inside event supports.
+The harness computes each script's curve once, selects from it per selector
+and budget, and reports how often selected frames land inside event supports.
 Generation is deterministic: a fixed seed drives one PCG64 stream in a
 fixed channel order.
 """
@@ -26,8 +26,7 @@ from .experts.bundle import (
     ScoreTable,
     TranscriptSegment,
 )
-from .experts.scoring import ProviderCounters
-from .pipeline import run_pipeline
+from .pipeline import satisfaction_curve, select_frames
 from .tree import ExpertKind, parse_tree
 
 SCRIPT_FORMAT_VERSION = 1
@@ -79,6 +78,8 @@ def validate_script(script: EventScript) -> None:
         raise InvalidScriptError(f"{script.script_id}: noise_level must be >= 0")
     if not (math.isfinite(script.frame_rate) and script.frame_rate > 0):
         raise InvalidScriptError(f"{script.script_id}: frame_rate must be > 0")
+    if script.seed < 0:
+        raise InvalidScriptError(f"{script.script_id}: seed must be >= 0")
     for event in script.events:
         start, end = event.support
         if not (0 <= start < end <= script.num_frames):
@@ -263,7 +264,7 @@ def run_benchmark(
     config: EngineConfig | None = None,
     tree_for=None,
 ) -> RecallReport:
-    """Full pipeline per script x selector x budget, aggregated into recall.
+    """One satisfaction curve per script, selected from per selector x budget.
 
     tree_for maps a script to its tree document; the default asks for
     exactly the script's events. Scripts are processed in script_id order
@@ -274,15 +275,12 @@ def run_benchmark(
     if tree_for is None:
         tree_for = matched_tree_document
     ordered = sorted(scripts, key=lambda s: s.script_id)
-    ids = [s.script_id for s in ordered]
-    if len(set(ids)) != len(ids):
+    if len({s.script_id for s in ordered}) != len(ordered):
         raise InvalidScriptError("script_id values must be unique")
 
-    tallies = {
-        (sel, k): {"events": 0, "hit": 0, "frames": 0, "relevant": 0}
-        for sel in selectors
-        for k in budgets
-    }
+    # [events, hit, frames, relevant] per (selector, budget), in report order.
+    pairs = [(sel, k) for sel in selectors for k in budgets]
+    tallies = {pair: [0, 0, 0, 0] for pair in pairs}
     for script in ordered:
         try:
             instance = generate(script)
@@ -293,53 +291,28 @@ def run_benchmark(
                 max_depth=config.max_depth,
                 max_leaves=config.max_leaves,
             )
+            curve, _ = satisfaction_curve(tree, instance.bundle, config, instance.ovd_source)
             supports = [e.support for e in script.events]
             in_support = np.zeros(script.num_frames, dtype=bool)
             for start, end in supports:
                 in_support[start:end] = True
-            for selector in selectors:
-                for budget in budgets:
-                    result = run_pipeline(
-                        tree,
-                        instance.bundle,
-                        budget,
-                        config=config,
-                        ovd_source=instance.ovd_source,
-                        counters=ProviderCounters(),
-                        strategy=selector,
-                    )
-                    frames = result.selection.frames
-                    tally = tallies[(selector, budget)]
-                    tally["events"] += len(supports)
-                    tally["hit"] += sum(
-                        1
-                        for start, end in supports
-                        if any(start <= t < end for t in frames)
-                    )
-                    tally["frames"] += len(frames)
-                    tally["relevant"] += int(np.count_nonzero(in_support[list(frames)]))
+            for selector, budget in pairs:
+                frames = select_frames(curve, budget, config, selector).frames
+                tally = tallies[(selector, budget)]
+                tally[0] += len(supports)
+                tally[1] += sum(any(s <= t < e for t in frames) for s, e in supports)
+                tally[2] += len(frames)
+                tally[3] += int(np.count_nonzero(in_support[list(frames)]))
         except InvalidScriptError:
             raise
         except Exception as exc:
             raise BenchmarkError(script.script_id, exc) from exc
 
-    entries = tuple(
-        ReportEntry(
-            selector=sel,
-            budget=k,
-            events_total=tallies[(sel, k)]["events"],
-            events_hit=tallies[(sel, k)]["hit"],
-            frames_selected=tallies[(sel, k)]["frames"],
-            frames_relevant=tallies[(sel, k)]["relevant"],
-        )
-        for sel in selectors
-        for k in budgets
-    )
     return RecallReport(
         selectors=tuple(selectors),
         budgets=tuple(int(k) for k in budgets),
         num_scripts=len(ordered),
-        entries=entries,
+        entries=tuple(ReportEntry(sel, k, *tallies[(sel, k)]) for sel, k in pairs),
     )
 
 

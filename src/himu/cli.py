@@ -39,6 +39,7 @@ from .experts.bundle import (
 from .experts.scoring import ProviderCounters
 from .jsonio import atomic_file, decode_text, read_text, save_json
 from .pipeline import STRATEGIES, run_pipeline
+from .signals import SMOOTHING_MODES
 from .tree import ExpertKind, parse_tree
 
 EXIT_OK = 0
@@ -94,7 +95,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         )
     group.add_argument(
         "--smoothing-mode",
-        choices=("renormalized", "strict"),
+        choices=SMOOTHING_MODES,
         help="boundary handling for Gaussian smoothing",
     )
     group.add_argument(

@@ -19,7 +19,7 @@ import numpy as np
 from .. import jsonio
 from ..errors import BundleFormatError, InconsistentLengthError
 from ..tree import ExpertKind
-from .matching import TextIndex, text_index
+from .matching import TextIndex, query_key, text_index
 
 FORMAT_VERSION = 1
 
@@ -35,6 +35,16 @@ _BUNDLE_KEYS = {
     "meta",
 }
 _NUMBER_TYPES = {int, float}
+
+
+def _check_rows(rows, what) -> tuple[tuple[str, np.ndarray], ...]:
+    """(query, values) rows with nonempty query text and checked values."""
+    checked = []
+    for query, values in rows:
+        if not isinstance(query, str) or not query.strip():
+            raise BundleFormatError(f"{what} query must be nonempty text")
+        checked.append((query, _check_values(values, f"{what} {query!r}")))
+    return tuple(checked)
 
 
 def _check_values(values, what) -> np.ndarray:
@@ -67,18 +77,13 @@ class ScoreTable:
     rows: tuple[tuple[str, np.ndarray], ...]
 
     def __post_init__(self):
-        rows = []
-        for query, values in self.rows:
-            if not isinstance(query, str) or not query.strip():
-                raise BundleFormatError("score-table row query must be nonempty text")
-            rows.append((query, _check_values(values, f"row {query!r}")))
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", _check_rows(self.rows, "score-table row"))
 
     def lookup(self, query: str) -> np.ndarray | None:
-        """Row values for a case-insensitive exact query match, else None."""
-        wanted = query.strip().casefold()
+        """Values of the first row with the query's ``query_key``, else None."""
+        wanted = query_key(query)
         for row_query, values in self.rows:
-            if row_query.strip().casefold() == wanted:
+            if query_key(row_query) == wanted:
                 return values
         return None
 
@@ -190,19 +195,14 @@ class OvdSource:
     entries: tuple[tuple[str, np.ndarray], ...]
 
     def __post_init__(self):
-        entries = []
-        for query, values in self.entries:
-            if not isinstance(query, str) or not query.strip():
-                raise BundleFormatError("detection entry query must be nonempty text")
-            entries.append((query, _check_values(values, f"entry {query!r}")))
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "entries", _check_rows(self.entries, "detection entry"))
 
     def max_over(self, variants, num_frames: int) -> np.ndarray:
-        """Per-frame max confidence over entries matching any variant."""
-        wanted = {v.strip().casefold() for v in variants}
+        """Per-frame max confidence over entries with a variant's ``query_key``."""
+        wanted = {query_key(v) for v in variants}
         out = np.zeros(num_frames, dtype=np.float64)
         for query, values in self.entries:
-            if query.strip().casefold() in wanted:
+            if query_key(query) in wanted:
                 if values.shape[0] != num_frames:
                     raise InconsistentLengthError(
                         f"detection entry {query!r} has {values.shape[0]} values, "

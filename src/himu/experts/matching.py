@@ -43,7 +43,9 @@ FUZZY_THRESHOLD = 0.5
 _SPACE, _NEWLINE = ord(" "), ord("\n")
 
 
-def _normalize(text: str) -> str:
+def query_key(text: str) -> str:
+    """The form every expert compares queries in: casefolded, each run of
+    whitespace one space, no space at either end."""
     return " ".join(text.casefold().split())
 
 
@@ -78,7 +80,7 @@ class TextIndex:
 def text_index(texts, frames: np.ndarray | None = None) -> TextIndex:
     """Normalize, join and encode ``texts`` once, and find their words;
     ``frames`` is kept as the index's frame of each text."""
-    normalized = [_normalize(t) for t in texts]
+    normalized = [query_key(t) for t in texts]
     joined = "\n".join(normalized)
     codes = _codes(joined)
     lengths = np.fromiter(map(len, normalized), dtype=np.int64, count=len(normalized))
@@ -213,7 +215,7 @@ def match_scores(query: str, index: TextIndex) -> np.ndarray:
     """``match_score(query, t)`` for every text of the index, as a float64
     array: 1.0 for a text that contains the query, else its full span's
     fuzzy score."""
-    q = _normalize(query)
+    q = query_key(query)
     scores = np.zeros(index.starts.size)
     if not q:
         return scores
@@ -233,7 +235,7 @@ def windowed_match_scores(query: str, index: TextIndex) -> np.ndarray:
     text does not contain the query. The windows of all texts are scored
     in one batch, and each text takes the maximum over its own windows.
     """
-    q = _normalize(query)
+    q = query_key(query)
     scores = np.zeros(index.starts.size)
     if not q:
         return scores

@@ -25,7 +25,7 @@ from ..errors import (
 )
 from ..tree import ExpertKind, LogicTree
 from .bundle import ExpertBundle, OvdSource, ScoreTable
-from .matching import match_scores, windowed_match_scores
+from .matching import match_scores, query_key, windowed_match_scores
 # Counted by perfbench/spans.py; the scorers call the batched forms above.
 from .matching import match_score, windowed_match_score  # noqa: F401
 
@@ -44,7 +44,7 @@ def query_variants(query: str) -> tuple[str, ...]:
     seen: set[str] = set()
     unique = []
     for v in variants:
-        key = v.casefold()
+        key = query_key(v)
         if key not in seen:
             seen.add(key)
             unique.append(v)
@@ -173,7 +173,7 @@ def evaluate_leaves(
 ) -> np.ndarray:
     """Raw rows for every leaf as an (L, T) array, row i for leaf id i.
 
-    Each (expert, query) pair is scored once: experts with no leaves in the
+    Each (expert, ``query_key``) pair is scored once: experts with no leaves in the
     tree are never consulted, and duplicate predicates share one scoring
     call while still receiving their own row. Failures carry the offending
     leaf's identity.
@@ -183,7 +183,7 @@ def evaluate_leaves(
     scored: dict[tuple[ExpertKind, str], np.ndarray] = {}
     rows = []
     for leaf in tree.leaves:
-        key = (leaf.expert, leaf.query.casefold())
+        key = (leaf.expert, query_key(leaf.query))
         if key not in scored:
             try:
                 scored[key] = _score_one(leaf.expert, leaf.query, bundle, ovd_source)

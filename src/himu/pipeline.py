@@ -2,9 +2,10 @@
 
 The stages run in a fixed order on one (leaves x frames) array. Raw leaf
 rows are produced per (expert, query) pair, normalized jointly per expert
-so siblings share one scale, smoothed with the expert's bandwidth, composed
-bottom-up into the satisfaction curve, and finally reduced to a budgeted
-frame set.
+so siblings share one scale, smoothed with the expert's bandwidth and
+composed bottom-up into the satisfaction curve, once per question
+(``satisfaction_curve``). Reducing the curve to a budgeted frame set
+(``select_frames``) is the cheap last step, one per selector and budget.
 """
 from __future__ import annotations
 
@@ -69,6 +70,21 @@ def select_frames(
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
+def satisfaction_curve(
+    tree: LogicTree,
+    bundle: ExpertBundle,
+    config: EngineConfig | None = None,
+    ovd_source: OvdSource | None = None,
+    counters: ProviderCounters | None = None,
+) -> tuple[SatisfactionCurve, AttributionMatrix]:
+    """Score, condition and compose a validated tree into its curve."""
+    if config is None:
+        config = EngineConfig()
+    raw = evaluate_leaves(tree, bundle, ovd_source, counters)
+    processed = condition_signals(tree, raw, config)
+    return evaluate(tree, processed, kappa=config.kappa)
+
+
 def run_pipeline(
     tree: LogicTree,
     bundle: ExpertBundle,
@@ -78,14 +94,12 @@ def run_pipeline(
     counters: ProviderCounters | None = None,
     strategy: str = "pass",
 ) -> PipelineResult:
-    """Full run from a validated tree and bundle to selected frames."""
+    """Full run: ``satisfaction_curve``, then ``select_frames``."""
     if config is None:
         config = EngineConfig()
     if counters is None:
         counters = ProviderCounters()
-    raw = evaluate_leaves(tree, bundle, ovd_source, counters)
-    processed = condition_signals(tree, raw, config)
-    curve, attribution = evaluate(tree, processed, kappa=config.kappa)
+    curve, attribution = satisfaction_curve(tree, bundle, config, ovd_source, counters)
     selection = select_frames(curve, budget, config, strategy)
     return PipelineResult(
         curve=curve, attribution=attribution, selection=selection, counters=counters

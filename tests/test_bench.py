@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import himu.pipeline
 from himu.bench import (
     Event,
     EventScript,
+    RecallReport,
+    ReportEntry,
     generate,
     load_scripts,
     matched_tree_document,
@@ -25,8 +28,10 @@ from himu.errors import (
     MissingRowError,
 )
 from himu.cli import main
-from himu.experts import bundle_digest, dumps_ovd, score_asr_leaf
-from himu.tree import ExpertKind
+from himu.config import EngineConfig
+from himu.experts import ProviderCounters, bundle_digest, dumps_ovd, score_asr_leaf
+from himu.pipeline import run_pipeline, satisfaction_curve
+from himu.tree import ExpertKind, parse_tree
 
 
 def script_with(events, *, num_frames=60, noise=0.0, seed=7, script_id="s1"):
@@ -166,6 +171,23 @@ def test_invalid_scripts_rejected(event):
         validate_script(script_with([event], num_frames=60))
 
 
+def test_negative_seed_is_rejected_naming_the_script():
+    events = [Event(ExpertKind.CLIP, "a dog", (1, 3), amplitude=0.5)]
+    with pytest.raises(InvalidScriptError, match="neg"):
+        script_with(events, seed=-1, script_id="neg")
+    with pytest.raises(InvalidScriptError, match="s: seed"):
+        script_from_obj({**copy.deepcopy(_SCRIPT_DOC), "seed": -1})
+
+
+def test_gen_seed_flag_rejects_a_negative_seed_naming_the_script(tmp_path, capsys):
+    path = tmp_path / "scripts.json"
+    save_scripts([script_from_obj(_SCRIPT_DOC)], path)
+    out_dir = tmp_path / "gen"
+    assert main(["gen", "--scripts", str(path), "--out", str(out_dir), "--seed", "-1"]) == 1
+    assert "s: seed must be >= 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_script_round_trip(tmp_path):
     scripts = [
         script_with(
@@ -216,6 +238,7 @@ _EVENT_KEYS = ("query", "support", "modality_offset", "amplitud")
         # otherwise load as its default (noise 0.0, amplitude 1.0).
         ("noise", 0.5),
         ("amplitud", 0.2),
+        ("seed", -1),
     ],
 )
 def test_script_values_are_checked_not_cast(tmp_path, key, value):
@@ -286,3 +309,85 @@ def test_benchmark_wraps_pipeline_failures_with_script_id():
     leaf_error = info.value.__cause__
     assert isinstance(leaf_error, LeafEvaluationError)
     assert isinstance(leaf_error.cause, MissingRowError)
+
+
+def mixed_suite():
+    """Every expert, noise and modality offsets, on short timelines."""
+    scripts = []
+    for i, offset in enumerate((-3, 0, 2, 3)):
+        base = 20 + 11 * i
+        scripts.append(script_with(
+            [
+                Event(ExpertKind.CLIP, f"red car {i}", (base, base + 5), amplitude=0.8),
+                Event(ExpertKind.ASR, f"turn left {i}", (base + 60, base + 68),
+                      modality_offset=offset),
+                Event(ExpertKind.OVD, f"dog {i}", (base + 120, base + 124), amplitude=0.6),
+                Event(ExpertKind.OCR, f"exit {i}", (base + 180, base + 183)),
+                Event(ExpertKind.CLAP, f"siren {i}", (base + 240, base + 250),
+                      amplitude=0.7, modality_offset=-offset),
+            ],
+            num_frames=360,
+            noise=0.05,
+            seed=i,
+            script_id=f"mix-{i}",
+        ))
+    return scripts
+
+
+def test_benchmark_equals_one_pipeline_run_per_pair():
+    scripts = mixed_suite()
+    selectors, budgets = ("uniform", "topk", "pass"), (8, 16, 32, 64)
+    config = EngineConfig()
+    entries = []
+    for selector in selectors:
+        for budget in budgets:
+            events = hit = frames_total = relevant = 0
+            for script in scripts:
+                instance = generate(script)
+                tree = parse_tree(matched_tree_document(script))
+                frames = run_pipeline(
+                    tree, instance.bundle, budget, config=config,
+                    ovd_source=instance.ovd_source, strategy=selector,
+                ).selection.frames
+                supports = [e.support for e in script.events]
+                events += len(supports)
+                hit += sum(any(s <= t < e for t in frames) for s, e in supports)
+                frames_total += len(frames)
+                relevant += sum(any(s <= t < e for s, e in supports) for t in frames)
+            entries.append(
+                ReportEntry(selector, budget, events, hit, frames_total, relevant)
+            )
+    expected = RecallReport(selectors, budgets, len(scripts), tuple(entries))
+    report = run_benchmark(scripts, selectors=selectors, budgets=budgets, config=config)
+    assert report_to_obj(report) == report_to_obj(expected)
+    assert report.entry("pass", 64).events_hit > 0
+
+
+def test_benchmark_scores_and_composes_each_script_once(monkeypatch):
+    scripts = mixed_suite()
+    calls = []
+    scorer = himu.pipeline.evaluate_leaves
+
+    def counting(tree, bundle, *args, **kwargs):
+        calls.append(bundle.video_id)
+        return scorer(tree, bundle, *args, **kwargs)
+
+    monkeypatch.setattr(himu.pipeline, "evaluate_leaves", counting)
+    report = run_benchmark(scripts)
+    assert len(report.entries) == 3 * 4
+    assert calls == [s.script_id for s in scripts]
+
+
+def test_satisfaction_curve_is_the_pipeline_curve():
+    script = mixed_suite()[0]
+    instance = generate(script)
+    tree = parse_tree(matched_tree_document(script))
+    counters = ProviderCounters()
+    curve, attribution = satisfaction_curve(
+        tree, instance.bundle, ovd_source=instance.ovd_source, counters=counters
+    )
+    result = run_pipeline(tree, instance.bundle, 16, ovd_source=instance.ovd_source)
+    assert curve.values.tobytes() == result.curve.values.tobytes()
+    assert attribution.values.tobytes() == result.attribution.values.tobytes()
+    assert counters.snapshot() == result.counters.snapshot()
+    assert counters.snapshot() == {e: 1 for e in ("CLIP", "OVD", "OCR", "ASR", "CLAP")}

@@ -39,7 +39,7 @@ from himu.experts import (
     similarity,
     windowed_match_score,
 )
-from himu.experts.matching import levenshtein_batch, levenshtein_spans, text_index
+from himu.experts.matching import levenshtein_batch, levenshtein_spans, query_key, text_index
 from himu.tree import ExpertKind, parse_tree
 from oracles import (
     levenshtein_matrix,
@@ -197,6 +197,42 @@ def test_score_embedding_leaf_missing_row_and_table():
         score_embedding_leaf(bundle, ExpertKind.CLIP, "b")
     with pytest.raises(MissingArtifactError):
         score_embedding_leaf(bundle, ExpertKind.CLAP, "a")
+
+
+def test_query_key():
+    assert query_key("  Red \t car\n") == "red car"
+    assert query_key("STRASSE") == query_key("straße")
+    assert query_key("red car") != query_key("redcar")
+
+
+def test_every_expert_compares_queries_by_query_key():
+    row = np.array([0.1, 0.9, 0.2])
+    bundle = make_bundle(
+        T=3,
+        clip_table=ScoreTable(
+            ExpertKind.CLIP, "vid", (("red car", row), ("Red  car", np.zeros(3)))
+        ),
+        transcript=(TranscriptSegment(1.0, 2.0, "a red car"),),
+    )
+    # Table rows: whitespace runs do not split a match; the first row wins.
+    np.testing.assert_array_equal(
+        score_embedding_leaf(bundle, ExpertKind.CLIP, "Red  car"), row
+    )
+    assert bundle.clip_table.lookup(" RED car ") is bundle.clip_table.rows[0][1]
+    # Detection entries.
+    source = OvdSource("vid", (("red  car", row),))
+    np.testing.assert_array_equal(score_ovd_leaf(source, "red car", 3), row)
+    np.testing.assert_array_equal(score_ovd_leaf(source, "Red\tcar", 3), row)
+    # Leaves that differ only in case and spacing share one scoring call.
+    for expert in ("CLIP", "ASR"):
+        tree = parse_tree(json.dumps({"op": "OR", "children": [
+            {"op": "LEAF", "expert": expert, "query": "red car"},
+            {"op": "LEAF", "expert": expert, "query": "Red  car"},
+        ]}))
+        counters = ProviderCounters()
+        out = evaluate_leaves(tree, bundle, counters=counters)
+        assert counters.snapshot()[expert] == 1
+        np.testing.assert_array_equal(out[0], out[1])
 
 
 def test_query_variants():
