@@ -26,7 +26,8 @@ from .experts.bundle import (
     ScoreTable,
     TranscriptSegment,
 )
-from .pipeline import satisfaction_curve, select_frames
+from .experts.matching import query_key
+from .pipeline import STRATEGIES, satisfaction_curve, select_frames
 from .tree import ExpertKind, parse_tree
 
 SCRIPT_FORMAT_VERSION = 1
@@ -34,6 +35,8 @@ REPORT_FORMAT_VERSION = 1
 
 _TEXT_EXPERTS = (ExpertKind.ASR, ExpertKind.OCR)
 _SHIFTED_EXPERTS = (ExpertKind.ASR, ExpertKind.CLAP)
+# Score-table experts, in the order their noise is drawn.
+_TABLE_EXPERTS = (ExpertKind.CLIP, ExpertKind.CLAP, ExpertKind.OVD)
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,9 @@ class EventScript:
 def validate_script(script: EventScript) -> None:
     if not script.script_id:
         raise InvalidScriptError("script_id must be nonempty")
+    # The id names the files `himu gen` writes.
+    if script.script_id in (".", "..") or {"/", "\\"} & set(script.script_id):
+        raise InvalidScriptError(f"script_id {script.script_id!r} must be a file name")
     if script.num_frames < 1:
         raise InvalidScriptError(f"{script.script_id}: num_frames must be >= 1")
     if not (math.isfinite(script.noise_level) and script.noise_level >= 0):
@@ -119,106 +125,81 @@ def _signal_support(event: Event, num_frames: int) -> tuple[int, int]:
     return max(0, start), min(num_frames, end)
 
 
-def _table_rows(script: EventScript, expert: ExpertKind, rng) -> list[tuple[str, np.ndarray]]:
-    """Score-table rows for one expert: planted amplitudes plus noise."""
-    queries: list[str] = []
-    for event in script.events:
-        if event.expert is expert and event.query not in queries:
-            queries.append(event.query)
-    rows = []
-    for query in queries:
-        values = np.zeros(script.num_frames, dtype=np.float64)
-        for event in script.events:
-            if event.expert is expert and event.query == query:
-                lo, hi = _signal_support(event, script.num_frames)
-                if lo < hi:
-                    values[lo:hi] = np.maximum(values[lo:hi], event.amplitude)
-        if script.noise_level > 0:
-            values = values + rng.normal(0.0, script.noise_level, script.num_frames)
-        rows.append((query, np.clip(values, 0.0, 1.0)))
-    return rows
-
-
 def generate(script: EventScript) -> GeneratedInstance:
-    """Deterministic artifacts for a script.
+    """Deterministic artifacts for a script, from one pass over its events.
 
-    Embedding and detection channels materialize as score rows holding the
-    event amplitude on its (possibly shifted) support, with clipped Gaussian
-    noise when noise_level > 0. Speech events become transcript segments
-    whose text is the query; text events become per-frame detections; both
-    match exactly at scoring time, which is why their amplitude is pinned
-    to 1.0.
+    Events whose queries share a ``query_key`` plant into one score-table
+    row, named by the first spelling seen, holding the max amplitude over
+    their (possibly shifted) supports. Clipped Gaussian noise is added when
+    noise_level > 0, to the CLIP rows, then CLAP, then OVD, each in order of
+    first appearance. Speech events become transcript segments whose text
+    is the query; text events become per-frame detections; both match
+    exactly at scoring time, which is why their amplitude is pinned to 1.0.
     """
-    rng = np.random.default_rng(script.seed)
-
-    clip_rows = _table_rows(script, ExpertKind.CLIP, rng)
-    clap_rows = _table_rows(script, ExpertKind.CLAP, rng)
-    ovd_rows = _table_rows(script, ExpertKind.OVD, rng)
-
-    segments = []
+    num_frames = script.num_frames
+    # query_key -> (first spelling, planted values), per table expert.
+    tables = {expert: {} for expert in _TABLE_EXPERTS}
+    segments, ocr_entries = [], []
     for event in script.events:
-        if event.expert is not ExpertKind.ASR:
-            continue
-        lo, hi = _signal_support(event, script.num_frames)
-        if lo >= hi:
-            continue
-        segments.append(
-            TranscriptSegment(
-                start=lo / script.frame_rate,
-                end=hi / script.frame_rate,
-                text=event.query.casefold(),
+        lo, hi = _signal_support(event, num_frames)
+        if event.expert is ExpertKind.ASR:
+            if lo < hi:
+                segments.append(TranscriptSegment(
+                    lo / script.frame_rate, hi / script.frame_rate, event.query.casefold()
+                ))
+        elif event.expert is ExpertKind.OCR:
+            ocr_entries += [OcrFrameText(frame, (event.query,)) for frame in range(lo, hi)]
+        else:
+            _, values = tables[event.expert].setdefault(
+                query_key(event.query), (event.query, np.zeros(num_frames))
             )
-        )
+            # A shifted support can clamp to nothing, even to a negative end.
+            if lo < hi:
+                np.maximum(values[lo:hi], event.amplitude, out=values[lo:hi])
 
-    ocr_entries = []
-    for event in script.events:
-        if event.expert is not ExpertKind.OCR:
-            continue
-        lo, hi = _signal_support(event, script.num_frames)
-        for frame in range(lo, hi):
-            ocr_entries.append(OcrFrameText(frame=frame, detections=(event.query,)))
+    rng = np.random.default_rng(script.seed)
+    rows = {}
+    for expert, table in tables.items():
+        rows[expert] = []
+        for query, values in table.values():
+            if script.noise_level > 0:
+                values = values + rng.normal(0.0, script.noise_level, num_frames)
+            rows[expert].append((query, np.clip(values, 0.0, 1.0)))
+
+    def score_table(expert):
+        return ScoreTable(expert, script.script_id, tuple(rows[expert])) if rows[expert] else None
 
     used = {event.expert for event in script.events}
     bundle = ExpertBundle(
         video_id=script.script_id,
-        num_frames=script.num_frames,
+        num_frames=num_frames,
         frame_rate=script.frame_rate,
-        clip_table=(
-            ScoreTable(ExpertKind.CLIP, script.script_id, tuple(clip_rows))
-            if ExpertKind.CLIP in used
-            else None
-        ),
-        clap_table=(
-            ScoreTable(ExpertKind.CLAP, script.script_id, tuple(clap_rows))
-            if ExpertKind.CLAP in used
-            else None
-        ),
+        clip_table=score_table(ExpertKind.CLIP),
+        clap_table=score_table(ExpertKind.CLAP),
         transcript=tuple(segments) if ExpertKind.ASR in used else None,
         ocr=tuple(ocr_entries) if ExpertKind.OCR in used else None,
     )
-    ovd_source = (
-        OvdSource(script.script_id, tuple(ovd_rows)) if ExpertKind.OVD in used else None
-    )
+    ovd_rows = tuple(rows[ExpertKind.OVD])
+    ovd_source = OvdSource(script.script_id, ovd_rows) if ovd_rows else None
     return GeneratedInstance(script=script, bundle=bundle, ovd_source=ovd_source)
 
 
 def matched_tree_document(script: EventScript) -> str:
-    """Tree that asks exactly for the script's events: OR over event leaves."""
-    leaves = []
-    seen = set()
+    """Tree that asks exactly for the script's events: OR over one leaf per
+    (expert, ``query_key``), named by its first spelling, in order of first
+    appearance."""
+    leaves: dict[tuple[ExpertKind, str], dict] = {}
     for event in script.events:
-        key = (event.expert, event.query)
-        if key in seen:
-            continue
-        seen.add(key)
-        leaves.append(
-            {"op": "LEAF", "expert": event.expert.value, "query": event.query}
+        leaves.setdefault(
+            (event.expert, query_key(event.query)),
+            {"op": "LEAF", "expert": event.expert.value, "query": event.query},
         )
-    if not leaves:
+    children = list(leaves.values())
+    if not children:
         raise InvalidScriptError(f"{script.script_id}: no events to build a tree from")
-    if len(leaves) == 1:
-        return json.dumps(leaves[0])
-    return json.dumps({"op": "OR", "children": leaves})
+    if len(children) == 1:
+        return json.dumps(children[0])
+    return json.dumps({"op": "OR", "children": children})
 
 
 @dataclass(frozen=True)
@@ -257,26 +238,50 @@ class RecallReport:
         raise KeyError(f"no entry for {selector!r} at budget {budget}")
 
 
+def _check_unique_ids(scripts) -> None:
+    """Reject a script_id that names two scripts."""
+    seen = set()
+    for script in scripts:
+        if script.script_id in seen:
+            raise InvalidScriptError(f"script_id {script.script_id!r} is not unique")
+        seen.add(script.script_id)
+
+
+def _check_grid(selectors: tuple, budgets: tuple) -> None:
+    for name, values in (("selector", selectors), ("budget", budgets)):
+        if not values:
+            raise ValueError(f"no {name}s given")
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{name} {repeated!r} is repeated")
+    for selector in selectors:
+        if selector not in STRATEGIES:
+            raise ValueError(f"unknown selector {selector!r}, expected one of {STRATEGIES}")
+    for budget in budgets:
+        if budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
+
+
 def run_benchmark(
     scripts,
     selectors=("uniform", "topk", "pass"),
     budgets=(8, 16, 32, 64),
     config: EngineConfig | None = None,
-    tree_for=None,
 ) -> RecallReport:
     """One satisfaction curve per script, selected from per selector x budget.
 
-    tree_for maps a script to its tree document; the default asks for
-    exactly the script's events. Scripts are processed in script_id order
-    so aggregation is deterministic regardless of input order.
+    Each script's tree is ``matched_tree_document``: it asks for exactly the
+    script's events. Before any script is generated, every selector must be
+    known and every budget >= 1, and neither list may be empty or repeat a
+    value. Scripts are processed in script_id order so aggregation is
+    deterministic regardless of input order.
     """
     if config is None:
         config = EngineConfig()
-    if tree_for is None:
-        tree_for = matched_tree_document
+    selectors, budgets = tuple(selectors), tuple(budgets)
+    _check_grid(selectors, budgets)
     ordered = sorted(scripts, key=lambda s: s.script_id)
-    if len({s.script_id for s in ordered}) != len(ordered):
-        raise InvalidScriptError("script_id values must be unique")
+    _check_unique_ids(ordered)
 
     # [events, hit, frames, relevant] per (selector, budget), in report order.
     pairs = [(sel, k) for sel in selectors for k in budgets]
@@ -285,7 +290,7 @@ def run_benchmark(
         try:
             instance = generate(script)
             tree = parse_tree(
-                tree_for(script),
+                matched_tree_document(script),
                 active_experts=config.active_experts,
                 strict=config.strict_schema,
                 max_depth=config.max_depth,
@@ -309,7 +314,7 @@ def run_benchmark(
             raise BenchmarkError(script.script_id, exc) from exc
 
     return RecallReport(
-        selectors=tuple(selectors),
+        selectors=selectors,
         budgets=tuple(int(k) for k in budgets),
         num_scripts=len(ordered),
         entries=tuple(ReportEntry(sel, k, *tallies[(sel, k)]) for sel, k in pairs),
@@ -394,7 +399,9 @@ def load_scripts(path) -> list[EventScript]:
     version = jsonio.field(obj, "format_version", jsonio.integer, err, what)
     if version != SCRIPT_FORMAT_VERSION:
         raise err(f"unsupported script format_version {version}")
-    return [script_from_obj(s) for s in jsonio.field(obj, "scripts", jsonio.array, err, what)]
+    scripts = [script_from_obj(s) for s in jsonio.field(obj, "scripts", jsonio.array, err, what)]
+    _check_unique_ids(scripts)
+    return scripts
 
 
 def report_to_obj(report: RecallReport) -> dict:

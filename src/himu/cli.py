@@ -198,6 +198,8 @@ def _read_bundle(path, use_cache: bool):
 
 def cmd_select(args) -> int:
     config = _config_from_args(args)
+    if args.frames < 1:
+        raise ValueError("budget must be >= 1")
     tree = _parse_tree_file(args.tree, config)
     bundle, key, disk_hit = _read_bundle(args.bundle, not args.no_cache)
     ovd_source = load_ovd_source(args.ovd) if args.ovd else None
@@ -296,9 +298,6 @@ def cmd_bench(args) -> int:
     scripts = bench_mod.load_scripts(args.scripts)
     budgets = tuple(int(b) for b in args.budgets.split(","))
     selectors = tuple(s.strip() for s in args.selectors.split(",") if s.strip())
-    for selector in selectors:
-        if selector not in STRATEGIES:
-            raise ValueError(f"unknown selector {selector!r}")
     report = bench_mod.run_benchmark(
         scripts, selectors=selectors, budgets=budgets, config=config
     )

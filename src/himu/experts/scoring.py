@@ -31,24 +31,14 @@ from .matching import match_score, windowed_match_score  # noqa: F401
 
 
 def query_variants(query: str) -> tuple[str, ...]:
-    """Deterministic detection-query variants: as-is, naive plural, head noun.
+    """Deterministic detection-query variants, as ``query_key`` forms: the
+    query, its naive plural and its head noun, without repeats.
 
     The head-noun variant drops leading modifiers by keeping the final
-    whitespace token, so "red sports car" also matches rows for "car".
+    word, so "red sports car" also matches rows for "car".
     """
-    base = " ".join(query.split())
-    variants = [base, base + "s"]
-    words = base.split()
-    if len(words) > 1:
-        variants.append(words[-1])
-    seen: set[str] = set()
-    unique = []
-    for v in variants:
-        key = query_key(v)
-        if key not in seen:
-            seen.add(key)
-            unique.append(v)
-    return tuple(unique)
+    key = query_key(query)
+    return tuple(dict.fromkeys((key, key + "s", key.rsplit(" ", 1)[-1])))
 
 
 def score_embedding_leaf(bundle: ExpertBundle, expert: ExpertKind, query: str) -> np.ndarray:
@@ -133,8 +123,8 @@ def score_ocr_leaf(bundle: ExpertBundle, query: str) -> np.ndarray:
 class ProviderCounters:
     """Observable scoring activity, one count per distinct computation.
 
-    scoring_calls[e] increments once per unique (expert, query) pair each
-    time a tree is evaluated, so duplicate leaves share a single call and
+    scoring_calls[e] increments once per unique (expert, ``query_key``) pair
+    each time a tree is evaluated, so duplicate leaves share a single call and
     experts absent from the tree stay at zero. Leaves are evaluated one
     after another in one thread, so the counts need no lock.
     """

@@ -216,8 +216,8 @@ def _node_dict(node: TreeNode):
 def leaves_by_expert(tree: LogicTree) -> dict[ExpertKind, list[int]]:
     """Partition leaf ids by expert, preserving pre-order within each group.
 
-    Experts with no leaves are absent from the map, which is what lets the
-    scoring stage skip their providers entirely.
+    Experts with no leaves are absent from the map. Conditioning uses it to
+    normalize and smooth each expert's rows as one group.
     """
     groups: dict[ExpertKind, list[int]] = {}
     for leaf in tree.leaves:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 # More examples for the properties that read the loaded profile's count
-# (``--hypothesis-profile=thorough``); CI runs the text byte-equality
+# (``--hypothesis-profile=thorough``); CI runs the byte-equality
 # properties under it.
 settings.register_profile("thorough", max_examples=2000, deadline=None)
 

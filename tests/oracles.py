@@ -315,3 +315,20 @@ def score_ocr_leaf_loop(ocr, query, num_frames) -> np.ndarray:
             if score > values[entry.frame]:
                 values[entry.frame] = score
     return values
+
+
+def planted_row_loop(events, expert, query, num_frames) -> np.ndarray:
+    """A generated score-table row one event and one frame at a time: per
+    frame, the max amplitude over the events of ``expert`` whose query
+    normalizes like ``query``, each over its support shifted by its modality
+    offset (audio only) and clamped to the timeline; else 0."""
+    values = np.zeros(num_frames, dtype=np.float64)
+    for event in events:
+        if event.expert != expert or _normalize_text(event.query) != _normalize_text(query):
+            continue
+        shift = event.modality_offset if expert.value == "CLAP" else 0
+        start, end = event.support
+        for t in range(start + shift, end + shift):
+            if 0 <= t < num_frames:
+                values[t] = max(values[t], event.amplitude)
+    return values

@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import himu.bench
 import himu.pipeline
 from himu.bench import (
     Event,
@@ -30,8 +33,10 @@ from himu.errors import (
 from himu.cli import main
 from himu.config import EngineConfig
 from himu.experts import ProviderCounters, bundle_digest, dumps_ovd, score_asr_leaf
+from himu.experts.matching import query_key
 from himu.pipeline import run_pipeline, satisfaction_curve
 from himu.tree import ExpertKind, parse_tree
+from oracles import planted_row_loop
 
 
 def script_with(events, *, num_frames=60, noise=0.0, seed=7, script_id="s1"):
@@ -151,6 +156,112 @@ def test_matched_tree_document_covers_events():
     ]
     single = script_with([Event(ExpertKind.OCR, "EXIT", (5, 8))])
     assert json.loads(matched_tree_document(single))["op"] == "LEAF"
+
+
+def test_queries_sharing_a_key_plant_one_row_and_one_leaf():
+    script = script_with(
+        [
+            Event(ExpertKind.CLIP, "Red car", (10, 20)),
+            Event(ExpertKind.CLIP, "red car", (150, 160)),
+        ],
+        num_frames=200,
+    )
+    (row,) = generate(script).bundle.clip_table.rows
+    assert row[0] == "Red car"
+    assert np.flatnonzero(row[1]).tolist() == [*range(10, 20), *range(150, 160)]
+    assert json.loads(matched_tree_document(script)) == {
+        "op": "LEAF", "expert": "CLIP", "query": "Red car",
+    }
+    entry = run_benchmark([script], selectors=("topk",), budgets=(20,)).entry("topk", 20)
+    assert (entry.events_hit, entry.events_total) == (2, 2)
+
+
+# Spellings that share a query_key in groups: "ß" casefolds to "ss".
+_SPELLINGS = ("red car", "Red  car", " RED CAR", "dog", "DOG", "Straße", "STRASSE")
+
+
+@st.composite
+def _noiseless_scripts(draw):
+    num_frames = draw(st.integers(1, 40))
+    events = []
+    for _ in range(draw(st.integers(1, 8))):
+        expert = draw(st.sampled_from(list(ExpertKind)))
+        start = draw(st.integers(0, num_frames - 1))
+        amplitude = (
+            1.0 if expert in (ExpertKind.ASR, ExpertKind.OCR)
+            else draw(st.floats(0.0, 1.0, exclude_min=True))
+        )
+        events.append(Event(
+            expert,
+            draw(st.sampled_from(_SPELLINGS)),
+            (start, draw(st.integers(start + 1, num_frames))),
+            amplitude,
+            draw(st.integers(-5, 5)),
+        ))
+    return EventScript(
+        script_id="p",
+        num_frames=num_frames,
+        events=tuple(events),
+        seed=draw(st.integers(0, 2**32)),
+        frame_rate=draw(st.sampled_from([1.0, 2.5, 30.0])),
+    )
+
+
+# No max_examples: the loaded hypothesis profile sets the count.
+@settings(deadline=None)
+@given(_noiseless_scripts())
+def test_generated_table_rows_equal_per_event_loop(script):
+    instance = generate(script)
+    bundle, ovd_source = instance.bundle, instance.ovd_source
+    tables = {
+        ExpertKind.CLIP: bundle.clip_table.rows if bundle.clip_table else (),
+        ExpertKind.CLAP: bundle.clap_table.rows if bundle.clap_table else (),
+        ExpertKind.OVD: ovd_source.entries if ovd_source else (),
+    }
+    for expert, rows in tables.items():
+        first_spelling = {}
+        for event in script.events:
+            if event.expert is expert:
+                first_spelling.setdefault(query_key(event.query), event.query)
+        # One row per key, named by its first spelling, in order of first appearance.
+        assert [query for query, _ in rows] == list(first_spelling.values())
+        for query, values in rows:
+            expected = planted_row_loop(script.events, expert, query, script.num_frames)
+            assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("script_id", ["../escaped", "a/b", "a\\b", ".", ".."])
+def test_script_id_must_be_a_file_name(script_id):
+    events = [Event(ExpertKind.CLIP, "a dog", (1, 3), amplitude=0.5)]
+    with pytest.raises(InvalidScriptError, match="must be a file name"):
+        script_with(events, script_id=script_id)
+
+
+def _write_suite(path, *script_ids):
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "scripts": [{**_SCRIPT_DOC, "script_id": sid} for sid in script_ids],
+    }))
+
+
+def test_gen_rejects_a_path_as_script_id(tmp_path, capsys):
+    suite = tmp_path / "scripts.json"
+    _write_suite(suite, "../escaped")
+    out_dir = tmp_path / "gen" / "sub"
+    assert main(["gen", "--scripts", str(suite), "--out", str(out_dir)]) == 1
+    assert "'../escaped' must be a file name" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
+
+
+def test_gen_rejects_a_repeated_script_id(tmp_path, capsys):
+    suite = tmp_path / "scripts.json"
+    _write_suite(suite, "dup", "other", "dup")
+    with pytest.raises(InvalidScriptError, match="'dup' is not unique"):
+        load_scripts(suite)
+    out_dir = tmp_path / "gen"
+    assert main(["gen", "--scripts", str(suite), "--out", str(out_dir)]) == 1
+    assert "script_id 'dup' is not unique" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -295,7 +406,44 @@ def test_benchmark_requires_unique_ids():
         run_benchmark([s, s], budgets=(4,))
 
 
-def test_benchmark_wraps_pipeline_failures_with_script_id():
+@pytest.mark.parametrize(
+    ("selectors", "budgets", "message"),
+    [
+        (("sorcery",), (4,), "unknown selector 'sorcery'"),
+        (("pass",), (0,), "budget must be >= 1, got 0"),
+        (("pass",), (-4,), "budget must be >= 1, got -4"),
+        ((), (4,), "no selectors given"),
+        (("pass",), (), "no budgets given"),
+        (("pass", "topk", "pass"), (4,), "selector 'pass' is repeated"),
+        (("pass",), (8, 16, 8), "budget 8 is repeated"),
+    ],
+)
+def test_benchmark_checks_its_grid_before_any_script(monkeypatch, selectors, budgets, message):
+    monkeypatch.setattr(himu.bench, "generate", lambda script: pytest.fail("generated"))
+    s = script_with([Event(ExpertKind.CLIP, "a dog", (1, 3), amplitude=0.5)])
+    with pytest.raises(ValueError, match=message):
+        run_benchmark([s], selectors=selectors, budgets=budgets)
+
+
+@pytest.mark.parametrize(
+    ("flag", "message"),
+    [
+        (["--selectors", ","], "no selectors given"),
+        (["--selectors", "pass,sorcery"], "unknown selector 'sorcery'"),
+        (["--budgets", "0"], "budget must be >= 1, got 0"),
+        (["--budgets", "8,8"], "budget 8 is repeated"),
+    ],
+)
+def test_bench_rejects_a_bad_grid_before_any_script(tmp_path, capsys, flag, message):
+    suite = tmp_path / "scripts.json"
+    _write_suite(suite, "s00")
+    report_path = tmp_path / "report.json"
+    assert main(["bench", "--scripts", str(suite), "--out", str(report_path), *flag]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not report_path.exists()
+
+
+def test_benchmark_wraps_pipeline_failures_with_script_id(monkeypatch):
     good = script_with(
         [Event(ExpertKind.CLIP, "a dog", (1, 3), amplitude=0.5)], script_id="ok"
     )
@@ -303,8 +451,9 @@ def test_benchmark_wraps_pipeline_failures_with_script_id():
     def broken_tree(script):
         return json.dumps({"op": "LEAF", "expert": "CLIP", "query": "absent"})
 
+    monkeypatch.setattr(himu.bench, "matched_tree_document", broken_tree)
     with pytest.raises(BenchmarkError) as info:
-        run_benchmark([good], budgets=(4,), tree_for=broken_tree)
+        run_benchmark([good], budgets=(4,))
     assert "ok" in str(info.value)
     leaf_error = info.value.__cause__
     assert isinstance(leaf_error, LeafEvaluationError)

@@ -415,6 +415,17 @@ def test_select_strategy_flag(workspace):
     assert all(p["phase"] == "fill" for p in selection["phases"])
 
 
+@pytest.mark.parametrize("frames", ["0", "-3"])
+def test_select_rejects_a_budget_below_1_before_inputs_are_read(workspace, capsys, frames):
+    tmp_path, tree_path, _ = workspace
+    # The bundle does not exist, so reading it would fail with another error.
+    args = ["select", "--tree", str(tree_path), "--bundle", str(tmp_path / "absent.json"),
+            "--frames", frames, "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: budget must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_select_sigma_flag_changes_curve(workspace):
     tmp_path, tree_path, bundle_path = workspace
     curves = {}

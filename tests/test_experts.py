@@ -239,6 +239,7 @@ def test_query_variants():
     assert query_variants("red car") == ("red car", "red cars", "car")
     assert query_variants("dog") == ("dog", "dogs")
     assert query_variants("  red   car ") == ("red car", "red cars", "car")
+    assert query_variants("Red  Car") == ("red car", "red cars", "car")
 
 
 def test_score_ovd_leaf_max_over_variants():
