@@ -293,11 +293,26 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _list_flag(flag: str, value: str, convert=str) -> tuple:
+    """The comma-separated fields of a list flag, stripped, blank ones
+    dropped, each passed through ``convert``."""
+    fields = []
+    for field in value.split(","):
+        field = field.strip()
+        if not field:
+            continue
+        try:
+            fields.append(convert(field))
+        except ValueError:
+            raise ValueError(f"{flag}: {field!r} is not a valid {convert.__name__}") from None
+    return tuple(fields)
+
+
 def cmd_bench(args) -> int:
     config = _config_from_args(args)
+    budgets = _list_flag("--budgets", args.budgets, int)
+    selectors = _list_flag("--selectors", args.selectors)
     scripts = bench_mod.load_scripts(args.scripts)
-    budgets = tuple(int(b) for b in args.budgets.split(","))
-    selectors = tuple(s.strip() for s in args.selectors.split(",") if s.strip())
     report = bench_mod.run_benchmark(
         scripts, selectors=selectors, budgets=budgets, config=config
     )

@@ -5,9 +5,11 @@ Object detection is query-conditioned: its scores come from a separate
 per-query source and are recomputed on every evaluation instead of being
 cached. Transcript and on-screen-text leaves score from the bundle's text
 indexes (``ExpertBundle.transcript_index`` and ``ocr_index``), which are
-built on the first text leaf and shared by every later one, so a leaf does
-only the query's own work: it matches the query against every segment or
-detection of the video in one batch of code spans
+built on the first text leaf and shared by every later one. A text
+expert scores every distinct query of the tree in one batch, at its
+first leaf: ``score_asr_leaf`` and ``score_ocr_leaf`` take a list of
+queries and match all of them against every segment or detection of the
+video with one edit-distance kernel call
 (``matching.windowed_match_scores``, ``matching.match_scores``). OCR keeps
 each frame's best score with ``np.maximum.at``, ASR spreads each matched
 segment over its own frames.
@@ -72,21 +74,23 @@ def score_ovd_leaf(source: OvdSource | None, query: str, num_frames: int) -> np.
     return source.max_over(query_variants(query), num_frames)
 
 
-def score_asr_leaf(bundle: ExpertBundle, query: str) -> np.ndarray:
-    """Raw speech row: segment match scores spread over overlapped frames.
+def score_asr_leaf(bundle: ExpertBundle, queries) -> np.ndarray:
+    """Raw speech rows, one per query: segment match scores spread over
+    overlapped frames, as a (queries x frames) array.
 
     Every segment scores via windowed text matching over the bundle's
-    transcript index, all segments in one batch; then frame t (covering
-    [t/fps, (t+1)/fps)) receives max over segments of segment score times
-    the fraction of the frame interval the segment overlaps. The frames
-    of every matched segment are spread in one pass.
+    transcript index, all queries and segments in one batch; then frame t
+    (covering [t/fps, (t+1)/fps)) of a query's row receives max over
+    segments of segment score times the fraction of the frame interval the
+    segment overlaps. The frames of every matched (query, segment) pair
+    are spread in one pass.
     """
     if bundle.transcript is None:
         raise MissingArtifactError(f"bundle {bundle.video_id!r} has no transcript")
     num_frames, frame_rate = bundle.num_frames, bundle.frame_rate
-    values = np.zeros(num_frames, dtype=np.float64)
-    scores = windowed_match_scores(query, bundle.transcript_index)
-    matched = np.flatnonzero(scores > 0.0)
+    scores = windowed_match_scores(queries, bundle.transcript_index)
+    values = np.zeros(scores.shape[:1] + (num_frames,), dtype=np.float64)
+    rows, matched = np.nonzero(scores > 0.0)
     start = np.array([bundle.transcript[i].start for i in matched.tolist()])
     end = np.array([bundle.transcript[i].end for i in matched.tolist()])
     # Frames floor(start * fps) .. ceil(end * fps), clipped to the
@@ -95,7 +99,7 @@ def score_asr_leaf(bundle: ExpertBundle, query: str) -> np.ndarray:
     with np.errstate(over="ignore"):
         first = np.floor(np.minimum(start * frame_rate, num_frames)).astype(np.int64)
         last = np.ceil(np.minimum(end * frame_rate, num_frames - 1)).astype(np.int64)
-    # The frames of all matched segments end to end: frame t[j] of segment
+    # The frames of all matched pairs end to end: frame t[j] of pair
     # owner[j].
     counts = np.maximum(last - first + 1, 0)
     owner = np.repeat(np.arange(matched.size), counts)
@@ -103,19 +107,25 @@ def score_asr_leaf(bundle: ExpertBundle, query: str) -> np.ndarray:
     start, end = start[owner], end[owner]
     overlap = np.minimum(end, (t + 1) / frame_rate) - np.maximum(start, t / frame_rate)
     covered = overlap > 0.0
-    weighted = scores[matched][owner] * (overlap * frame_rate)
-    np.maximum.at(values, t[covered], weighted[covered])
+    weighted = scores[rows, matched][owner] * (overlap * frame_rate)
+    # Flat indices: ufunc.at is much slower with a tuple of index arrays.
+    at = rows[owner] * num_frames + t
+    np.maximum.at(values.ravel(), at[covered], weighted[covered])
     return values
 
 
-def score_ocr_leaf(bundle: ExpertBundle, query: str) -> np.ndarray:
-    """Raw on-screen-text row: per-frame max detection match score, every
-    detection of the bundle's OCR index matched in one batch."""
+def score_ocr_leaf(bundle: ExpertBundle, queries) -> np.ndarray:
+    """Raw on-screen-text rows, one per query, as a (queries x frames)
+    array: per-frame max detection match score, every query and detection
+    of the bundle's OCR index matched in one batch."""
     if bundle.ocr is None:
         raise MissingArtifactError(f"bundle {bundle.video_id!r} has no ocr artifacts")
     index = bundle.ocr_index
-    values = np.zeros(bundle.num_frames, dtype=np.float64)
-    np.maximum.at(values, index.frames, match_scores(query, index))
+    scores = match_scores(queries, index)
+    values = np.zeros((scores.shape[0], bundle.num_frames), dtype=np.float64)
+    # Flat indices: ufunc.at is much slower with a tuple of index arrays.
+    at = np.arange(scores.shape[0])[:, None] * bundle.num_frames + index.frames
+    np.maximum.at(values.ravel(), at.ravel(), scores.ravel())
     return values
 
 
@@ -140,19 +150,22 @@ class ProviderCounters:
         return {kind.value: count for kind, count in self.scoring_calls.items()}
 
 
-def _score_one(
+def _score_rows(
     expert: ExpertKind,
-    query: str,
+    queries: list[str],
     bundle: ExpertBundle,
     ovd_source: OvdSource | None,
-) -> np.ndarray:
-    if expert in (ExpertKind.CLIP, ExpertKind.CLAP):
-        return score_embedding_leaf(bundle, expert, query)
-    if expert is ExpertKind.OVD:
-        return score_ovd_leaf(ovd_source, query, bundle.num_frames)
+):
+    """Rows for distinct queries of one expert, one per query. Text
+    experts score a batch; the others take one query at a time."""
     if expert is ExpertKind.ASR:
-        return score_asr_leaf(bundle, query)
-    return score_ocr_leaf(bundle, query)
+        return score_asr_leaf(bundle, queries)
+    if expert is ExpertKind.OCR:
+        return score_ocr_leaf(bundle, queries)
+    (query,) = queries
+    if expert is ExpertKind.OVD:
+        return [score_ovd_leaf(ovd_source, query, bundle.num_frames)]
+    return [score_embedding_leaf(bundle, expert, query)]
 
 
 def evaluate_leaves(
@@ -165,22 +178,32 @@ def evaluate_leaves(
 
     Each (expert, ``query_key``) pair is scored once: experts with no leaves in the
     tree are never consulted, and duplicate predicates share one scoring
-    call while still receiving their own row. Failures carry the offending
-    leaf's identity.
+    call while still receiving their own row. A text expert scores all of
+    its distinct queries in one batch at its first leaf. Failures carry
+    the identity of the leaf being scored, in leaf order.
     """
     if counters is None:
         counters = ProviderCounters()
+    # The distinct queries of each text expert, in first-appearance order
+    # and first spelling.
+    batches: dict[ExpertKind, dict[str, str]] = {}
+    for leaf in tree.leaves:
+        if leaf.expert in (ExpertKind.ASR, ExpertKind.OCR):
+            batches.setdefault(leaf.expert, {}).setdefault(query_key(leaf.query), leaf.query)
     scored: dict[tuple[ExpertKind, str], np.ndarray] = {}
     rows = []
     for leaf in tree.leaves:
         key = (leaf.expert, query_key(leaf.query))
         if key not in scored:
+            batch = batches.get(leaf.expert, {key[1]: leaf.query})
             try:
-                scored[key] = _score_one(leaf.expert, leaf.query, bundle, ovd_source)
+                values = _score_rows(leaf.expert, list(batch.values()), bundle, ovd_source)
             except Exception as exc:
                 raise LeafEvaluationError(
                     leaf.leaf_id, leaf.expert.value, leaf.query, exc
                 ) from exc
-            counters.record(leaf.expert)
+            for batch_key, row in zip(batch, values):
+                scored[(leaf.expert, batch_key)] = row
+                counters.record(leaf.expert)
         rows.append(scored[key])
     return np.stack(rows)

@@ -113,7 +113,7 @@ def test_modality_offset_shifts_signal_not_ground_truth():
     instance = generate(script)
     (segment,) = instance.bundle.transcript
     assert segment.start == 12.0 and segment.end == 16.0
-    values = score_asr_leaf(instance.bundle, "hello there")
+    values = score_asr_leaf(instance.bundle, ["hello there"])[0]
     assert np.all(values[12:16] == 1.0)
     assert np.all(values[10:12] == 0.0)
     # Recall is still judged against the stated support.
@@ -441,6 +441,26 @@ def test_bench_rejects_a_bad_grid_before_any_script(tmp_path, capsys, flag, mess
     assert main(["bench", "--scripts", str(suite), "--out", str(report_path), *flag]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not report_path.exists()
+
+
+def test_bench_list_flags_drop_blank_fields_and_name_a_bad_one(tmp_path, capsys):
+    suite = tmp_path / "scripts.json"
+    _write_suite(suite, "s00")
+    report_path = tmp_path / "report.json"
+
+    def bench(*flags, scripts=suite):
+        return main(["bench", "--scripts", str(scripts), "--out", str(report_path), *flags])
+
+    assert bench("--budgets", ",") == 1
+    assert capsys.readouterr().err.startswith("error: no budgets given")
+    assert not report_path.exists()
+    # A bad field fails before the scripts are read.
+    assert bench("--budgets", "8.5", scripts=tmp_path / "missing.json") == 1
+    assert capsys.readouterr().err.startswith("error: --budgets: '8.5' is not a valid int")
+    assert bench("--budgets", "8,,16", "--selectors", "pass") == 0
+    assert json.loads(report_path.read_text())["budgets"] == [8, 16]
+    assert bench("--budgets", "8", "--selectors", "pass,,topk") == 0
+    assert json.loads(report_path.read_text())["selectors"] == ["pass", "topk"]
 
 
 def test_benchmark_wraps_pipeline_failures_with_script_id(monkeypatch):

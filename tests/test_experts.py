@@ -39,7 +39,14 @@ from himu.experts import (
     similarity,
     windowed_match_score,
 )
-from himu.experts.matching import levenshtein_batch, levenshtein_spans, query_key, text_index
+from himu.experts.matching import (
+    levenshtein_batch,
+    levenshtein_spans,
+    match_scores,
+    query_key,
+    text_index,
+    windowed_match_scores,
+)
 from himu.tree import ExpertKind, parse_tree
 from oracles import (
     levenshtein_matrix,
@@ -272,7 +279,7 @@ def test_score_ovd_leaf_absent_is_zero():
 def test_score_asr_overlap_fractions():
     # Segment 12.0-13.5 s at 1 fps: frame 12 fully covered, frame 13 half.
     transcript = (TranscriptSegment(12.0, 13.5, "the chemical reaction begins"),)
-    row = score_asr_leaf(make_bundle(T=20, transcript=transcript), "reaction")
+    row = score_asr_leaf(make_bundle(T=20, transcript=transcript), ["reaction"])[0]
     assert row[12] == pytest.approx(1.0)
     assert row[13] == pytest.approx(0.5)
     assert np.count_nonzero(row) == 2
@@ -280,14 +287,14 @@ def test_score_asr_overlap_fractions():
 
 def test_score_asr_overlap_mass_equals_duration_in_frames():
     transcript = (TranscriptSegment(3.25, 7.75, "hello world"),)
-    row = score_asr_leaf(make_bundle(T=20, frame_rate=2.0, transcript=transcript), "hello")
+    row = score_asr_leaf(make_bundle(T=20, frame_rate=2.0, transcript=transcript), ["hello"])[0]
     assert row.sum() == pytest.approx((7.75 - 3.25) * 2.0)
 
 
 def test_score_asr_no_match_and_empty_transcript():
     transcript = (TranscriptSegment(1.0, 2.0, "completely different words"),)
-    assert np.all(score_asr_leaf(make_bundle(T=5, transcript=transcript), "chemistry") == 0.0)
-    assert np.all(score_asr_leaf(make_bundle(T=5, transcript=()), "anything") == 0.0)
+    assert np.all(score_asr_leaf(make_bundle(T=5, transcript=transcript), ["chemistry"])[0] == 0.0)
+    assert np.all(score_asr_leaf(make_bundle(T=5, transcript=()), ["anything"])[0] == 0.0)
 
 
 def test_score_asr_takes_max_over_overlapping_segments():
@@ -295,7 +302,7 @@ def test_score_asr_takes_max_over_overlapping_segments():
         TranscriptSegment(0.0, 2.0, "the dog barks"),
         TranscriptSegment(1.0, 2.0, "dog"),
     )
-    row = score_asr_leaf(make_bundle(T=4, transcript=transcript), "dog")
+    row = score_asr_leaf(make_bundle(T=4, transcript=transcript), ["dog"])[0]
     assert row[0] == pytest.approx(1.0)
     assert row[1] == pytest.approx(1.0)
 
@@ -307,11 +314,11 @@ def test_score_ocr_examples():
         OcrFrameText(5, ("nothing",)),
     )
     bundle = make_bundle(T=8, ocr=ocr)
-    row = score_ocr_leaf(bundle, "exit")
+    row = score_ocr_leaf(bundle, ["exit"])[0]
     assert row[3] == 1.0
-    row = score_ocr_leaf(bundle, "Korea")
+    row = score_ocr_leaf(bundle, ["Korea"])[0]
     assert row[5] == pytest.approx(0.8)
-    assert np.all(score_ocr_leaf(make_bundle(T=8, ocr=()), "exit") == 0.0)
+    assert np.all(score_ocr_leaf(make_bundle(T=8, ocr=()), ["exit"])[0] == 0.0)
 
 
 # --- batched leaf rows against the per-text loops ----------------------------------
@@ -368,10 +375,10 @@ def test_text_leaf_rows_equal_per_text_loops_bytewise(case, num_frames, frame_ra
 
 
 def _assert_bundle_rows_equal_loops(bundle, query):
-    asr = score_asr_leaf(bundle, query)
+    asr = score_asr_leaf(bundle, [query])[0]
     loop = score_asr_leaf_loop(bundle.transcript, query, bundle.num_frames, bundle.frame_rate)
     assert asr.tobytes() == loop.tobytes()
-    row = score_ocr_leaf(bundle, query)
+    row = score_ocr_leaf(bundle, [query])[0]
     assert row.tobytes() == score_ocr_leaf_loop(bundle.ocr, query, bundle.num_frames).tobytes()
     return asr, row
 
@@ -443,13 +450,13 @@ def test_asr_row_when_segment_times_overflow_in_frames():
     def bundle(*segments):
         return make_bundle(T=12, frame_rate=30.0, transcript=segments)
 
-    asr = score_asr_leaf(bundle(TranscriptSegment(0.1, 1e308, "the reaction")), "reaction")
+    asr = score_asr_leaf(bundle(TranscriptSegment(0.1, 1e308, "the reaction")), ["reaction"])[0]
     past_end = (TranscriptSegment(0.1, 1.0, "the reaction"),)
     assert asr.tobytes() == score_asr_leaf_loop(past_end, "reaction", 12, 30.0).tobytes()
     assert np.flatnonzero(asr).tolist() == list(range(3, 12))
     assert asr[4:] == pytest.approx(1.0)
     late = TranscriptSegment(1e307, 1e308, "the reaction")
-    assert not score_asr_leaf(bundle(late), "reaction").any()
+    assert not score_asr_leaf(bundle(late), ["reaction"])[0].any()
 
 
 # --- the per-bundle text index ----------------------------------------------------
@@ -563,27 +570,74 @@ def test_text_index_edge_texts_equal_loops():
     assert index.word_texts.tolist() == [2, 2, 3, 3, 3, 3, 3, 4, 5, 5]
 
 
-@settings(max_examples=_examples(200), deadline=None)
-@given(
-    st.one_of(_BATCH_TEXT, st.text(alphabet=_BATCH_ALPHABET, min_size=60, max_size=130)),
-    st.lists(st.text(alphabet=_BATCH_ALPHABET, max_size=80), max_size=8),
-    st.data(),
+# Texts hold "xyz", which no query holds, and queries hold "qr", which no
+# text holds; both hold a non-BMP character and a lone surrogate.
+_SPAN_TEXT = st.text(alphabet="abcAB ßİxyz\U0001f600\ud800", max_size=80)
+_SPAN_QUERY_ALPHABET = "abcAB ßİqr\U0001f600\ud800"
+_SPAN_QUERY = st.one_of(
+    st.text(alphabet=_SPAN_QUERY_ALPHABET, max_size=64),
+    st.text(alphabet=_SPAN_QUERY_ALPHABET, min_size=65, max_size=130),
 )
-def test_levenshtein_spans_match_matrix_oracle(a, texts, data):
-    # Spans anywhere in an index's code array, across text boundaries and
-    # of length zero included, against the textbook table on the same slice
-    # of the joined string.
+
+
+def _assert_spans_match_matrix(queries, index, spans, owners):
+    starts = np.array([s for s, _ in spans], dtype=np.int64)
+    lengths = np.array([n for _, n in spans], dtype=np.int64)
+    got = levenshtein_spans(queries, index.alphabet, index.ids, owners, starts, lengths)
+    assert got.dtype == np.int64
+    assert got.tolist() == [
+        levenshtein_matrix(queries[o], index.joined[s : s + n]) for o, (s, n) in zip(owners, spans)
+    ]
+
+
+@settings(max_examples=_examples(200), deadline=None)
+@given(st.lists(_SPAN_QUERY, min_size=1, max_size=4), st.lists(_SPAN_TEXT, max_size=8), st.data())
+def test_levenshtein_spans_match_matrix_oracle(queries, texts, data):
+    # Several queries per call, of at most and over 64 characters (uint64
+    # and Python-int lanes), over spans anywhere in an index's code array:
+    # across text boundaries, of length zero and at the end of the array
+    # included, against the textbook table on the same slice of the joined
+    # string.
     index = text_index(texts)
+    assert index.alphabet[index.ids].tobytes() == index.codes.tobytes()
     size = index.codes.size
     spans = data.draw(st.lists(
         st.integers(0, size).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, size - s))),
         max_size=10,
-    )) + [(0, 0), (size, 0)]
-    starts = np.array([s for s, _ in spans], dtype=np.int64)
-    lengths = np.array([n for _, n in spans], dtype=np.int64)
-    got = levenshtein_spans(a, index.codes, starts, lengths)
-    assert got.dtype == np.int64
-    assert got.tolist() == [levenshtein_matrix(a, index.joined[s : s + n]) for s, n in spans]
+    )) + [(0, 0), (size, 0), (0, size)]
+    owners = data.draw(st.lists(
+        st.integers(0, len(queries) - 1), min_size=len(spans), max_size=len(spans)
+    ))
+    _assert_spans_match_matrix(queries, index, spans, owners)
+
+
+def test_levenshtein_spans_with_word_and_python_int_queries_in_one_call(monkeypatch):
+    # The lanes of the 65-character query run on Python ints in their own
+    # pass; the others, the 64-character query's included, stay uint64.
+    import himu.experts.matching as matching
+
+    lane_types = []
+    popcount = matching._popcount
+
+    def recording(x):
+        lane_types.append(x.dtype)
+        return popcount(x)
+
+    monkeypatch.setattr(matching, "_popcount", recording)
+    texts = ["ab" * 40, "\U0001f600 abc \ud800", "xyz"]
+    index = text_index(texts)
+    queries = ["ab" * 32, "ba" * 32 + "b", "", "\U0001f600q\ud800", "qqq"]
+    size = index.codes.size
+    spans = [(0, 80), (0, 64), (3, 60), (81, 9), (89, 3), (size, 0), (0, 0), (0, size)]
+    for owners in ([0, 1, 2, 3, 4, 0, 1, 2], [0, 0, 2, 3, 4, 3, 2, 0], [1] * len(spans)):
+        _assert_spans_match_matrix(queries, index, spans, owners)
+    assert set(lane_types) == {np.dtype(np.uint64), np.dtype(object)}
+    lane_types.clear()
+    # A long query without lanes leaves every lane on uint64.
+    _assert_spans_match_matrix(queries, index, spans, [0, 2, 3, 4, 0, 2, 3, 4])
+    assert set(lane_types) == {np.dtype(np.uint64)}
+    short = queries[:1] + queries[2:]
+    _assert_spans_match_matrix(short, index, spans, [0, 1, 2, 3, 0, 1, 2, 3])
 
 
 # --- bundle format ----------------------------------------------------------------
@@ -762,7 +816,7 @@ def test_evaluate_leaves_covers_all_and_tags_source():
     # Row i holds leaf id i's raw scores.
     assert out.shape == (2, 8) and out.dtype == np.float64
     np.testing.assert_array_equal(out[0], score_embedding_leaf(bundle, ExpertKind.CLIP, "a dog"))
-    np.testing.assert_array_equal(out[1], score_asr_leaf(bundle, "good dog"))
+    np.testing.assert_array_equal(out[1], score_asr_leaf(bundle, ["good dog"])[0])
 
 
 def test_evaluate_leaves_conditional_execution_counters():
@@ -809,3 +863,65 @@ def test_evaluate_leaves_wraps_failures_with_leaf_identity():
         evaluate_leaves(tree, scored_bundle())
     assert info.value.leaf_id == 1
     assert isinstance(info.value.cause, MissingArtifactError)
+
+
+def _leaf_tree(*leaves):
+    children = [{"op": "LEAF", "expert": e, "query": q} for e, q in leaves]
+    return parse_tree(json.dumps({"op": "OR", "children": children}))
+
+
+def test_evaluate_leaves_scores_each_text_expert_in_one_kernel_call(monkeypatch):
+    import himu.experts.matching as matching
+
+    calls = []
+    kernel = matching.levenshtein_spans
+
+    def counting(queries, *args):
+        calls.append(list(queries))
+        return kernel(queries, *args)
+
+    monkeypatch.setattr(matching, "levenshtein_spans", counting)
+    leaves = (
+        ("OCR", "pearl radar"), ("ASR", "jewel amber"), ("CLIP", "a dog"),
+        ("OCR", "Pearl   RADAR"), ("OCR", "hazel blaze"), ("ASR", "ambqr glows"),
+    )
+    bundle = _text_bundle()
+    counters = ProviderCounters()
+    out = evaluate_leaves(_leaf_tree(*leaves), bundle, counters=counters)
+    assert calls == [["pearl radar", "hazel blaze"], ["jewel amber", "ambqr glows"]]
+    assert counters.snapshot() == {"CLIP": 1, "CLAP": 0, "OVD": 0, "ASR": 2, "OCR": 2}
+    T, fps = bundle.num_frames, bundle.frame_rate
+    for row, (expert, query) in zip(out, leaves):
+        if expert == "ASR":
+            assert row.tobytes() == score_asr_leaf_loop(bundle.transcript, query, T, fps).tobytes()
+        elif expert == "OCR":
+            assert row.tobytes() == score_ocr_leaf_loop(bundle.ocr, query, T).tobytes()
+    assert out[0].any() and out[0].tobytes() == out[3].tobytes()
+
+
+def test_evaluate_leaves_fails_at_the_first_failing_leaf_in_order():
+    # The ASR batch would fail too (no transcript), but the CLIP leaf
+    # before it fails first.
+    bundle = make_bundle(
+        T=6, clip_table=ScoreTable(ExpertKind.CLIP, "vid", (("a dog", np.zeros(6)),))
+    )
+    tree = _leaf_tree(("CLIP", "a cat"), ("ASR", "jewel amber"), ("ASR", "other"))
+    with pytest.raises(LeafEvaluationError) as info:
+        evaluate_leaves(tree, bundle)
+    assert info.value.leaf_id == 0
+    assert isinstance(info.value.cause, MissingRowError)
+    tree = _leaf_tree(("CLIP", "a dog"), ("ASR", "jewel amber"), ("ASR", "other"))
+    with pytest.raises(LeafEvaluationError) as info:
+        evaluate_leaves(tree, bundle)
+    assert info.value.leaf_id == 1
+    assert isinstance(info.value.cause, MissingArtifactError)
+
+
+def test_text_matchers_take_a_list_of_queries():
+    index = text_index(["exit"])
+    with pytest.raises(TypeError, match="list of queries"):
+        match_scores("exit", index)
+    with pytest.raises(TypeError, match="list of queries"):
+        windowed_match_scores("exit", index)
+    # "exit now" is 4 edits from "exit": 1 - 4 / 8.
+    assert match_scores(["exit", "", "EXIT now"], index).tolist() == [[1.0], [0.0], [0.5]]
