@@ -51,10 +51,27 @@ def _truncated_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def smooth_renorm(x, sigma: float) -> np.ndarray:
+    # The renormalizer is the truncated convolution of a row of ones: its
+    # first r and last r sums are the edge sums, and every sum between them
+    # is the whole kernel's. A row of min(T, 2r+1) ones yields all three
+    # (its middle sum is an interior one), with the same dot products, so
+    # the same bits, as a row of T ones, and the interior is divided by
+    # that one scalar.
     x, sigma = _as_f64(x), float(sigma)
-    w = _gaussian(x.shape[-1], math.ceil(4.0 * sigma), sigma)
+    T = x.shape[-1]
+    w = _gaussian(T, math.ceil(4.0 * sigma), sigma)
     smoothed = _truncated_convolve(x, w)
-    return np.divide(smoothed, _truncated_convolve(np.ones(x.shape[-1]), w), out=smoothed)
+    sums = _truncated_convolve(np.ones(min(T, w.shape[0])), w)
+    if sums.shape[0] == T:  # no interior: every frame is within r of an edge
+        return np.divide(smoothed, sums, out=smoothed)
+    r = w.shape[0] // 2
+    for part, renorm in (
+        (smoothed[..., :r], sums[:r]),
+        (smoothed[..., r : T - r], sums[r]),
+        (smoothed[..., T - r :], sums[r + 1 :]),
+    ):
+        np.divide(part, renorm, out=part)
+    return smoothed
 
 
 def smooth_strict(x, sigma: float) -> np.ndarray:
@@ -72,24 +89,28 @@ def smooth_strict(x, sigma: float) -> np.ndarray:
 
 
 def seq_compose(u) -> np.ndarray:
+    # ``u`` is a list of L equal-length rows or an (L, T) array. Stacking
+    # them into ``terms`` is the one (L, T) copy; the maxima are read from
+    # the rows themselves, which are never written.
     # Row by row: terms[i] = u[i] * before[i] * after[i], where before[i] is
     # the product of the earlier steps' past maxima and after[i] that of the
     # later steps' future maxima, multiplied in the order a cumprod over the
     # steps takes (first step first for before, last step first for after).
     # Step 0 has no before factor and the last step no after factor; a
     # factor of 1.0 changes no bits, so skipping it keeps them.
-    u = _as_f64(u)
-    terms = u.copy()
+    rows = [np.asarray(row, dtype=np.float64) for row in u]
+    terms = np.array(rows)
+    L, T = terms.shape
     product = None
-    for i in range(1, u.shape[0]):
-        past = np.zeros(u.shape[1])  # max(u[i-1, :t]), 0 at t = 0
-        np.maximum.accumulate(u[i - 1, :-1], out=past[1:])
+    for i in range(1, L):
+        past = np.zeros(T)  # max(u[i-1, :t]), 0 at t = 0
+        np.maximum.accumulate(rows[i - 1][:-1], out=past[1:])
         product = past if product is None else np.multiply(product, past, out=product)
         terms[i] *= product
     product = None
-    for i in range(u.shape[0] - 2, -1, -1):
-        future = np.zeros(u.shape[1])  # max(u[i+1, t+1:]), 0 at t = T-1
-        np.maximum.accumulate(u[i + 1, :0:-1], out=future[-2::-1])
+    for i in range(L - 2, -1, -1):
+        future = np.zeros(T)  # max(u[i+1, t+1:]), 0 at t = T-1
+        np.maximum.accumulate(rows[i + 1][:0:-1], out=future[-2::-1])
         product = future if product is None else np.multiply(product, future, out=product)
         terms[i] *= product
     return terms.max(axis=0)
@@ -210,6 +231,10 @@ def right_after_compose(cause, effect, kappa: float) -> np.ndarray:
     cause, effect, kappa = _as_f64(cause), _as_f64(effect), float(kappa)
     decay = math.exp(-kappa)
     lanes = _lane_shape(cause.shape[0], kappa)
+    # Both prefixes are fresh arrays, so the products and their maximum are
+    # written into them, operands in the order effect * before, cause * after.
     before = _decayed_prefix(cause, decay, lanes)
     after = _decayed_prefix(effect[::-1], decay, lanes)[::-1]
-    return np.maximum(effect * before, cause * after)
+    np.multiply(effect, before, out=before)
+    np.multiply(cause, after, out=after)
+    return np.maximum(before, after, out=before)

@@ -101,8 +101,7 @@ def op_seq(children) -> np.ndarray:
     peaked strictly before t and every later step still peaks strictly
     after t; the outer max lets each step surface its own peak.
     """
-    curves = _as_curves(children, 2, "SEQ")
-    return _kernels.seq_compose(np.stack(curves))
+    return _kernels.seq_compose(_as_curves(children, 2, "SEQ"))
 
 
 def op_right_after(cause, effect, kappa: float = DEFAULT_KAPPA) -> np.ndarray:
@@ -116,7 +115,8 @@ def op_right_after(cause, effect, kappa: float = DEFAULT_KAPPA) -> np.ndarray:
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError("kappa must be finite and > 0")
     cause, effect = _as_curves([cause, effect], 2, "RIGHT_AFTER")
-    return np.clip(_kernels.right_after_compose(cause, effect, kappa), 0.0, 1.0)
+    paired = _kernels.right_after_compose(cause, effect, kappa)
+    return np.clip(paired, 0.0, 1.0, out=paired)
 
 
 def evaluate(

@@ -85,11 +85,17 @@ class SmoothingParams:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of ``x``, computed in place: ``x`` is overwritten."""
     # exp() only ever sees non-positive arguments, so it cannot overflow;
-    # 1/(1+e) for x >= 0 and e/(1+e) below, as one division over all values
+    # 1/(1+e) for x >= 0 and e/(1+e) below, as one division over all values.
+    # The numerator is max(e, x >= 0): the mask promotes to 0.0/1.0 and
+    # 0 <= e <= 1, so 1.0 wins where x >= 0, e stays below, and a NaN stays
+    # NaN. It is one pass and allocates nothing the size of the group; on a
+    # (4, 108000) group of mixed signs it takes 0.4 ms, where a masked store
+    # (np.copyto with where=) takes 4-6 ms and the whole np.exp 0.5 ms
+    # (shared 2-vCPU VM, numpy 2.4).
     positive = x >= 0
     e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
     denominator = np.add(1.0, e)
-    np.copyto(e, 1.0, where=positive)
+    np.maximum(e, positive, out=e)
     return np.divide(e, denominator, out=e)
 
 
@@ -189,4 +195,5 @@ def smooth(
         return values
     if params.mode == "renormalized":
         return _kernels.smooth_renorm(values, sigma)
-    return np.clip(_kernels.smooth_strict(values, sigma), 0.0, 1.0)
+    smoothed = _kernels.smooth_strict(values, sigma)
+    return np.clip(smoothed, 0.0, 1.0, out=smoothed)

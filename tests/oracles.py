@@ -137,6 +137,35 @@ def normalize_two_medians(group: np.ndarray, gamma: float, delta: float) -> np.n
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def sigmoid_masked_store(x: np.ndarray) -> np.ndarray:
+    """Logistic function as 1/(1+e) for x >= 0 and e/(1+e) below, with
+    e = exp(-|x|): 1.0 stored into a copy of e where x >= 0, then one
+    division by 1 + e. The bytes the in-place sigmoid must reproduce."""
+    positive = x >= 0
+    e = np.exp(-np.abs(x))
+    numerator = e.copy()
+    np.copyto(numerator, 1.0, where=positive)
+    return numerator / (1.0 + e)
+
+
+def smooth_renorm_full_ones(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Renormalized smoothing of a row or an (n, T) group, each row's
+    truncated convolution divided by that of a whole row of T ones: the
+    bytes the kernel's short renormalizer must reproduce."""
+    x = np.asarray(x, dtype=np.float64)
+    T = x.shape[-1]
+    out = np.empty(x.shape)
+    if T == 0:
+        return out
+    r = min(T - 1, math.ceil(4.0 * sigma))
+    d = np.arange(-r, r + 1, dtype=np.float64)
+    w = np.exp(-0.5 * (d / sigma) ** 2)
+    renorm = np.convolve(np.ones(T), w)[r : r + T]
+    for row, smoothed in zip(x.reshape(-1, T), out.reshape(-1, T)):
+        smoothed[:] = np.convolve(row, w)[r : r + T] / renorm
+    return out
+
+
 def right_after_dense(cause: np.ndarray, effect: np.ndarray, kappa: float) -> np.ndarray:
     """Adjacency composition as strictly lower/upper T x T decay matrices."""
     T = cause.shape[0]

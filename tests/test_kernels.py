@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from oracles import (
     seq_cumprod,
     seq_running_max,
     smooth_renorm_dense,
+    smooth_renorm_full_ones,
     smooth_renorm_scalar,
     smooth_strict_dense,
     smooth_strict_scalar,
@@ -141,7 +144,8 @@ def test_right_after_cases_reach_lanes_and_repairs(monkeypatch):
 
 def test_seq_is_bit_identical_to_cumprod_form():
     # Same products in the same order as two cumprods over the steps, and
-    # the same max reduction.
+    # the same max reduction, whether the steps come as an (L, T) array or
+    # as a list of rows; the steps themselves are left as they were.
     for L in range(1, 6):
         for T in (1, 2, 3, 500):
             inputs = [
@@ -151,7 +155,32 @@ def test_seq_is_bit_identical_to_cumprod_form():
                 RNG.choice([0.0, -0.0, 5e-324, 0.5, 1.0], (L, T)),
             ]
             for u in inputs:
-                assert _kernels.seq_compose(u).tobytes() == seq_cumprod(u).tobytes()
+                want = seq_cumprod(u).tobytes()
+                kept = u.tobytes()
+                assert _kernels.seq_compose(u).tobytes() == want
+                rows = [row.copy() for row in u]
+                assert _kernels.seq_compose(rows).tobytes() == want
+                assert u.tobytes() == kept
+                assert np.array(rows).tobytes() == kept
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.5, 2.0, 12.5])
+def test_smooth_renorm_matches_full_ones_renormalizer_bytewise(sigma):
+    # Every T up to two kernels and three frames past the radius r: T < 2r+1
+    # has no interior frame, T = 2r+1 has one, and past it the interior
+    # grows. Then the workloads' long timelines, and groups of no frames.
+    r = math.ceil(4.0 * sigma)
+    lengths = [*range(1, 4 * r + 4), 10_800, 108_000]
+    for i, T in enumerate(lengths):
+        n = 1 + i % 4
+        groups = [RNG.random((n, T)), RNG.choice([0.0, -0.0, 5e-324, 0.5, 1.0], (n, T))]
+        for x in groups + [groups[0][0]]:
+            want = smooth_renorm_full_ones(x, sigma)
+            assert _kernels.smooth_renorm(x, sigma).tobytes() == want.tobytes()
+    for n in (1, 4):
+        empty = np.empty((n, 0))
+        got = _kernels.smooth_renorm(empty, sigma)
+        assert got.shape == (n, 0) and got.dtype == np.float64
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0, 3.7])

@@ -25,11 +25,40 @@ from himu.signals import (
     smooth,
 )
 from himu.tree import ExpertKind, parse_tree
-from oracles import normalize_two_medians, smooth_renorm_scalar
+from oracles import (
+    normalize_two_medians,
+    sigmoid_masked_store,
+    smooth_renorm_full_ones,
+    smooth_renorm_scalar,
+)
 
 
 def raw(values):
     return np.asarray(values, dtype=np.float64)
+
+
+def _examples(n):
+    """n examples, or the loaded hypothesis profile's count when that is
+    larger: the byte-equality properties run longer under "thorough"."""
+    return max(n, settings.default.max_examples)
+
+
+# Values where the sigmoid's branches meet or saturate: both zeros, NaN,
+# both infinities, exp(-745.2) rounding to the smallest subnormal or to 0,
+# and arguments so small that exp(-|x|) rounds to exactly 1.
+_SIGMOID_EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 745.2, -745.2, 1e-300, -1e-300, 5e-324]
+
+
+@st.composite
+def _normal_draws_with_edges(draw, max_rows=1):
+    """A (rows, T) array of normal draws with edge values at drawn places."""
+    shape = (draw(st.integers(1, max_rows)), draw(st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(scale=draw(st.sampled_from([1.0, 8.0, 300.0])), size=shape)
+    for _ in range(draw(st.integers(0, 12))):
+        at = (draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1)))
+        values[at] = draw(st.sampled_from(_SIGMOID_EDGES))
+    return values
 
 
 def test_params_validation():
@@ -81,6 +110,16 @@ def test_sigmoid_matches_two_division_formula_bit_for_bit():
     e = np.exp(-np.abs(x))
     two_divisions = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     assert _sigmoid(x).tobytes() == two_divisions.tobytes()
+
+
+@settings(max_examples=_examples(300), deadline=None)
+@given(_normal_draws_with_edges())
+def test_sigmoid_matches_masked_store_bytewise(values):
+    x = values[0]
+    with np.errstate(invalid="ignore"):
+        want = sigmoid_masked_store(x)
+        got = _sigmoid(x.copy())
+    assert got.tobytes() == want.tobytes()
 
 
 def test_joint_normalization_separates_constant_pair():
@@ -175,6 +214,18 @@ def test_normalization_of_non_finite_groups_matches_two_medians(values):
     with np.errstate(over="ignore", invalid="ignore"):
         got = normalize_joint(group)
         want = normalize_two_medians(group, 3.0, 1e-6)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=_examples(300), deadline=None)
+@given(_normal_draws_with_edges(max_rows=4), st.floats(0.5, 10.0))
+def test_normalize_joint_matches_two_medians_bytewise(group, gamma):
+    # Normal draws put values on both sides of the median, so the sigmoid
+    # takes both branches; an edge value among them can make the median or
+    # the MAD infinite or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = normalize_joint(group, NormalizationParams(gamma=gamma))
+        want = normalize_two_medians(group, gamma, 1e-6)
     assert got.tobytes() == want.tobytes()
 
 
