@@ -30,10 +30,13 @@ def _as_f64(x):
 # the renormalized mode exists to avoid.
 
 
-def _gaussian(T: int, radius: int, sigma: float) -> np.ndarray:
+def _gaussian(T: int, radius_sigmas: float, sigma: float) -> np.ndarray:
     # Offsets past T - 1 never pair two frames, so capping the radius there
-    # changes no sum and keeps the weights no longer than the signal.
-    r = min(T - 1, radius)
+    # changes no sum and keeps the weights no longer than the signal. The
+    # cap comes before the ceiling, which cannot take the inf that a huge
+    # sigma times radius_sigmas rounds to; T - 1 is an integer, so every
+    # finite radius is the same either way.
+    r = math.ceil(min(T - 1, radius_sigmas * sigma))
     d = np.arange(-r, r + 1, dtype=np.float64)
     return np.exp(-0.5 * (d / sigma) ** 2)
 
@@ -59,7 +62,7 @@ def smooth_renorm(x, sigma: float) -> np.ndarray:
     # that one scalar.
     x, sigma = _as_f64(x), float(sigma)
     T = x.shape[-1]
-    w = _gaussian(T, math.ceil(4.0 * sigma), sigma)
+    w = _gaussian(T, 4.0, sigma)
     smoothed = _truncated_convolve(x, w)
     sums = _truncated_convolve(np.ones(min(T, w.shape[0])), w)
     if sums.shape[0] == T:  # no interior: every frame is within r of an edge
@@ -76,7 +79,7 @@ def smooth_renorm(x, sigma: float) -> np.ndarray:
 
 def smooth_strict(x, sigma: float) -> np.ndarray:
     x, sigma = _as_f64(x), float(sigma)
-    w = _gaussian(x.shape[-1], math.ceil(STRICT_RADIUS_SIGMAS * sigma), sigma)
+    w = _gaussian(x.shape[-1], STRICT_RADIUS_SIGMAS, sigma)
     w /= math.sqrt(2.0 * math.pi) * sigma
     return _truncated_convolve(x, w)
 

@@ -109,9 +109,8 @@ def validate_script(script: EventScript) -> None:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """Artifacts for one script plus the ground truth that produced them."""
+    """The expert bundle and detection source generated for one script."""
 
-    script: EventScript
     bundle: ExpertBundle
     ovd_source: OvdSource | None
 
@@ -181,7 +180,7 @@ def generate(script: EventScript) -> GeneratedInstance:
     )
     ovd_rows = tuple(rows[ExpertKind.OVD])
     ovd_source = OvdSource(script.script_id, ovd_rows) if ovd_rows else None
-    return GeneratedInstance(script=script, bundle=bundle, ovd_source=ovd_source)
+    return GeneratedInstance(bundle=bundle, ovd_source=ovd_source)
 
 
 def matched_tree_document(script: EventScript) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .cache import entry_key, read_entry, write_through
-from .config import EngineConfig, config_from_obj, load_config
+from .config import SCALAR_KEYS, EngineConfig, config_from_obj, load_config
 from .errors import (
     ArityError,
     BundleFormatError,
@@ -50,18 +50,6 @@ EXIT_ARITY = 4
 EXIT_INACTIVE_EXPERT = 5
 
 _SIGMA_FLAGS = {f"sigma_{kind.value.lower()}": kind for kind in ExpertKind}
-# argparse destination -> config-file key, for every other engine flag.
-_KEY_FLAGS = {
-    "gamma": "gamma",
-    "delta": "delta",
-    "kappa": "kappa",
-    "smoothing_mode": "smoothing_mode",
-    "strict_schema": "strict_schema",
-    "peaks": "max_peaks",
-    "neighbors": "neighbors_per_peak",
-    "window": "window",
-    "min_dist": "min_distance",
-}
 
 
 def _number_flag(text: str):
@@ -108,24 +96,27 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="reject unknown fields in tree documents (default: strict)",
     )
-    group.add_argument("--peaks", type=_number_flag, help="max peaks kept in phase 1")
-    group.add_argument("--neighbors", type=_number_flag,
-                       help="neighbors added per peak in phase 2")
+    group.add_argument("--peaks", type=_number_flag, dest="max_peaks", metavar="PEAKS",
+                       help="max peaks kept in phase 1")
+    group.add_argument("--neighbors", type=_number_flag, dest="neighbors_per_peak",
+                       metavar="NEIGHBORS", help="neighbors added per peak in phase 2")
     group.add_argument("--window", type=_number_flag, help="neighbor window width")
-    group.add_argument("--min-dist", type=_number_flag, help="minimum distance between peaks")
+    group.add_argument("--min-dist", type=_number_flag, dest="min_distance", metavar="MIN_DIST",
+                       help="minimum distance between peaks")
 
 
 def _config_from_args(args) -> EngineConfig:
     """Defaults, then the ``--config`` file, then the flags that were given.
 
-    The given flags form one config document, keyed like the file, so they
-    pass the same checks in ``config_from_obj``.
+    Each engine flag's argparse ``dest`` is its config key, so the given
+    flags form one config document, keyed like the file, and pass the same
+    checks in ``config_from_obj``.
     """
     config = load_config(args.config) if args.config else EngineConfig()
     flags = {
-        key: getattr(args, dest)
-        for dest, key in _KEY_FLAGS.items()
-        if getattr(args, dest) is not None
+        key: getattr(args, key)
+        for key in SCALAR_KEYS
+        if getattr(args, key, None) is not None
     }
     sigmas = {
         kind.value: getattr(args, dest)
@@ -135,7 +126,7 @@ def _config_from_args(args) -> EngineConfig:
     if sigmas:
         flags["sigma_by_expert"] = sigmas
     if args.experts is not None:
-        flags["active_experts"] = [n for n in args.experts.split(",") if n.strip()]
+        flags["active_experts"] = list(_list_flag("--experts", args.experts))
     return config_from_obj(flags, config)
 
 

@@ -62,10 +62,6 @@ class AttributionMatrix:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def num_leaves(self) -> int:
-        return self.values.shape[0]
-
     def restrict(self, frames) -> np.ndarray:
         """Columns for the selected frames, in the order given."""
         return self.values[:, np.asarray(frames, dtype=np.intp)]

@@ -83,7 +83,7 @@ def _expert(name) -> ExpertKind:
         raise SchemaError(f"unknown expert {name!r}") from None
 
 
-_SCALAR_KEYS = {
+SCALAR_KEYS = {
     "gamma": jsonio.number,
     "delta": jsonio.number,
     "kappa": jsonio.number,
@@ -113,8 +113,8 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
     updates: dict = {}
     for key, value in obj.items():
         what = f"config key {key!r}"
-        if key in _SCALAR_KEYS:
-            updates[key] = _SCALAR_KEYS[key](value, SchemaError, what)
+        if key in SCALAR_KEYS:
+            updates[key] = SCALAR_KEYS[key](value, SchemaError, what)
         elif key == "sigma_by_expert":
             sigmas = dict(base.sigma_by_expert)
             for name, sigma in jsonio.mapping(value, SchemaError, what).items():

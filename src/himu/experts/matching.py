@@ -35,12 +35,10 @@ alignment ends at the span length n, so a lane's distance is n plus the
 +1 deltas minus the -1 deltas of its final column, two popcounts.
 The lanes of queries of at most 64 characters are ``uint64`` words; the
 lanes of longer queries are Python ints (an ``object`` array) and run in
-a pass of their own; the code is the same. ``levenshtein_batch`` lays a
-list of strings out as spans, and the scalar ``levenshtein``,
-``similarity``, ``match_score`` and ``windowed_match_score`` are these
-over a single text. None of this changes a score: every result is the
-float the textbook dynamic program gives, which the tests keep as the
-reference.
+a pass of their own; the code is the same. The scalar ``levenshtein``,
+``match_score`` and ``windowed_match_score`` are these over a single
+text. None of this changes a score: every result is the float the
+textbook dynamic program gives, which the tests keep as the reference.
 """
 from __future__ import annotations
 
@@ -237,20 +235,10 @@ def levenshtein_spans(
     return out
 
 
-def levenshtein_batch(a: str, texts) -> np.ndarray:
-    """Edit distance from ``a`` to every ``t`` of ``texts``, as an int64 array:
-    the texts laid end to end as spans of one code array."""
-    texts = list(texts)
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    alphabet, ids = np.unique(_codes("".join(texts)), return_inverse=True)
-    owners = np.zeros(len(texts), dtype=np.intp)
-    return levenshtein_spans([a], alphabet, ids, owners, np.cumsum(lengths) - lengths, lengths)
-
-
 def _fuzzy_scores(queries: list[str], index: TextIndex, owners, starts, lengths) -> np.ndarray:
-    """``similarity(queries[owners[r]], span r)`` for every span r of the
-    index's codes where it reaches the threshold, else 0.0, from one
-    kernel call.
+    """1 - edits / max(len) between ``queries[owners[r]]`` and span r, for
+    every span r of the index's codes where it reaches the threshold, else
+    0.0, from one kernel call.
 
     The distance is at least the length difference, so with
     ``2 * |len(q) - len(span)| > longest`` the score is below 0.5 and no
@@ -355,15 +343,8 @@ def windowed_match_scores(queries, index: TextIndex) -> np.ndarray:
 
 def levenshtein(a: str, b: str) -> int:
     """Edit distance with unit insert/delete/substitute costs."""
-    return int(levenshtein_batch(a, [b])[0])
-
-
-def similarity(a: str, b: str) -> float:
-    """1 - edits / max(len); 1.0 for two empty strings."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longest
+    alphabet, ids = np.unique(_codes(b), return_inverse=True)
+    return int(levenshtein_spans([a], alphabet, ids, [0], [0], [len(b)])[0])
 
 
 def match_score(query: str, candidate: str) -> float:

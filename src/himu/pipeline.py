@@ -31,7 +31,6 @@ class PipelineResult:
     curve: SatisfactionCurve
     attribution: AttributionMatrix
     selection: SelectionResult
-    counters: ProviderCounters
 
 
 def condition_signals(
@@ -66,7 +65,7 @@ def select_frames(
     if strategy == "topk":
         return topk_select(curve, budget)
     if strategy == "uniform":
-        return uniform_select(len(curve), budget, curve.values)
+        return uniform_select(curve, budget)
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
@@ -97,10 +96,6 @@ def run_pipeline(
     """Full run: ``satisfaction_curve``, then ``select_frames``."""
     if config is None:
         config = EngineConfig()
-    if counters is None:
-        counters = ProviderCounters()
     curve, attribution = satisfaction_curve(tree, bundle, config, ovd_source, counters)
     selection = select_frames(curve, budget, config, strategy)
-    return PipelineResult(
-        curve=curve, attribution=attribution, selection=selection, counters=counters
-    )
+    return PipelineResult(curve=curve, attribution=attribution, selection=selection)

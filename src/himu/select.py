@@ -189,30 +189,21 @@ def topk_select(curve, budget: int) -> SelectionResult:
     return _result(values, dict.fromkeys(selected, SelectionPhase.FILL), [], "topk")
 
 
-def uniform_select(num_frames: int, budget: int, curve=None) -> SelectionResult:
-    """Evenly spaced frames, ignoring scores.
+def uniform_select(curve, budget: int) -> SelectionResult:
+    """Evenly spaced frames; the curve supplies only the reported scores.
 
     With k = min(budget, T) frames, frame i is round(i * (T - 1) / (k - 1)),
     rounding half to even; a single-frame budget takes frame 0. Positions
     before rounding are at least 1 apart, and more than 1 apart when k < T,
-    so they round to exactly k distinct frames. A curve, if given, only
-    supplies the reported scores and must have ``num_frames`` values.
+    so they round to exactly k distinct frames.
     """
-    if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
+    values = _check_curve(curve)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    k = min(budget, num_frames)
+    T = values.shape[0]
+    k = min(budget, T)
     if k == 1:
         chosen = [0]
     else:
-        chosen = np.round(np.arange(k) * (num_frames - 1) / (k - 1)).astype(int).tolist()
-    if curve is None:
-        values = np.zeros(num_frames)
-    else:
-        values = _check_curve(curve)
-        if values.shape[0] != num_frames:
-            raise ValueError(
-                f"curve has {values.shape[0]} values, expected num_frames={num_frames}"
-            )
+        chosen = np.round(np.arange(k) * (T - 1) / (k - 1)).astype(int).tolist()
     return _result(values, dict.fromkeys(chosen, SelectionPhase.FILL), [], "uniform")

@@ -223,15 +223,3 @@ def leaves_by_expert(tree: LogicTree) -> dict[ExpertKind, list[int]]:
     for leaf in tree.leaves:
         groups.setdefault(leaf.expert, []).append(leaf.leaf_id)
     return groups
-
-
-def structurally_equal(a: TreeNode, b: TreeNode) -> bool:
-    if a.is_leaf != b.is_leaf:
-        return False
-    if a.is_leaf:
-        return a.expert == b.expert and a.query == b.query
-    return (
-        a.op == b.op
-        and len(a.children) == len(b.children)
-        and all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
-    )

@@ -555,8 +555,11 @@ def test_satisfaction_curve_is_the_pipeline_curve():
     curve, attribution = satisfaction_curve(
         tree, instance.bundle, ovd_source=instance.ovd_source, counters=counters
     )
-    result = run_pipeline(tree, instance.bundle, 16, ovd_source=instance.ovd_source)
+    pipeline_counters = ProviderCounters()
+    result = run_pipeline(
+        tree, instance.bundle, 16, ovd_source=instance.ovd_source, counters=pipeline_counters
+    )
     assert curve.values.tobytes() == result.curve.values.tobytes()
     assert attribution.values.tobytes() == result.attribution.values.tobytes()
-    assert counters.snapshot() == result.counters.snapshot()
+    assert counters.snapshot() == pipeline_counters.snapshot()
     assert counters.snapshot() == {e: 1 for e in ("CLIP", "OVD", "OCR", "ASR", "CLAP")}

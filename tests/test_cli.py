@@ -16,6 +16,7 @@ from himu.bench import Event, EventScript, generate, save_scripts
 from himu.cache import entry_path
 from himu.cli import main
 from himu.experts import bundle_digest, dumps_bundle, dumps_ovd, load_bundle
+from himu.signals import SMOOTHING_MODES
 from himu.tree import ExpertKind
 
 ARTIFACTS = ("selection.json", "curve.json", "attribution.json")
@@ -429,7 +430,14 @@ def test_select_rejects_a_budget_below_1_before_inputs_are_read(workspace, capsy
 def test_select_sigma_flag_changes_curve(workspace):
     tmp_path, tree_path, bundle_path = workspace
     curves = {}
-    for name, extra in (("default", []), ("wide", ["--sigma-clip", "4.0"])):
+    # At the largest finite bandwidths 4 * sigma and 38.61 * sigma round to
+    # inf, so the kernel radius is capped at T - 1 before its ceiling.
+    huge = [
+        (f"{mode}-{value}", ["--smoothing-mode", mode, "--sigma-clip", value])
+        for mode in SMOOTHING_MODES
+        for value in ("4.5e307", "1e308")
+    ]
+    for name, extra in [("default", []), ("wide", ["--sigma-clip", "4.0"]), *huge]:
         out_dir = tmp_path / name
         assert main(
             ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
@@ -542,10 +550,13 @@ def test_config_file_and_flag_precedence(workspace):
         ["validate", "--tree", str(tree_path), "--config", str(config_path)]
     ) == 5
     # ...unless a flag re-enables it; flags take precedence over the file.
-    assert main(
-        ["validate", "--tree", str(tree_path), "--config", str(config_path),
-         "--experts", "clip,asr"]
-    ) == 0
+    # The flag is a comma list like the bench lists: fields are stripped and
+    # blank ones dropped.
+    for experts in ("clip,asr", "CLIP, ASR", " clip,,asr "):
+        assert main(
+            ["validate", "--tree", str(tree_path), "--config", str(config_path),
+             "--experts", experts]
+        ) == 0
 
 
 def test_gen_and_bench_commands(tmp_path, capsys):

@@ -116,7 +116,7 @@ def test_right_after_is_clamped():
 def test_attribution_matrix_restrict():
     m = AttributionMatrix(np.arange(12, dtype=np.float64).reshape(3, 4) / 12.0)
     np.testing.assert_allclose(m.restrict([0, 3]), m.values[:, [0, 3]])
-    assert m.num_leaves == 3
+    assert m.values.shape == (3, 4)
 
 
 def test_evaluate_hand_instance():

@@ -36,11 +36,9 @@ from himu.experts import (
     score_embedding_leaf,
     score_ocr_leaf,
     score_ovd_leaf,
-    similarity,
     windowed_match_score,
 )
 from himu.experts.matching import (
-    levenshtein_batch,
     levenshtein_spans,
     match_scores,
     query_key,
@@ -53,7 +51,6 @@ from oracles import (
     match_score_reference,
     score_asr_leaf_loop,
     score_ocr_leaf_loop,
-    similarity_reference,
     windowed_match_score_reference,
 )
 
@@ -98,7 +95,6 @@ def _query_and_text(draw):
 @given(_query_and_text())
 def test_matchers_equal_reference_exactly(pair):
     query, text = pair
-    assert similarity(query, text) == similarity_reference(query, text)
     assert match_score(query, text) == match_score_reference(query, text)
     assert windowed_match_score(query, text) == windowed_match_score_reference(query, text)
 
@@ -119,7 +115,7 @@ def test_matchers_at_word_size_boundaries(n, edit):
 
 
 # A lone surrogate is a valid Python str character that strict UTF-32
-# encoding rejects; the batch must still compare it like any other.
+# encoding rejects; the kernel must still compare it like any other.
 _BATCH_ALPHABET = "abcAB ßİ\ud800"
 _BATCH_TEXT = st.text(alphabet=_BATCH_ALPHABET, max_size=80)
 
@@ -129,11 +125,10 @@ _BATCH_TEXT = st.text(alphabet=_BATCH_ALPHABET, max_size=80)
     st.one_of(_BATCH_TEXT, st.text(alphabet=_BATCH_ALPHABET, min_size=60, max_size=130)),
     st.lists(st.text(alphabet=_BATCH_ALPHABET, max_size=140), max_size=12),
 )
-def test_levenshtein_batch_matches_matrix_oracle(a, texts):
+def test_levenshtein_text_by_text_matches_matrix_oracle(a, texts):
     # Queries past 64 characters run on Python-int lanes instead of uint64.
-    got = levenshtein_batch(a, texts)
-    assert got.dtype == np.int64
-    assert got.tolist() == [levenshtein_matrix(a, t) for t in texts]
+    for t in texts:
+        assert levenshtein(a, t) == levenshtein_matrix(a, t)
 
 
 def test_match_score_examples():
@@ -149,7 +144,6 @@ def test_match_score_threshold():
     # "abcd" vs "wxyz": distance 4 of 4 -> 0.0 similarity, below threshold.
     assert match_score("abcd", "wxyz") == 0.0
     # Score exactly at the threshold is kept.
-    assert similarity("ab", "ax") == 0.5
     assert match_score("ab", "ax") == 0.5
 
 
@@ -396,7 +390,7 @@ def test_text_leaf_rows_at_the_uint64_boundary(n):
     candidates = [
         query[:i] + "z" + query[i + 1 :] for i in (0, n // 2, n - 1)
     ] + [query[1:], query + "zz", query[: n // 2 - 1]]
-    assert levenshtein_batch(query, candidates).tolist() == [1, 1, 1, 1, 2, n - n // 2 + 1]
+    assert [levenshtein(query, c) for c in candidates] == [1, 1, 1, 1, 2, n - n // 2 + 1]
     transcript = tuple(
         TranscriptSegment(float(i), i + 1.0, f"xyz {c} xyz") for i, c in enumerate(candidates)
     )

@@ -264,6 +264,22 @@ def test_smooth_keeps_rows_of_no_frames(mode):
         assert out.shape == values.shape and out.dtype == np.float64
 
 
+@pytest.mark.parametrize("mode", SMOOTHING_MODES)
+def test_smooth_takes_the_largest_finite_bandwidths(mode):
+    # 4 * sigma and 38.61 * sigma round to inf here, so the radius is capped
+    # at T - 1 before its ceiling: every weight is then 1.0, times the strict
+    # mode's 1 / (sqrt(2 pi) sigma), which is 0.0 or subnormal.
+    sig = normalized(np.random.default_rng(3).random(30))
+    for sigma in (4.5e307, 1e308):
+        params = SmoothingParams(sigma_by_expert={ExpertKind.CLIP: sigma}, mode=mode)
+        out = smooth(sig, ExpertKind.CLIP, params)
+        if mode == "renormalized":
+            np.testing.assert_allclose(out, sig.mean(), rtol=1e-12)
+        else:
+            np.testing.assert_array_less(out, 1e-300)
+            assert (out >= 0.0).all()
+
+
 def test_smooth_preserves_constants_in_default_mode():
     sig = normalized(np.full(25, 0.73))
     for expert in ExpertKind:

@@ -17,7 +17,6 @@ from himu.tree import (
     leaves_by_expert,
     parse_tree,
     serialize,
-    structurally_equal,
 )
 
 
@@ -41,7 +40,7 @@ def test_single_leaf_explicit_op():
 def test_single_leaf_implicit_form():
     explicit = parse_tree(json.dumps(leaf("OVD", "black dog", explicit=True)))
     implicit = parse_tree(json.dumps(leaf("OVD", "black dog", explicit=False)))
-    assert structurally_equal(explicit.root, implicit.root)
+    assert serialize(explicit) == serialize(implicit)
 
 
 def test_mcq_pattern_leaf_ids_are_preorder():
@@ -262,7 +261,7 @@ def _tree_documents():
 def test_round_trip_and_partition(doc):
     tree = parse_tree(json.dumps(doc))
     again = parse_tree(serialize(tree))
-    assert structurally_equal(tree.root, again.root)
+    assert serialize(again) == serialize(tree)
     assert [l.leaf_id for l in again.leaves] == [l.leaf_id for l in tree.leaves]
     groups = leaves_by_expert(tree)
     flat = sorted(i for ids in groups.values() for i in ids)
