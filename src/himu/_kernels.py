@@ -38,7 +38,10 @@ def _gaussian(T: int, radius_sigmas: float, sigma: float) -> np.ndarray:
     # finite radius is the same either way.
     r = math.ceil(min(T - 1, radius_sigmas * sigma))
     d = np.arange(-r, r + 1, dtype=np.float64)
-    return np.exp(-0.5 * (d / sigma) ** 2)
+    # A subnormal sigma overflows d / sigma (or its square) to inf, whose
+    # weight exp(-inf) = 0 is the right one.
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * (d / sigma) ** 2)
 
 
 def _truncated_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -80,7 +83,8 @@ def smooth_renorm(x, sigma: float) -> np.ndarray:
 def smooth_strict(x, sigma: float) -> np.ndarray:
     x, sigma = _as_f64(x), float(sigma)
     w = _gaussian(x.shape[-1], STRICT_RADIUS_SIGMAS, sigma)
-    w /= math.sqrt(2.0 * math.pi) * sigma
+    with np.errstate(over="ignore"):  # a subnormal sigma makes the peak weight inf
+        w /= math.sqrt(2.0 * math.pi) * sigma
     return _truncated_convolve(x, w)
 
 

@@ -182,7 +182,10 @@ def _read_bundle(path, use_cache: bool):
     if bundle is not None:
         return bundle, key, True
     text = decode_text(data, BundleFormatError, "bundle")
-    # The bytes, the text and the parsed document are never all alive at once.
+    # The bytes and the text are alive together only while decoding, which is
+    # the peak of a cold load. The bytes go before parsing, and the parser
+    # turns each table row into float64 as it reads it, so the table values
+    # are never all Python floats at once.
     del data
     return loads_bundle(text), key, False
 

@@ -35,6 +35,7 @@ _BUNDLE_KEYS = {
     "meta",
 }
 _NUMBER_TYPES = {int, float}
+_FLOAT_TYPES = {float}
 
 
 def _check_rows(rows, what) -> tuple[tuple[str, np.ndarray], ...]:
@@ -254,6 +255,36 @@ def dumps_bundle(bundle: ExpertBundle) -> str:
     return jsonio.dumps(bundle_to_obj(bundle))
 
 
+def _float_row(obj: dict) -> dict:
+    """``json.loads`` object hook: a {query, values} object whose values are a
+    nonempty list of floats gets them as a float64 array.
+
+    The parser calls it as it closes each object, so a table's rows never
+    hold all their Python floats at once. Any other row keeps its list and
+    gets ``_check_values``'s verdict on it; a NaN or infinity still fails
+    there. Other objects leave after one lookup.
+    """
+    values = obj.get("values")
+    if (type(values) is list and len(obj) == 2 and "query" in obj
+            and set(map(type, values)) == _FLOAT_TYPES):
+        obj["values"] = np.array(values, dtype=np.float64)
+    return obj
+
+
+def _restore_lists(meta) -> None:
+    """Give the rows that ``_float_row`` converted inside free-form ``meta``
+    back the lists they were parsed from; ``tolist`` returns the same floats.
+    """
+    stack = [meta] if isinstance(meta, (dict, list)) else []
+    while stack:  # no recursion: meta may nest as deep as the parser allows
+        node = stack.pop()
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(value, np.ndarray):
+                node[key] = value.tolist()
+            elif isinstance(value, (dict, list)):
+                stack.append(value)
+
+
 def _rows_from_obj(entries, what: str):
     rows = []
     for row in jsonio.array(entries, BundleFormatError, what):
@@ -268,8 +299,8 @@ def _rows_from_obj(entries, what: str):
 def bundle_from_obj(obj) -> ExpertBundle:
     """Validate a parsed JSON document into an ExpertBundle.
 
-    Table row values may also be numpy arrays, as the disk cache passes
-    them; they go through the same checks as lists.
+    Table row values may also be numpy arrays, as ``loads_bundle`` and the
+    disk cache pass them; they go through the same checks as lists.
     """
     err = BundleFormatError
     jsonio.mapping(obj, err, "bundle document")
@@ -333,7 +364,10 @@ def bundle_from_obj(obj) -> ExpertBundle:
 
 
 def loads_bundle(text: str) -> ExpertBundle:
-    return bundle_from_obj(jsonio.parse_json(text, BundleFormatError, "bundle"))
+    obj = jsonio.parse_json(text, BundleFormatError, "bundle", _float_row)
+    if isinstance(obj, dict) and "meta" in obj:
+        _restore_lists(obj["meta"])
+    return bundle_from_obj(obj)
 
 
 def load_bundle(path) -> ExpertBundle:
@@ -382,7 +416,10 @@ def ovd_from_obj(obj) -> OvdSource:
 
 
 def load_ovd_source(path) -> OvdSource:
-    return ovd_from_obj(jsonio.load_json(path, BundleFormatError, "detection source"))
+    # A detection source has no free-form part, so every converted row is
+    # an entry or is rejected as a misplaced object.
+    return ovd_from_obj(jsonio.load_json(path, BundleFormatError, "detection source",
+                                         _float_row))
 
 
 def save_ovd_source(source: OvdSource, path) -> None:

@@ -39,24 +39,28 @@ def read_text(path, error: type[HimuError], what: str) -> str:
     return decode_text(Path(path).read_bytes(), error, what)
 
 
-def parse_json(text: str, error: type[HimuError], what: str):
+def parse_json(text: str, error: type[HimuError], what: str, object_hook=None):
     """Parse a JSON document, raising ``error`` for malformed input.
 
     Both failures of ``json.loads`` map to ``error``: invalid syntax (and
     integers beyond the interpreter's digit limit), and nesting deeper than
-    the parser's recursion limit.
+    the parser's recursion limit. ``object_hook`` is ``json.loads``'s: it
+    gets each object as soon as the parser closes it and returns what
+    stands in its place, so a loader can shrink a large object before the
+    rest of the document is read.
     """
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except ValueError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise error(f"{what} nesting exceeds parser limits") from None
 
 
-def load_json(path, error: type[HimuError], what: str):
-    """The parsed document in a UTF-8 JSON file."""
-    return parse_json(read_text(path, error, what), error, what)
+def load_json(path, error: type[HimuError], what: str, object_hook=None):
+    """The parsed document in a UTF-8 JSON file (``object_hook`` as in
+    ``parse_json``)."""
+    return parse_json(read_text(path, error, what), error, what, object_hook)
 
 
 @contextmanager

@@ -154,7 +154,9 @@ def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarr
     maps to sigmoid(gamma * (u - med) / (MAD + delta)), returned as an
     (n, T) array. A fully constant group lands exactly on 0.5 everywhere.
     Values lie in the open interval (0, 1) mathematically; float64 rounding
-    can reach the endpoints when the sigmoid saturates.
+    can reach the endpoints when the sigmoid saturates. When the scale
+    gamma / (MAD + delta) overflows, each value takes the sigmoid's limit:
+    1 above the median, 0.5 at it and 0 below it.
     """
     if params is None:
         params = NormalizationParams()
@@ -169,9 +171,17 @@ def normalize_joint(rows, params: NormalizationParams | None = None) -> np.ndarr
     if group.size == 0:  # rows of no frames: nothing to normalize
         return np.empty_like(group)
     med, mad = _median_and_mad(np.sort(group, axis=None))
-    scale = params.gamma / (mad + params.delta)
-    centered = np.subtract(group, med)
-    return _sigmoid(np.multiply(centered, scale, out=centered))
+    # Extreme values, or a huge gamma over a small MAD, overflow the
+    # centered values, the scale or the scaled values to inf. The sigmoid of
+    # +-inf is exact, but 0 * inf is NaN, so an infinite scale takes the
+    # sigmoid's limit instead: 1 above the median, 0.5 at it, 0 below it.
+    with np.errstate(over="ignore"):
+        centered = np.subtract(group, med)
+        scale = params.gamma / (mad + params.delta)
+        if scale == math.inf:
+            limit = np.sign(centered, out=centered)
+            return np.add(np.multiply(limit, 0.5, out=limit), 0.5, out=limit)
+        return _sigmoid(np.multiply(centered, scale, out=centered))
 
 
 def smooth(

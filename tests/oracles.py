@@ -361,3 +361,24 @@ def planted_row_loop(events, expert, query, num_frames) -> np.ndarray:
             if 0 <= t < num_frames:
                 values[t] = max(values[t], event.amplitude)
     return values
+
+
+def loads_bundle_parsed_first(text: str):
+    """The former bundle loader: the whole document parsed into Python
+    objects, every table value a Python float, and only then checked. It
+    reuses the package's checks, so it is a reference for when the rows
+    become arrays, not for the checks themselves."""
+    from himu.errors import BundleFormatError
+    from himu.experts import bundle_from_obj
+    from himu.jsonio import parse_json
+
+    return bundle_from_obj(parse_json(text, BundleFormatError, "bundle"))
+
+
+def load_ovd_source_parsed_first(path):
+    """The former detection-source loader, parsed in full and then checked."""
+    from himu.errors import BundleFormatError
+    from himu.experts import ovd_from_obj
+    from himu.jsonio import load_json
+
+    return ovd_from_obj(load_json(path, BundleFormatError, "detection source"))

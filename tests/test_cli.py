@@ -447,6 +447,16 @@ def test_select_sigma_flag_changes_curve(workspace):
     assert curves["default"] != curves["wide"]
 
 
+def test_select_with_a_gamma_that_overflows_the_scale(workspace, capsys):
+    tmp_path, tree_path, bundle_path = workspace
+    out_dir = tmp_path / "out"
+    assert main(["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
+                 "--frames", "8", "--out", str(out_dir), "--gamma", "1e308"]) == 0
+    assert capsys.readouterr().err == ""
+    values = json.loads((out_dir / "curve.json").read_text())["values"]
+    assert len(values) == 120 and all(0.0 <= v <= 1.0 for v in values)
+
+
 def test_select_rejects_non_finite_knobs(workspace, capsys):
     tmp_path, tree_path, bundle_path = workspace
     args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),

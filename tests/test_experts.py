@@ -1,5 +1,8 @@
 import copy
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +51,8 @@ from himu.experts.matching import (
 from himu.tree import ExpertKind, parse_tree
 from oracles import (
     levenshtein_matrix,
+    load_ovd_source_parsed_first,
+    loads_bundle_parsed_first,
     match_score_reference,
     score_asr_leaf_loop,
     score_ocr_leaf_loop,
@@ -677,10 +682,13 @@ def test_bundle_resave_is_byte_identical(tmp_path):
         num_frames=3600,
         frame_rate=1.0,
         clip_table=ScoreTable(ExpertKind.CLIP, "big", (("q", rng.random(3600)),)),
+        # Row-shaped objects in meta stay the lists they were.
+        meta={"rows": [{"query": "q", "values": [0.5, -0.0, 5e-324]}]},
     )
     first = dumps_bundle(bundle)
-    second = dumps_bundle(loads_bundle(first))
-    assert first == second
+    loaded = loads_bundle(first)
+    assert type(loaded.meta["rows"][0]["values"]) is list
+    assert dumps_bundle(loaded) == first
 
 
 def test_bundle_transcript_is_sorted_on_construction():
@@ -776,6 +784,124 @@ def test_ovd_source_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.entries[0][1], [0.0, 0.5, 0.9])
     with pytest.raises(BundleFormatError):
         load_ovd_source(__file__)
+
+
+# Row values of every kind a loader must take or reject as it always has:
+# floats with NaN, infinities, -0.0 and subnormals, ints inside and beyond the
+# float range, bools, strings, null, nested lists and empty lists.
+_ROW_ELEMENTS = st.one_of(
+    st.floats(),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([10**400, -(10**400)]),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+)
+_ROW_LENGTH = 3
+_FINITE_ROW = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=_ROW_LENGTH, max_size=_ROW_LENGTH)
+
+
+@st.composite
+def _row_values(draw):
+    """Mostly rows that load, and rows one element away from loading."""
+    kind = draw(st.integers(0, 5))
+    if kind <= 2:
+        return draw(_FINITE_ROW)
+    if kind == 3:
+        values = draw(_FINITE_ROW)
+        values[draw(st.integers(0, _ROW_LENGTH - 1))] = draw(_ROW_ELEMENTS)
+        return values
+    if kind == 4:
+        return draw(st.lists(_ROW_ELEMENTS, max_size=_ROW_LENGTH + 1))
+    return draw(_ROW_ELEMENTS)
+
+
+_ROWS = st.fixed_dictionaries({
+    "query": st.sampled_from(["a dog", "A  Dog", "a cat", "owl", "eel", "fox", " ", 7]),
+    "values": _row_values(),
+})
+# Free-form JSON for meta, with {query, values} objects, and objects with
+# one key more, at any depth.
+_META_KEYS = st.sampled_from(["query", "values", "rows", "x"])
+_META_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3) | _ROWS
+    | st.fixed_dictionaries({"query": st.just("q"), "values": _FINITE_ROW, "x": st.none()}),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_META_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+_META = st.dictionaries(_META_KEYS, _META_VALUES, max_size=3) | _META_VALUES
+
+
+def _loaded_or_error(load, source):
+    """The loaded object, or the type and message of the exception raised."""
+    try:
+        return load(source)
+    except Exception as exc:  # any exception: its type and message must match
+        return type(exc), str(exc)
+
+
+def _row_bytes(rows):
+    return [(query, values.dtype.str, values.tobytes()) for query, values in rows]
+
+
+@settings(max_examples=_examples(300), deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {"video_id": st.just("vid"), "T": st.just(_ROW_LENGTH), "frame_rate": st.just(1.0),
+         "format_version": st.just(1)},
+        optional={"clip_table": st.lists(_ROWS, max_size=3),
+                  "clap_table": st.lists(_ROWS, max_size=3), "meta": _META},
+    ),
+    st.lists(_ROWS, max_size=3),
+)
+def test_loaders_equal_parse_then_check_bytewise(document, entries):
+    """Rows made into arrays as they are parsed load, or fail, exactly as
+    rows checked after the whole document is parsed."""
+    text = json.dumps(document)
+    got = _loaded_or_error(loads_bundle, text)
+    want = _loaded_or_error(loads_bundle_parsed_first, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        for name in ("clip_table", "clap_table"):
+            table, expected = getattr(got, name), getattr(want, name)
+            assert (table is None) == (expected is None)
+            if expected is not None:
+                assert _row_bytes(table.rows) == _row_bytes(expected.rows)
+        saved = dumps_bundle(want)
+        assert dumps_bundle(got) == saved
+        assert dumps_bundle(loads_bundle(saved)) == saved
+        assert bundle_digest(got) == bundle_digest(want)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "source.ovd.json"
+        path.write_text(json.dumps({"video_id": "vid", "format_version": 1,
+                                    "entries": entries}), encoding="utf-8")
+        got = _loaded_or_error(load_ovd_source, path)
+        want = _loaded_or_error(load_ovd_source_parsed_first, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _row_bytes(got.entries) == _row_bytes(want.entries)
+
+
+def test_bundle_load_holds_one_row_of_python_floats_at_a_time():
+    rows, T = 8, 20_000
+    rng = np.random.default_rng(3)
+    table = ScoreTable(ExpertKind.CLIP, "vid",
+                       tuple((f"q{i}", rng.random(T)) for i in range(rows)))
+    text = dumps_bundle(make_bundle(T=T, clip_table=table))
+    tracemalloc.start()
+    try:
+        loads_bundle(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A float object alone takes 24 bytes, so holding every value as a
+    # Python float at once would exceed this bound.
+    assert peak < rows * T * 24
 
 
 # --- evaluate_leaves ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,27 @@ def test_smooth_strict_matches_scalar_oracle(sigma):
             rtol=0,
             atol=1e-12,
         )
+
+
+# The strict peak weight 1 / (sqrt(2 pi) sigma) overflows at 5e-324.
+@pytest.mark.parametrize("sigma, strict_peak", [
+    (5e-324, math.inf),
+    (1e-300, 1.0 / (math.sqrt(2.0 * math.pi) * 1e-300)),
+])
+def test_smoothing_at_tiny_bandwidths_warns_nothing(sigma, strict_peak):
+    # d / sigma, or its square, overflows to inf for every offset d != 0, and
+    # exp(-inf) = 0 is the right weight: the kernel is one frame wide.
+    x = RNG.random(50) + 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = [_kernels._gaussian(50, radius_sigmas, sigma)
+                   for radius_sigmas in (4.0, _kernels.STRICT_RADIUS_SIGMAS)]
+        renorm = _kernels.smooth_renorm(x, sigma)
+        strict = _kernels.smooth_strict(x, sigma)
+    for w in weights:
+        assert w.tobytes() == np.array([0.0, 1.0, 0.0]).tobytes()
+    assert renorm.tobytes() == x.tobytes()
+    assert strict.tobytes() == (x * strict_peak).tobytes()
 
 
 def test_smooth_renorm_preserves_constants_everywhere():

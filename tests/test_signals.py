@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,18 @@ def test_normalization_of_non_finite_groups_matches_two_medians(values):
         got = normalize_joint(group)
         want = normalize_two_medians(group, 3.0, 1e-6)
     assert got.tobytes() == want.tobytes()
+
+
+def test_normalization_takes_the_sigmoid_limit_when_the_scale_overflows():
+    # The MAD is 0.125, so the scale gamma / (MAD + delta) overflows to inf.
+    group = raw([[0.25, 0.5, 0.5], [0.75, 0.5, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = normalize_joint(group, NormalizationParams(gamma=1e308))
+    assert got.tolist() == [[0.0, 0.5, 0.5], [1.0, 0.5, 0.0]]
+    # A huge finite scale saturates to the same values.
+    finite = normalize_joint(group[:, :2], NormalizationParams(gamma=1e300))
+    assert finite.tobytes() == got[:, :2].tobytes()
 
 
 @settings(max_examples=_examples(300), deadline=None)
