@@ -1,8 +1,9 @@
 """On-disk bundle cache read and written by ``himu select``.
 
 Key: the SHA-256 of the bundle file's bytes, so a hit is found without
-parsing the bundle. For a file in the canonical form that ``save_bundle``
-writes, the key equals ``bundle_digest`` of its content. A file holding the
+parsing the bundle, and ``file_key`` finds it without holding the whole
+file. For a file in the canonical form that ``save_bundle`` writes, the key
+equals ``bundle_digest`` of its content. A file holding the
 same bundle in another layout (compact JSON, other key order) hashes
 differently and gets an entry of its own.
 
@@ -50,6 +51,7 @@ ENTRY_VERSION = 1
 
 _TABLES = ("clip_table", "clap_table")  # bundle attributes and document keys
 _ROW_DTYPE = np.dtype("<f8")
+_KEY_PIECE = 64 * 1024
 
 
 def cache_root(override=None) -> Path:
@@ -65,6 +67,18 @@ def cache_root(override=None) -> Path:
 def entry_key(data: bytes) -> str:
     """Cache key of a bundle file: the SHA-256 of its bytes."""
     return hashlib.sha256(data).hexdigest()
+
+
+def file_key(path) -> str:
+    """``entry_key`` of the file at ``path``, read in 64 KiB pieces, so the
+    file is never whole in memory."""
+    digest = hashlib.sha256()
+    buffer = bytearray(_KEY_PIECE)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def entry_path(key: str, root=None) -> Path:

@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cache import entry_key, read_entry, write_through
+from .cache import entry_key, file_key, read_entry, write_through
 from .config import SCALAR_KEYS, EngineConfig, config_from_obj, load_config
 from .errors import (
     ArityError,
@@ -175,12 +175,19 @@ def _write_outputs(out_dir: Path, artifacts: dict[str, dict], bundle, key) -> li
 def _read_bundle(path, use_cache: bool):
     """The bundle in ``path``, its cache key (None without the cache) and
     whether it came from a cache entry, in which case the file is not parsed.
+
+    The lookup hashes the file in pieces, and the file is read whole only on
+    a miss. The key of a miss is then taken from the bytes that are parsed,
+    so a file replaced between the two reads never gets an entry for content
+    it does not hold.
     """
+    if use_cache:
+        key = file_key(path)
+        bundle = read_entry(key)
+        if bundle is not None:
+            return bundle, key, True
     data = Path(path).read_bytes()
     key = entry_key(data) if use_cache else None
-    bundle = read_entry(key) if key is not None else None
-    if bundle is not None:
-        return bundle, key, True
     text = decode_text(data, BundleFormatError, "bundle")
     # The bytes and the text are alive together only while decoding, which is
     # the peak of a cold load. The bytes go before parsing, and the parser

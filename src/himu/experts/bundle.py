@@ -380,8 +380,14 @@ def save_bundle(bundle: ExpertBundle, path) -> None:
 
 
 def bundle_digest(bundle: ExpertBundle) -> str:
-    """Content-addressed identity: SHA-256 of the canonical serialization."""
-    return hashlib.sha256(dumps_bundle(bundle).encode("utf-8")).hexdigest()
+    """Content-addressed identity: SHA-256 of the canonical serialization.
+
+    The encoder's pieces go into the hash as they are made, so neither the
+    text nor its UTF-8 bytes are ever whole in memory.
+    """
+    digest = hashlib.sha256()
+    jsonio.encode(bundle_to_obj(bundle), lambda piece: digest.update(piece.encode("utf-8")))
+    return digest.hexdigest()
 
 
 # --- OVD source files ----------------------------------------------------------

@@ -7,6 +7,7 @@ never that both drifted together.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -382,3 +383,11 @@ def load_ovd_source_parsed_first(path):
     from himu.jsonio import load_json
 
     return ovd_from_obj(load_json(path, BundleFormatError, "detection source"))
+
+
+def dumps_stdlib(obj) -> str:
+    """The canonical text of a document as the standard library writes it:
+    ``json.dumps`` with a 2-space indent and non-ASCII text kept, then a
+    final newline. On CPython before 3.13 this formats every value in
+    Python."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"

@@ -8,7 +8,7 @@ import pytest
 
 import himu.jsonio
 from himu.bench import Event, EventScript, RecallReport, save_report, save_scripts
-from himu.cache import cache_root, entry_key, entry_path, read_entry, write_through
+from himu.cache import cache_root, entry_key, entry_path, file_key, read_entry, write_through
 from himu.experts import (
     OvdSource,
     bundle_digest,
@@ -53,6 +53,13 @@ def test_entry_key_is_the_digest_of_a_canonical_file(tmp_path, rich_bundle):
     assert entry_key(canonical.read_bytes()) == bundle_digest(load_bundle(canonical))
     compact = json.dumps(json.loads(canonical.read_text(encoding="utf-8")))
     assert entry_key(compact.encode("utf-8")) != entry_key(canonical.read_bytes())
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 200_000])
+def test_file_key_is_the_entry_key_of_the_file_bytes(tmp_path, size):
+    path = tmp_path / "bundle.json"
+    path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
+    assert file_key(path) == entry_key(path.read_bytes())
 
 
 def test_missing_entry_is_a_miss(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 import himu
 import himu.jsonio
 from himu.bench import Event, EventScript, generate, save_scripts
-from himu.cache import entry_path
+from himu.cache import entry_key, entry_path, read_entry
 from himu.cli import main
 from himu.experts import bundle_digest, dumps_bundle, dumps_ovd, load_bundle
 from himu.signals import SMOOTHING_MODES
@@ -268,6 +268,35 @@ def test_warm_run_from_entry_writes_cold_artifacts(rich_workspace):
     assert first == again == cold
     assert (first_stats["disk_hit"], again_stats["disk_hit"]) == (False, True)
     assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
+def test_warm_run_hashes_the_bundle_without_reading_it_whole(rich_workspace, monkeypatch):
+    tmp_path, args, bundle_path = rich_workspace
+    cold, _ = _select(args, tmp_path / "cold")
+    read_bytes = Path.read_bytes
+
+    def refuse_the_bundle(path):
+        assert path != bundle_path, "a warm run read the bundle file whole"
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse_the_bundle)
+    warm, warm_stats = _select(args, tmp_path / "warm")
+    assert warm == cold
+    assert warm_stats["disk_hit"] is True
+
+
+def test_a_bundle_replaced_after_hashing_is_cached_under_its_own_bytes(
+        rich_workspace, monkeypatch):
+    """The lookup hashes the file, then a miss reads it again: if the file
+    changed in between, the entry goes under the key of what was parsed."""
+    tmp_path, args, bundle_path = rich_workspace
+    monkeypatch.setattr("himu.cli.file_key", lambda path: "0" * 64)  # the former file's key
+    cold, cold_stats = _select(args, tmp_path / "cold")
+    assert cold_stats["bundle_ingested"] == 1
+    entry = entry_path(entry_key(bundle_path.read_bytes()))
+    assert list((tmp_path / "cache").iterdir()) == [entry]
+    assert dumps_bundle(read_entry(entry_key(bundle_path.read_bytes()))) == \
+        bundle_path.read_text(encoding="utf-8")
 
 
 _UNPICKLED = []
