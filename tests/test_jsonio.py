@@ -103,10 +103,14 @@ def test_canonical_encoder_matches_stdlib_bytewise(doc, data):
     assert _error(dumps, bad_value) == _error(dumps_stdlib, bad_value)
 
 
-def test_flat_lists_at_every_depth_match_stdlib():
-    row = [0.1 * i for i in range(1, 2000)] + [-0.0, 5e-324, math.nan, math.inf, None, True, "é"]
+@pytest.mark.parametrize("length", [1, 8191, 8192, 8193, 2 * 8192 + 5])
+def test_flat_lists_of_any_length_at_every_depth_match_stdlib(length):
+    """Long flat lists go to the C encoder in slices; the slices must join
+    into the stdlib text at any nesting depth."""
+    specials = [-0.0, 5e-324, math.nan, math.inf, None, True, "é"]
+    row = (specials + [0.1 * i for i in range(length)])[:length]
     doc = row
-    for depth in range(8):
+    for depth in range(6):
         doc = {"values": doc, "row": row, "pair": (row[:2], {"k": 1})} if depth % 2 else [doc, row]
         assert dumps(doc) == dumps_stdlib(doc)
 
