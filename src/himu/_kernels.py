@@ -1,8 +1,8 @@
 """Hot numeric kernels, one implementation each.
 
-Both Gaussian smoothing modes are the same truncated convolution: each
-output frame sums the in-bounds frames within a radius, and the two modes
-differ only in their weights and their radius.
+Gaussian smoothing is a truncated convolution: each output frame sums the
+in-bounds frames within a radius, and the sums are renormalized by the
+in-bounds weights.
 """
 from __future__ import annotations
 
@@ -23,11 +23,11 @@ def _as_f64(x):
 
 # --- Gaussian smoothing -------------------------------------------------------
 #
-# Default mode: kernel truncated at radius ceil(4*sigma), weights renormalized
-# over the in-bounds support at every position, so constants survive at the
-# boundaries. Strict mode: analytically normalized Gaussian, no boundary
-# correction; boundary frames come out under-weighted, which is the behavior
-# the renormalized mode exists to avoid.
+# Kernel truncated at radius ceil(4*sigma), weights renormalized over the
+# in-bounds support at every position, so constants survive at the
+# boundaries. ``smooth_strict`` is the uncorrected kernel: analytically
+# normalized, no boundary correction, so boundary frames come out
+# under-weighted.
 
 
 def _gaussian(T: int, radius_sigmas: float, sigma: float) -> np.ndarray:
@@ -80,6 +80,7 @@ def smooth_renorm(x, sigma: float) -> np.ndarray:
     return smoothed
 
 
+# Traced by perfbench/spans.py; no engine path calls it.
 def smooth_strict(x, sigma: float) -> np.ndarray:
     x, sigma = _as_f64(x), float(sigma)
     w = _gaussian(x.shape[-1], STRICT_RADIUS_SIGMAS, sigma)

@@ -54,10 +54,8 @@ _ROW_DTYPE = np.dtype("<f8")
 _KEY_PIECE = 64 * 1024
 
 
-def cache_root(override=None) -> Path:
-    """Disk cache root: explicit override, else the environment, else CWD."""
-    if override is not None:
-        return Path(override)
+def cache_root() -> Path:
+    """Disk cache root: the environment, else CWD."""
     env = os.environ.get(CACHE_DIR_ENV)
     if env:
         return Path(env)
@@ -81,12 +79,12 @@ def file_key(path) -> str:
     return digest.hexdigest()
 
 
-def entry_path(key: str, root=None) -> Path:
+def entry_path(key: str) -> Path:
     """Where the entry for this key is stored."""
-    return cache_root(root) / f"{key}.entry"
+    return cache_root() / f"{key}.entry"
 
 
-def write_through(bundle: ExpertBundle, key: str, root=None) -> Path:
+def write_through(bundle: ExpertBundle, key: str) -> Path:
     """Store a bundle under its key; returns the entry path."""
     # The tables leave the JSON header before it is built, so their values
     # are never turned into Python floats.
@@ -102,7 +100,7 @@ def write_through(bundle: ExpertBundle, key: str, root=None) -> Path:
             rows += [values for _, values in table.rows]
     array = np.array(rows, dtype=_ROW_DTYPE).reshape(len(rows), bundle.num_frames)
 
-    path = entry_path(key, root)
+    path = entry_path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_file(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
@@ -110,10 +108,10 @@ def write_through(bundle: ExpertBundle, key: str, root=None) -> Path:
     return path
 
 
-def read_entry(key: str, root=None) -> ExpertBundle | None:
+def read_entry(key: str) -> ExpertBundle | None:
     """The bundle stored under ``key``, or None when there is no valid entry."""
     try:
-        with open(entry_path(key, root), "rb") as fh:
+        with open(entry_path(key), "rb") as fh:
             return _load_entry(fh)
     except (OSError, ValueError, HimuError):
         return None

@@ -39,7 +39,6 @@ from .experts.bundle import (
 from .experts.scoring import ProviderCounters
 from .jsonio import atomic_file, decode_text, read_text, save_json
 from .pipeline import STRATEGIES, run_pipeline
-from .signals import SMOOTHING_MODES
 from .tree import ExpertKind, parse_tree
 
 EXIT_OK = 0
@@ -81,11 +80,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             dest=flag,
             help=f"smoothing bandwidth for {kind.value}",
         )
-    group.add_argument(
-        "--smoothing-mode",
-        choices=SMOOTHING_MODES,
-        help="boundary handling for Gaussian smoothing",
-    )
     group.add_argument(
         "--experts",
         help="comma-separated active expert set (default: all)",

@@ -35,7 +35,6 @@ class EngineConfig:
     sigma_by_expert: dict[ExpertKind, float] = field(
         default_factory=lambda: dict(DEFAULT_BANDWIDTHS)
     )
-    smoothing_mode: str = "renormalized"
     active_experts: frozenset[ExpertKind] = ALL_EXPERTS
     strict_schema: bool = True
     max_depth: int = DEFAULT_MAX_DEPTH
@@ -62,9 +61,7 @@ class EngineConfig:
         return NormalizationParams(gamma=self.gamma, delta=self.delta)
 
     def smoothing_params(self) -> SmoothingParams:
-        return SmoothingParams(
-            sigma_by_expert=dict(self.sigma_by_expert), mode=self.smoothing_mode
-        )
+        return SmoothingParams(sigma_by_expert=dict(self.sigma_by_expert))
 
     def pass_params(self, budget: int) -> PassParams:
         return PassParams(
@@ -87,7 +84,6 @@ SCALAR_KEYS = {
     "gamma": jsonio.number,
     "delta": jsonio.number,
     "kappa": jsonio.number,
-    "smoothing_mode": jsonio.string,
     "strict_schema": jsonio.boolean,
     "max_depth": jsonio.integer,
     "max_leaves": jsonio.integer,
@@ -116,11 +112,13 @@ def config_from_obj(obj: dict, base: EngineConfig | None = None) -> EngineConfig
         if key in SCALAR_KEYS:
             updates[key] = SCALAR_KEYS[key](value, SchemaError, what)
         elif key == "sigma_by_expert":
-            sigmas = dict(base.sigma_by_expert)
+            given: dict[ExpertKind, float] = {}
             for name, sigma in jsonio.mapping(value, SchemaError, what).items():
-                sigmas[_expert(name)] = jsonio.number(
-                    sigma, SchemaError, f"bandwidth for {name!r}")
-            updates["sigma_by_expert"] = sigmas
+                expert = _expert(name)
+                if expert in given:
+                    raise SchemaError(f"bandwidth for {expert.value} is given twice")
+                given[expert] = jsonio.number(sigma, SchemaError, f"bandwidth for {name!r}")
+            updates["sigma_by_expert"] = {**base.sigma_by_expert, **given}
         elif key == "active_experts":
             names = jsonio.array(value, SchemaError, what)
             updates["active_experts"] = frozenset(_expert(name) for name in names)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import (
+    BundleFormatError,
     LeafEvaluationError,
     MissingArtifactError,
     MissingRowError,
@@ -180,8 +181,15 @@ def evaluate_leaves(
     tree are never consulted, and duplicate predicates share one scoring
     call while still receiving their own row. A text expert scores all of
     its distinct queries in one batch at its first leaf. Failures carry
-    the identity of the leaf being scored, in leaf order.
+    the identity of the leaf being scored, in leaf order. A detection
+    source for another video is a ``BundleFormatError`` before any leaf is
+    scored.
     """
+    if ovd_source is not None and ovd_source.video_id != bundle.video_id:
+        raise BundleFormatError(
+            f"detection source is for video {ovd_source.video_id!r}, "
+            f"bundle is for {bundle.video_id!r}"
+        )
     if counters is None:
         counters = ProviderCounters()
     # The distinct queries of each text expert, in first-appearance order

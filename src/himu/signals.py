@@ -52,31 +52,21 @@ DEFAULT_BANDWIDTHS = {
     ExpertKind.CLAP: 2.0,
 }
 
-SMOOTHING_MODES = ("renormalized", "strict")
-
 
 @dataclass(frozen=True)
 class SmoothingParams:
     """Per-expert Gaussian bandwidths in frames; 0 disables smoothing.
 
-    ``mode`` selects boundary handling: ``renormalized`` (default) truncates
-    the kernel at radius ceil(4*sigma) and rescales the in-bounds weights to
-    sum to 1 at every position so constant signals are preserved;
-    ``strict`` applies the analytically normalized kernel with no boundary
-    correction, which depresses boundary frames and is kept only for
-    comparison. Strict truncates at radius ceil(38.61*sigma), past which
-    every float64 weight is exactly 0, so it equals the sum over the whole
-    timeline.
+    The kernel is truncated at radius ceil(4*sigma) and its in-bounds
+    weights are rescaled to sum to 1 at every position, so constant signals
+    keep their value up to the timeline's edges.
     """
 
     sigma_by_expert: dict[ExpertKind, float] = field(
         default_factory=lambda: dict(DEFAULT_BANDWIDTHS)
     )
-    mode: str = "renormalized"
 
     def __post_init__(self):
-        if self.mode not in SMOOTHING_MODES:
-            raise ValueError(f"mode must be one of {SMOOTHING_MODES}")
         for expert, sigma in self.sigma_by_expert.items():
             if not (math.isfinite(sigma) and sigma >= 0):
                 raise ValueError(f"bandwidth for {expert} must be finite and >= 0")
@@ -190,10 +180,7 @@ def smooth(
     """Gaussian-smooth a normalized row, or each row of an (n, T) group, with
     the expert's bandwidth, computing the renormalizing sums once per call.
 
-    Bandwidth 0 returns the values unchanged. In strict mode the raw
-    convolution can drift outside [0, 1] because the discrete analytic
-    kernel does not sum to exactly 1; the result is clamped so downstream
-    fuzzy composition stays bounded.
+    Bandwidth 0 returns the values unchanged.
     """
     if params is None:
         params = SmoothingParams()
@@ -203,7 +190,4 @@ def smooth(
         raise MissingBandwidthError(f"no bandwidth configured for {expert}") from None
     if sigma == 0:
         return values
-    if params.mode == "renormalized":
-        return _kernels.smooth_renorm(values, sigma)
-    smoothed = _kernels.smooth_strict(values, sigma)
-    return np.clip(smoothed, 0.0, 1.0, out=smoothed)
+    return _kernels.smooth_renorm(values, sigma)

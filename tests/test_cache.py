@@ -2,6 +2,7 @@ import errno
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,19 +24,23 @@ from himu.tree import ExpertKind
 def test_cache_root_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path / "alt"))
     assert cache_root() == tmp_path / "alt"
-    assert cache_root(tmp_path / "explicit") == tmp_path / "explicit"
+    monkeypatch.setenv("HIMU_CACHE_DIR", "")
+    assert cache_root() == Path(".himu-cache")
+    monkeypatch.delenv("HIMU_CACHE_DIR")
+    assert cache_root() == Path(".himu-cache")
 
 
-def test_disk_round_trip_bit_identical(tmp_path, rich_bundle):
+def test_disk_round_trip_bit_identical(tmp_path, monkeypatch, rich_bundle):
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path))
     key = bundle_digest(rich_bundle)
-    path = write_through(rich_bundle, key, root=tmp_path)
-    assert path == entry_path(key, tmp_path) == tmp_path / f"{key}.entry"
+    path = write_through(rich_bundle, key)
+    assert path == entry_path(key) == tmp_path / f"{key}.entry"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     header, rows = path.read_bytes().split(b"\n", 1)
     assert json.loads(header)["clip_table"] == ["a dog", "a cat"]
     assert rows.startswith(b"\x93NUMPY\x01\x00")
 
-    loaded = read_entry(key, root=tmp_path)
+    loaded = read_entry(key)
     assert dumps_bundle(loaded) == dumps_bundle(rich_bundle)
     assert loaded.meta == rich_bundle.meta
     for table in ("clip_table", "clap_table"):
@@ -62,15 +67,17 @@ def test_file_key_is_the_entry_key_of_the_file_bytes(tmp_path, size):
     assert file_key(path) == entry_key(path.read_bytes())
 
 
-def test_missing_entry_is_a_miss(tmp_path):
-    assert read_entry("0" * 64, root=tmp_path) is None
-    assert read_entry("0" * 64, root=tmp_path / "absent") is None
+def test_missing_entry_is_a_miss(tmp_path, monkeypatch):
+    for root in (tmp_path, tmp_path / "absent"):
+        monkeypatch.setenv("HIMU_CACHE_DIR", str(root))
+        assert read_entry("0" * 64) is None
 
 
-def test_bundle_without_tables_round_trips(tmp_path, rich_bundle):
+def test_bundle_without_tables_round_trips(tmp_path, monkeypatch, rich_bundle):
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path))
     bundle = replace(rich_bundle, clip_table=None, clap_table=None)
-    path = write_through(bundle, "k", root=tmp_path)
-    assert dumps_bundle(read_entry("k", root=tmp_path)) == dumps_bundle(bundle)
+    path = write_through(bundle, "k")
+    assert dumps_bundle(read_entry("k")) == dumps_bundle(bundle)
     rows = np.load(io.BytesIO(path.read_bytes().split(b"\n", 1)[1]), allow_pickle=False)
     assert rows.shape == (0, bundle.num_frames)
 
@@ -93,7 +100,7 @@ _WRITERS = {
     "save_ovd_source": lambda bundle, tmp_path: save_ovd_source(
         OvdSource("vid", (("red car", np.array([0.0, 0.5, 0.9])),)), tmp_path / "o.json"
     ),
-    "write_through": lambda bundle, tmp_path: write_through(bundle, "k", root=tmp_path),
+    "write_through": lambda bundle, tmp_path: write_through(bundle, "k"),
     "save_scripts": lambda bundle, tmp_path: save_scripts(
         [EventScript("s", 10, (Event(ExpertKind.CLIP, "a dog", (1, 3)),))], tmp_path / "s.json"
     ),
@@ -105,6 +112,7 @@ _WRITERS = {
 
 @pytest.mark.parametrize("writer", list(_WRITERS))
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, rich_bundle, writer):
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path))  # where write_through writes
     monkeypatch.setattr(himu.jsonio, "open", _disk_full_open, raising=False)
     with pytest.raises(OSError, match="No space left"):
         _WRITERS[writer](rich_bundle, tmp_path)

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -14,9 +15,9 @@ import himu
 import himu.jsonio
 from himu.bench import Event, EventScript, generate, save_scripts
 from himu.cache import entry_key, entry_path, read_entry
-from himu.cli import main
+from himu.cli import _SIGMA_FLAGS, build_parser, main
+from himu.config import SCALAR_KEYS
 from himu.experts import bundle_digest, dumps_bundle, dumps_ovd, load_bundle
-from himu.signals import SMOOTHING_MODES
 from himu.tree import ExpertKind
 
 ARTIFACTS = ("selection.json", "curve.json", "attribution.json")
@@ -203,6 +204,34 @@ def test_select_disk_cache_witness(workspace):
     second = json.loads((tmp_path / "b" / "stats.json").read_text())["cache"]
     assert first == {"bundle_ingested": 1, "disk_hit": False, "disabled": False}
     assert second == {"bundle_ingested": 0, "disk_hit": True, "disabled": False}
+
+
+def test_select_rejects_a_detection_source_for_another_video(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path / "cache"))
+    instance = generate(EventScript(
+        script_id="vid-2",
+        num_frames=60,
+        events=(Event(ExpertKind.OVD, "ball", (20, 24), amplitude=0.8),),
+        seed=4,
+    ))
+    bundle_path = tmp_path / "vid-2.bundle.json"
+    bundle_path.write_text(dumps_bundle(instance.bundle), encoding="utf-8")
+    tree_path = write_tree(tmp_path, {"op": "LEAF", "expert": "OVD", "query": "ball"})
+    args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path), "--frames", "4"]
+    own = tmp_path / "vid-2.ovd.json"
+    own.write_text(dumps_ovd(instance.ovd_source), encoding="utf-8")
+    assert main([*args, "--ovd", str(own), "--out", str(tmp_path / "own"), "--no-cache"]) == 0
+    capsys.readouterr()
+
+    foreign = tmp_path / "other.ovd.json"
+    foreign.write_text(
+        dumps_ovd(replace(instance.ovd_source, video_id="some-other-video")), encoding="utf-8"
+    )
+    assert main([*args, "--ovd", str(foreign), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "'some-other-video'" in err and "'vid-2'" in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 def test_select_cache_entry_stays_under_root(workspace, monkeypatch):
@@ -459,21 +488,21 @@ def test_select_rejects_a_budget_below_1_before_inputs_are_read(workspace, capsy
 def test_select_sigma_flag_changes_curve(workspace):
     tmp_path, tree_path, bundle_path = workspace
     curves = {}
-    # At the largest finite bandwidths 4 * sigma and 38.61 * sigma round to
-    # inf, so the kernel radius is capped at T - 1 before its ceiling.
-    huge = [
-        (f"{mode}-{value}", ["--smoothing-mode", mode, "--sigma-clip", value])
-        for mode in SMOOTHING_MODES
-        for value in ("4.5e307", "1e308")
-    ]
+    # At the largest finite bandwidths 4 * sigma rounds to inf, so the
+    # kernel radius is capped at T - 1 before its ceiling.
+    huge = [(f"huge-{value}", ["--sigma-clip", value]) for value in ("4.5e307", "1e308")]
+    args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
+            "--frames", "8", "--no-cache"]
     for name, extra in [("default", []), ("wide", ["--sigma-clip", "4.0"]), *huge]:
         out_dir = tmp_path / name
-        assert main(
-            ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
-             "--frames", "8", "--out", str(out_dir), "--no-cache", *extra]
-        ) == 0
+        assert main([*args, "--out", str(out_dir), *extra]) == 0
         curves[name] = json.loads((out_dir / "curve.json").read_text())["values"]
     assert curves["default"] != curves["wide"]
+    # There is one smoothing kernel: the former mode flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "mode"), "--smoothing-mode", "strict"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "mode").exists()
 
 
 def test_select_with_a_gamma_that_overflows_the_scale(workspace, capsys):
@@ -509,6 +538,7 @@ def test_select_rejects_non_finite_knobs(workspace, capsys):
         '{"window": "5"}',
         '{"max_depth": Infinity}',
         '{"max_peaks": 0}',
+        '{"smoothing_mode": "renormalized"}',
         ["--peaks", "0"],
         ["--window", "0"],
         ["--sigma-clip", "inf"],
@@ -596,6 +626,23 @@ def test_config_file_and_flag_precedence(workspace):
             ["validate", "--tree", str(tree_path), "--config", str(config_path),
              "--experts", experts]
         ) == 0
+
+
+def test_every_engine_flag_is_read_as_a_config_key():
+    # _config_from_args reads the scalar flags by config key, so a flag
+    # whose dest is not one would be accepted and then silently ignored.
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    read = set(SCALAR_KEYS) | set(_SIGMA_FLAGS) | {"experts", "config"}
+    for name in ("validate", "select", "bench"):
+        (group,) = [
+            group for group in commands.choices[name]._action_groups
+            if group.title == "engine configuration"
+        ]
+        dests = {action.dest for action in group._group_actions}
+        assert dests and dests <= read, (name, sorted(dests - read))
 
 
 def test_gen_and_bench_commands(tmp_path, capsys):

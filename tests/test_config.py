@@ -18,7 +18,6 @@ def test_defaults():
     assert cfg.delta == 1e-6
     assert cfg.kappa == 2.0
     assert cfg.sigma_by_expert == DEFAULT_BANDWIDTHS
-    assert cfg.smoothing_mode == "renormalized"
     assert cfg.active_experts == frozenset(ALL_EXPERTS)
     assert cfg.strict_schema is True
 
@@ -37,7 +36,6 @@ def test_validation_rejects_bad_values():
         {"gamma": 0.0}, {"gamma": inf}, {"gamma": nan},
         {"delta": -1.0}, {"delta": inf}, {"delta": nan},
         {"kappa": 0.0}, {"kappa": inf}, {"kappa": nan},
-        {"smoothing_mode": "cubic"},
         {"sigma_by_expert": {ExpertKind.CLIP: -0.5}},
         {"sigma_by_expert": {ExpertKind.CLIP: inf}},
         {"sigma_by_expert": {ExpertKind.CLIP: nan}},
@@ -67,8 +65,9 @@ def test_config_from_obj_merges_over_base():
 
 
 def test_config_from_obj_rejects_unknowns_and_bad_types():
-    with pytest.raises(SchemaError):
-        config_from_obj({"gama": 4.0})
+    for doc in ({"gama": 4.0}, {"smoothing_mode": "renormalized"}):
+        with pytest.raises(SchemaError, match="unknown config key"):
+            config_from_obj(doc)
     with pytest.raises(SchemaError):
         config_from_obj({"gamma": "strong"})
     with pytest.raises(SchemaError):
@@ -78,12 +77,14 @@ def test_config_from_obj_rejects_unknowns_and_bad_types():
     for sigma in ("wide", None, float("inf"), True):
         with pytest.raises(SchemaError):
             config_from_obj({"sigma_by_expert": {"clip": sigma}})
+    with pytest.raises(SchemaError, match="bandwidth for CLIP is given twice"):
+        config_from_obj({"sigma_by_expert": {"clip": 1, "CLIP": 2}})
     with pytest.raises(SchemaError):
         config_from_obj(["gamma", 4.0])
     # Values are checked, not cast.
     for doc in (
         {"max_peaks": 2.7}, {"max_peaks": 2.0}, {"gamma": True}, {"window": "5"},
-        {"max_depth": float("inf")}, {"strict_schema": 1}, {"smoothing_mode": None},
+        {"max_depth": float("inf")}, {"strict_schema": 1}, {"strict_schema": None},
         {"gamma": 10**400}, {"active_experts": [1]},
     ):
         with pytest.raises(SchemaError):
@@ -96,7 +97,7 @@ JSON_SCALARS = st.one_of(
     st.integers(),
     st.floats(),  # includes non-integral, +-inf and nan
     st.text(max_size=8),
-    st.sampled_from(["CLIP", "asr", "strict", "renormalized"]),
+    st.sampled_from(["CLIP", "asr"]),
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -109,7 +110,7 @@ SIGMA_DOCS = st.dictionaries(
     st.sampled_from(["clip", "ASR", "ocr", "radar", ""]), JSON_VALUES, max_size=3
 )
 KNOWN_KEYS = [
-    "gamma", "delta", "kappa", "smoothing_mode", "strict_schema", "max_depth",
+    "gamma", "delta", "kappa", "strict_schema", "max_depth",
     "max_leaves", "max_peaks", "neighbors_per_peak", "window", "min_distance",
     "sigma_by_expert", "active_experts",
 ]
@@ -132,10 +133,10 @@ def test_config_from_obj_returns_config_or_schema_error(doc):
 
 def test_load_config(tmp_path):
     path = tmp_path / "engine.json"
-    path.write_text(json.dumps({"kappa": 1.25, "smoothing_mode": "strict"}))
+    path.write_text(json.dumps({"kappa": 1.25, "max_peaks": 6}))
     cfg = load_config(path)
     assert cfg.kappa == 1.25
-    assert cfg.smoothing_mode == "strict"
+    assert cfg.max_peaks == 6
     base = EngineConfig(gamma=9.0)
     assert load_config(path, base=base).gamma == 9.0
     bad = tmp_path / "bad.json"
@@ -145,12 +146,11 @@ def test_load_config(tmp_path):
 
 
 def test_param_helpers_mirror_fields():
-    cfg = EngineConfig(gamma=4.5, delta=1e-5, smoothing_mode="strict")
+    sigmas = {**DEFAULT_BANDWIDTHS, ExpertKind.ASR: 3.0}
+    cfg = EngineConfig(gamma=4.5, delta=1e-5, sigma_by_expert=sigmas)
     norm = cfg.normalization_params()
     assert norm.gamma == 4.5 and norm.delta == 1e-5
-    smooth = cfg.smoothing_params()
-    assert smooth.mode == "strict"
-    assert smooth.sigma_by_expert == cfg.sigma_by_expert
+    assert cfg.smoothing_params().sigma_by_expert == sigmas
     assert EngineConfig().pass_params(16) == PassParams(budget=16)
     tuned = EngineConfig(max_peaks=7, window=2).pass_params(16)
     assert tuned == PassParams(budget=16, max_peaks=7, window=2)

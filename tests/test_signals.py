@@ -18,7 +18,6 @@ from himu.errors import (
 from himu.pipeline import condition_signals
 from himu.signals import (
     DEFAULT_BANDWIDTHS,
-    SMOOTHING_MODES,
     NormalizationParams,
     SmoothingParams,
     _sigmoid,
@@ -71,8 +70,6 @@ def test_params_validation():
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             SmoothingParams(sigma_by_expert={ExpertKind.CLIP: bad})
-    with pytest.raises(ValueError):
-        SmoothingParams(mode="reflect")
 
 
 def test_default_bandwidths():
@@ -267,30 +264,22 @@ def test_smooth_uses_expert_bandwidth():
     np.testing.assert_allclose(clap_out, smooth_renorm_scalar(sig, 2.0), atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", SMOOTHING_MODES)
-def test_smooth_keeps_rows_of_no_frames(mode):
-    # normalize_joint returns an (n, 0) group for rows of no frames; both
-    # smoothing modes hand back a float64 group of the same shape.
-    params = SmoothingParams(mode=mode)
+def test_smooth_keeps_rows_of_no_frames():
+    # normalize_joint returns an (n, 0) group for rows of no frames;
+    # smoothing hands back a float64 group of the same shape.
     for values in (normalize_joint([raw([]), raw([])]), raw([])):
-        out = smooth(values, ExpertKind.CLAP, params)
+        out = smooth(values, ExpertKind.CLAP)
         assert out.shape == values.shape and out.dtype == np.float64
 
 
-@pytest.mark.parametrize("mode", SMOOTHING_MODES)
-def test_smooth_takes_the_largest_finite_bandwidths(mode):
-    # 4 * sigma and 38.61 * sigma round to inf here, so the radius is capped
-    # at T - 1 before its ceiling: every weight is then 1.0, times the strict
-    # mode's 1 / (sqrt(2 pi) sigma), which is 0.0 or subnormal.
+def test_smooth_takes_the_largest_finite_bandwidths():
+    # 4 * sigma rounds to inf here, so the radius is capped at T - 1 before
+    # its ceiling: every weight is then 1.0, and each frame is the mean.
     sig = normalized(np.random.default_rng(3).random(30))
     for sigma in (4.5e307, 1e308):
-        params = SmoothingParams(sigma_by_expert={ExpertKind.CLIP: sigma}, mode=mode)
+        params = SmoothingParams(sigma_by_expert={ExpertKind.CLIP: sigma})
         out = smooth(sig, ExpertKind.CLIP, params)
-        if mode == "renormalized":
-            np.testing.assert_allclose(out, sig.mean(), rtol=1e-12)
-        else:
-            np.testing.assert_array_less(out, 1e-300)
-            assert (out >= 0.0).all()
+        np.testing.assert_allclose(out, sig.mean(), rtol=1e-12)
 
 
 def test_smooth_preserves_constants_in_default_mode():
@@ -298,23 +287,6 @@ def test_smooth_preserves_constants_in_default_mode():
     for expert in ExpertKind:
         out = smooth(sig, expert)
         np.testing.assert_allclose(out, 0.73, rtol=0, atol=1e-12)
-
-
-def test_strict_mode_is_clamped_and_depresses_boundaries():
-    sig = normalized(np.ones(40))
-    params = SmoothingParams(mode="strict")
-    out = smooth(sig, ExpertKind.CLAP, params)
-    assert np.all(out <= 1.0)
-    assert np.all(out >= 0.0)
-    assert out[0] < out[20]
-    # At sigma = 0.5 the discrete analytic kernel sums to ~1.014, so a
-    # constant 1 signal would exceed 1 interiorly without the clamp.
-    flat = normalized(np.ones(21))
-    clipped = smooth(flat, ExpertKind.CLIP, params)
-    assert clipped[10] == 1.0
-    from himu import _kernels
-
-    assert _kernels.smooth_strict(np.ones(21), 0.5)[10] > 1.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -346,10 +318,8 @@ def test_condition_signals_fills_rows_by_leaf_id():
     raw_rows = np.random.default_rng(8).random((3, 30))
     clip = normalize_joint(raw_rows[[0, 2]])
     asr = normalize_joint(raw_rows[[1]])
-    for mode in SMOOTHING_MODES:
-        out = condition_signals(tree, raw_rows, EngineConfig(smoothing_mode=mode))
-        assert out.shape == (3, 30)
-        params = SmoothingParams(mode=mode)
-        np.testing.assert_array_equal(out[0], smooth(clip[0], ExpertKind.CLIP, params))
-        np.testing.assert_array_equal(out[2], smooth(clip[1], ExpertKind.CLIP, params))
-        np.testing.assert_array_equal(out[1], smooth(asr[0], ExpertKind.ASR, params))
+    out = condition_signals(tree, raw_rows, EngineConfig())
+    assert out.shape == (3, 30)
+    np.testing.assert_array_equal(out[0], smooth(clip[0], ExpertKind.CLIP))
+    np.testing.assert_array_equal(out[2], smooth(clip[1], ExpertKind.CLIP))
+    np.testing.assert_array_equal(out[1], smooth(asr[0], ExpertKind.ASR))
