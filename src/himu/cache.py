@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleFormatError, HimuError
-from .experts.bundle import ExpertBundle, bundle_from_obj, bundle_to_obj
+from .experts.bundle import ExpertBundle, _Loaded, bundle_from_obj, bundle_to_obj
 from .jsonio import atomic_file, decode_text, parse_json
 
 CACHE_DIR_ENV = "HIMU_CACHE_DIR"
@@ -154,4 +154,5 @@ def _read_rows(fh, shape: tuple) -> np.ndarray:
     if left != math.prod(found) * _ROW_DTYPE.itemsize:
         raise BundleFormatError(f"cache entry has {left} bytes of rows for shape {found}")
     fh.seek(start)
-    return np.load(fh, allow_pickle=False)
+    # Nothing else holds the rows, so the bundle keeps them without a copy.
+    return np.load(fh, allow_pickle=False).view(_Loaded)

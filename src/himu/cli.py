@@ -22,7 +22,6 @@ from .cache import entry_key, file_key, read_entry, write_through
 from .config import SCALAR_KEYS, EngineConfig, config_from_obj, load_config
 from .errors import (
     ArityError,
-    BundleFormatError,
     HimuError,
     InactiveExpertError,
     SchemaError,
@@ -37,7 +36,7 @@ from .experts.bundle import (
     save_ovd_source,
 )
 from .experts.scoring import ProviderCounters
-from .jsonio import atomic_file, decode_text, read_text, save_json
+from .jsonio import atomic_file, read_text, save_json
 from .pipeline import STRATEGIES, run_pipeline
 from .tree import ExpertKind, parse_tree
 
@@ -182,13 +181,10 @@ def _read_bundle(path, use_cache: bool):
             return bundle, key, True
     data = Path(path).read_bytes()
     key = entry_key(data) if use_cache else None
-    text = decode_text(data, BundleFormatError, "bundle")
-    # The bytes and the text are alive together only while decoding, which is
-    # the peak of a cold load. The bytes go before parsing, and the parser
-    # turns each table row into float64 as it reads it, so the table values
-    # are never all Python floats at once.
-    del data
-    return loads_bundle(text), key, False
+    # The parser cuts each table row out of the bytes and turns it into
+    # float64 a slice at a time, and never builds the file's text, so a cold
+    # load peaks at the bytes plus the float64 rows.
+    return loads_bundle(data), key, False
 
 
 def cmd_select(args) -> int:
@@ -231,7 +227,7 @@ def cmd_select(args) -> int:
     curve_obj = {
         "video_id": bundle.video_id,
         "T": bundle.num_frames,
-        "values": result.curve.values.tolist(),
+        "values": result.curve.values,
     }
     attribution_obj = {
         "video_id": bundle.video_id,

@@ -13,6 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -48,11 +49,18 @@ def _check_rows(rows, what) -> tuple[tuple[str, np.ndarray], ...]:
     return tuple(checked)
 
 
+class _Loaded(np.ndarray):
+    """A float64 row that a loader built from a file and nothing else holds:
+    ``_check_values`` takes it as it is, read-only, instead of copying it."""
+
+
 def _check_values(values, what) -> np.ndarray:
-    """A read-only float64 copy of a nonempty, finite 1-D row.
+    """A nonempty, finite 1-D float64 row, read-only.
 
     A JSON list may hold numbers only: a string, bool or null element is
-    rejected rather than cast, and so is an integer no float can hold.
+    rejected rather than cast, and so is an integer no float can hold. An
+    array a caller passes in is copied, so the row never shares memory
+    with it; a list's new array and a ``_Loaded`` row are not.
     """
     if isinstance(values, list) and not set(map(type, values)) <= _NUMBER_TYPES:
         raise BundleFormatError(f"{what}: values must be numbers")
@@ -64,7 +72,8 @@ def _check_values(values, what) -> np.ndarray:
         raise BundleFormatError(f"{what}: values must be a nonempty 1-D array")
     if not np.all(np.isfinite(arr)):
         raise BundleFormatError(f"{what}: values must be finite")
-    arr = arr.copy()
+    if isinstance(values, np.ndarray) and type(values) is not _Loaded:
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -256,18 +265,24 @@ def dumps_bundle(bundle: ExpertBundle) -> str:
 
 
 def _float_row(obj: dict) -> dict:
-    """``json.loads`` object hook: a {query, values} object whose values are a
-    nonempty list of floats gets them as a float64 array.
+    """Object hook of the loaders: a {query, values} object whose values are
+    a nonempty list of floats gets them as a float64 array.
 
-    The parser calls it as it closes each object, so a table's rows never
-    hold all their Python floats at once. Any other row keeps its list and
-    gets ``_check_values``'s verdict on it; a NaN or infinity still fails
-    there. Other objects leave after one lookup.
+    ``jsonio.parse_json_rows`` gives such a list as a float64 array already;
+    an object that is not a {query, values} row gets its list back, which
+    ``tolist`` returns with the same floats. So a table's rows never hold
+    all their Python floats at once. Any other row keeps its list and gets
+    ``_check_values``'s verdict on it; a NaN or infinity still fails there.
+    Other objects leave after one lookup.
     """
     values = obj.get("values")
-    if (type(values) is list and len(obj) == 2 and "query" in obj
-            and set(map(type, values)) == _FLOAT_TYPES):
-        obj["values"] = np.array(values, dtype=np.float64)
+    if values is None:
+        return obj
+    row = len(obj) == 2 and "query" in obj
+    if isinstance(values, np.ndarray):
+        obj["values"] = values.view(_Loaded) if row else values.tolist()
+    elif row and type(values) is list and set(map(type, values)) == _FLOAT_TYPES:
+        obj["values"] = np.array(values, dtype=np.float64).view(_Loaded)
     return obj
 
 
@@ -300,7 +315,8 @@ def bundle_from_obj(obj) -> ExpertBundle:
     """Validate a parsed JSON document into an ExpertBundle.
 
     Table row values may also be numpy arrays, as ``loads_bundle`` and the
-    disk cache pass them; they go through the same checks as lists.
+    disk cache pass them; they go through the same checks as lists. The
+    rows the loaders build are kept as they are; any other array is copied.
     """
     err = BundleFormatError
     jsonio.mapping(obj, err, "bundle document")
@@ -363,15 +379,29 @@ def bundle_from_obj(obj) -> ExpertBundle:
     )
 
 
-def loads_bundle(text: str) -> ExpertBundle:
-    obj = jsonio.parse_json(text, BundleFormatError, "bundle", _float_row)
+def loads_bundle(source: str | bytes) -> ExpertBundle:
+    """The bundle in a JSON text, or in the bytes of a UTF-8 JSON file.
+
+    Bytes are parsed by ``jsonio.parse_json_rows``: each table row is cut
+    out of the bytes and parsed on its own, its floats turned into float64
+    a slice at a time, and the text of the whole file is never built. So a
+    table-heavy bundle's load peaks at its bytes plus its float64 rows. A text is
+    parsed whole, each row turned into float64 as the parser closes it. Both
+    give the same bundle, or the same error, as parsing in full before
+    checking.
+    """
+    if isinstance(source, str):
+        obj = jsonio.parse_json(source, BundleFormatError, "bundle", _float_row)
+    else:
+        obj = jsonio.parse_json_rows(source, BundleFormatError, "bundle", _float_row)
     if isinstance(obj, dict) and "meta" in obj:
         _restore_lists(obj["meta"])
     return bundle_from_obj(obj)
 
 
 def load_bundle(path) -> ExpertBundle:
-    return loads_bundle(jsonio.read_text(path, BundleFormatError, "bundle"))
+    """The bundle in a file, parsed from its bytes as ``loads_bundle`` does."""
+    return loads_bundle(Path(path).read_bytes())
 
 
 def save_bundle(bundle: ExpertBundle, path) -> None:
@@ -422,10 +452,12 @@ def ovd_from_obj(obj) -> OvdSource:
 
 
 def load_ovd_source(path) -> OvdSource:
+    """The detection source in a file, parsed from its bytes with each entry's
+    values cut out and parsed on its own, as ``loads_bundle`` does."""
     # A detection source has no free-form part, so every converted row is
     # an entry or is rejected as a misplaced object.
-    return ovd_from_obj(jsonio.load_json(path, BundleFormatError, "detection source",
-                                         _float_row))
+    return ovd_from_obj(jsonio.parse_json_rows(Path(path).read_bytes(), BundleFormatError,
+                                               "detection source", _float_row))
 
 
 def save_ovd_source(source: OvdSource, path) -> None:

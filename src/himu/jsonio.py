@@ -13,10 +13,17 @@ Python. ``encode`` writes the same bytes faster: it walks dicts and lists in
 Python, converting keys exactly as json does, and hands each non-empty
 list, tuple or dict of plain scalars (a table row, a curve, a frame list, a
 phase record) to the stdlib C encoder, with the newline and indent as its
-item separator, 8192 items per call. It passes its pieces to a sink: ``dumps``
-joins them, ``save_json`` writes them to a temporary file that is renamed
-over the target once the write has succeeded, and ``bundle_digest`` hashes
-them.
+item separator, 8192 items per call. A 1-D float64 array is written as the
+list of its values, 8192 of them turned into Python floats per call. It
+passes its pieces to a sink: ``dumps`` joins them, ``save_json`` writes them
+to a temporary file that is renamed over the target once the write has
+succeeded, and ``bundle_digest`` hashes them.
+
+``parse_json_rows`` reads a document with large number arrays (the score
+rows of bundles and detection sources) from its bytes: it cuts each array
+out and parses it on its own, so neither the document's whole text nor
+all of an array's Python floats are in memory at once. A document it
+cannot split is decoded and parsed whole, with the same result or error.
 """
 from __future__ import annotations
 
@@ -27,6 +34,8 @@ from functools import cache
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 from pathlib import Path
 
+import numpy as np
+
 from .errors import HimuError
 
 _REQUIRED = object()
@@ -36,6 +45,10 @@ _CONTAINERS = (list, tuple, dict)
 _INF = float("inf")
 _not_serializable = JSONEncoder().default  # raises json's own TypeError
 _SLICE = 8192  # items per C encoder call: about 0.25 MB of text for floats
+_ROW_SLICE = 256 * 1024  # bytes of number text parsed per call
+_ROW_KEY = b'"values"'
+_WHITESPACE = b" \t\n\r"
+_FLOAT = frozenset({float})
 
 
 def decode_text(data: bytes, error: type[HimuError], what: str) -> str:
@@ -73,10 +86,129 @@ def parse_json(text: str, error: type[HimuError], what: str, object_hook=None):
         raise error(f"{what} nesting exceeds parser limits") from None
 
 
-def load_json(path, error: type[HimuError], what: str, object_hook=None):
-    """The parsed document in a UTF-8 JSON file (``object_hook`` as in
-    ``parse_json``)."""
-    return parse_json(read_text(path, error, what), error, what, object_hook)
+def load_json(path, error: type[HimuError], what: str):
+    """The parsed document in a UTF-8 JSON file."""
+    return parse_json(read_text(path, error, what), error, what)
+
+
+class _Unsplit(ValueError):
+    """The document cannot be parsed with its arrays cut out."""
+
+
+def parse_json_rows(data: bytes, error: type[HimuError], what: str, object_hook):
+    """``parse_json`` of the UTF-8 bytes of a document, with every array that
+    is the value of a ``"values"`` member (a score row) parsed on its own,
+    straight from the bytes, so the text of the whole document is never
+    built.
+
+    Such an array is found with ``bytes.find``: ``"values"`` after ``{`` or
+    ``,``, then ``:`` and ``[``, whitespace allowed between, up to the next
+    ``]``. Inside a valid string every quote is escaped, so each hit is a
+    member key. The array is parsed in slices of about 256 KB cut at
+    commas, so its values are never all Python floats at once, and a
+    non-empty array of floats reaches ``object_hook`` as a float64 array;
+    an array of other numbers or literals as its list. The rest of the
+    document, each array replaced with ``[k]``, is parsed with a hook that
+    puts array k back, and every k must be put back exactly once. Replacing
+    one flat array value with another keeps a document's validity, its
+    nesting depth and its parse, so the result is the same as parsing the
+    whole text. When an array holds a string, array or object, an array or
+    the rest does not parse, a placeholder is out of range, used twice or
+    never used, or the bytes are not UTF-8, the whole text is decoded and
+    parsed, so the error is ``parse_json``'s too.
+    """
+    try:
+        return _parse_split(data, object_hook)
+    except (ValueError, RecursionError):
+        return parse_json(decode_text(data, error, what), error, what, object_hook)
+
+
+def _skip_space(data: bytes, pos: int, step: int) -> int:
+    """The first index from ``pos`` in direction ``step`` that holds no JSON
+    whitespace (-1 or ``len(data)`` when there is none)."""
+    while 0 <= pos < len(data) and data[pos] in _WHITESPACE:
+        pos += step
+    return pos
+
+
+def _array_after(data: bytes, hit: int) -> int:
+    """Where the array starts when the ``"values"`` at ``hit`` is a member key
+    whose value is an array, else -1."""
+    before = _skip_space(data, hit - 1, -1)
+    colon = _skip_space(data, hit + len(_ROW_KEY), 1)
+    start = _skip_space(data, colon + 1, 1)
+    if (data[before:before + 1] in (b"{", b",") and data[colon:colon + 1] == b":"
+            and data[start:start + 1] == b"["):
+        return start
+    return -1
+
+
+def _parse_split(data: bytes, object_hook):
+    view = memoryview(data)
+    rest: list = []  # the document's bytes around its arrays, and placeholders
+    rows: list = []
+    done = 0
+    hit = data.find(_ROW_KEY)
+    while hit >= 0:
+        start = _array_after(data, hit)
+        if start >= 0:
+            end = data.find(b"]", start) + 1
+            if not end:
+                raise _Unsplit("an array has no end")
+            rest += (view[done:start], b"[%d]" % len(rows))
+            rows.append(_parse_array(data, view, start, end))
+            done = end
+        hit = data.find(_ROW_KEY, max(done, hit + 1))
+    if not rows:
+        raise _Unsplit("no array to cut out")
+    rest.append(view[done:])
+    text = str(b"".join(rest), "utf-8")
+    taken = object()
+
+    def put_back(pairs):
+        obj = dict(pairs)
+        if "values" in obj:
+            last = obj["values"]
+            # Every pair is checked, so a duplicate key still uses up its row,
+            # and a one-item list under an escaped spelling of the key is
+            # taken for a forged placeholder.
+            for name, value in pairs:
+                if name == "values" and type(value) is list and len(value) == 1:
+                    k = value[0]
+                    if type(k) is not int or not 0 <= k < len(rows) or rows[k] is taken:
+                        raise _Unsplit(f"placeholder {k!r} is foreign or used twice")
+                    row, rows[k] = rows[k], taken
+                    if value is last:
+                        obj["values"] = row
+        return object_hook(obj)
+
+    obj = json.loads(text, object_pairs_hook=put_back)
+    if any(row is not taken for row in rows):
+        raise _Unsplit("a placeholder was never used")
+    return obj
+
+
+def _parse_array(data: bytes, view: memoryview, start: int, end: int):
+    """The flat array in ``data[start:end]`` parsed on its own: float64 when
+    it is a non-empty array of floats, else its list."""
+    if any(data.find(byte, start + 1, end) >= 0 for byte in (b'"', b"[", b"{")):
+        raise _Unsplit("an array holds a string, an array or an object")
+    # Numbers and literals only, so every comma separates two values.
+    values = np.empty(data.count(b",", start, end) + 1)
+    filled, pos = 0, start + 1
+    while pos < end - 1:
+        cut = data.find(b",", pos + _ROW_SLICE, end - 1)
+        cut = end - 1 if cut < 0 else cut
+        part = json.loads("[" + str(view[pos:cut], "utf-8") + "]")
+        if set(map(type, part)) != _FLOAT:
+            break  # empty between commas, or not floats: parse it whole
+        values[filled:filled + len(part)] = part
+        filled += len(part)
+        pos = cut + 1
+    else:
+        if filled == len(values):
+            return values
+    return json.loads(str(view[start:end], "utf-8"))
 
 
 @contextmanager
@@ -157,6 +289,11 @@ def _flat_encoder(level: int):
     return lambda obj: "".join(encoder(obj, 0))
 
 
+def _is_float_vector(obj) -> bool:
+    """A 1-D float64 array, which is encoded as the list of its values."""
+    return type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64
+
+
 def _write_flat(obj, write, level: int) -> bool:
     """Write a list, tuple or dict that holds only plain scalars (keys
     included), its items at indent ``level``, from C encoder calls of at
@@ -170,6 +307,8 @@ def _write_flat(obj, write, level: int) -> bool:
         parts = (obj,)  # dicts are small: a table row is a list
     elif (kind is list or kind is tuple) and _SCALARS.issuperset(map(type, obj)):
         parts = (obj[start:start + _SLICE] for start in range(0, len(obj), _SLICE))
+    elif _is_float_vector(obj):
+        parts = (obj[start:start + _SLICE].tolist() for start in range(0, len(obj), _SLICE))
     else:
         return False
     encode = _flat_encoder(level)
@@ -185,11 +324,11 @@ def _write_flat(obj, write, level: int) -> bool:
 def _encode(obj, write, level: int) -> None:
     """Pass the canonical text of ``obj``, nested at indent ``level``, to
     ``write`` in pieces."""
-    if not isinstance(obj, _CONTAINERS):
+    if not isinstance(obj, _CONTAINERS) and not _is_float_vector(obj):
         write(_scalar(obj))
         return
     is_dict = isinstance(obj, dict)
-    if not obj:
+    if not len(obj):
         write("{}" if is_dict else "[]")
         return
     if _write_flat(obj, write, level + 1):
@@ -202,7 +341,7 @@ def _encode(obj, write, level: int) -> None:
         prefix, closing = "[" + newline, "]"
         items = (("", value) for value in obj)
     for head, value in items:
-        if isinstance(value, _CONTAINERS):
+        if isinstance(value, _CONTAINERS) or _is_float_vector(value):
             write(prefix + head)
             _encode(value, write, level + 1)
         else:

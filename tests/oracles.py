@@ -364,16 +364,19 @@ def planted_row_loop(events, expert, query, num_frames) -> np.ndarray:
     return values
 
 
-def loads_bundle_parsed_first(text: str):
-    """The former bundle loader: the whole document parsed into Python
-    objects, every table value a Python float, and only then checked. It
-    reuses the package's checks, so it is a reference for when the rows
-    become arrays, not for the checks themselves."""
+def loads_bundle_parsed_first(source):
+    """The former bundle loader: the whole document (a text, or UTF-8 bytes
+    decoded whole) parsed into Python objects, every table value a Python
+    float, and only then checked. It reuses the package's checks, so it is a
+    reference for when the rows become arrays, not for the checks
+    themselves."""
     from himu.errors import BundleFormatError
     from himu.experts import bundle_from_obj
-    from himu.jsonio import parse_json
+    from himu.jsonio import decode_text, parse_json
 
-    return bundle_from_obj(parse_json(text, BundleFormatError, "bundle"))
+    if not isinstance(source, str):
+        source = decode_text(source, BundleFormatError, "bundle")
+    return bundle_from_obj(parse_json(source, BundleFormatError, "bundle"))
 
 
 def load_ovd_source_parsed_first(path):

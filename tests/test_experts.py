@@ -846,6 +846,45 @@ def _row_bytes(rows):
     return [(query, values.dtype.str, values.tobytes()) for query, values in rows]
 
 
+def _assert_same_bundle(got, want):
+    """Both loads raised the same error, or gave bundles with the same row
+    bytes, the same canonical text and the same digest."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    for name in ("clip_table", "clap_table"):
+        table, expected = getattr(got, name), getattr(want, name)
+        assert (table is None) == (expected is None)
+        if expected is not None:
+            assert _row_bytes(table.rows) == _row_bytes(expected.rows)
+    saved = dumps_bundle(want)
+    assert dumps_bundle(got) == saved
+    assert dumps_bundle(loads_bundle(saved)) == saved
+    assert bundle_digest(got) == bundle_digest(want)
+
+
+def _assert_loaders_agree(data: bytes):
+    """``loads_bundle`` of the bytes, of their text (when they are UTF-8) and
+    ``load_bundle`` of a file holding them all load, or fail, as parsing the
+    whole document before checking it."""
+    want = _loaded_or_error(loads_bundle_parsed_first, data)
+    _assert_same_bundle(_loaded_or_error(loads_bundle, data), want)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    else:
+        _assert_same_bundle(_loaded_or_error(loads_bundle, text), want)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bundle.json"
+        path.write_bytes(data)
+        _assert_same_bundle(_loaded_or_error(load_bundle, path), want)
+
+
+_LAYOUTS = ({}, {"separators": (",", ":")}, {"indent": 2}, {"indent": "\t \r\n"})
+
+
 @settings(max_examples=_examples(300), deadline=None)
 @given(
     st.fixed_dictionaries(
@@ -855,36 +894,132 @@ def _row_bytes(rows):
                   "clap_table": st.lists(_ROWS, max_size=3), "meta": _META},
     ),
     st.lists(_ROWS, max_size=3),
+    st.sampled_from(_LAYOUTS),
 )
-def test_loaders_equal_parse_then_check_bytewise(document, entries):
-    """Rows made into arrays as they are parsed load, or fail, exactly as
-    rows checked after the whole document is parsed."""
-    text = json.dumps(document)
-    got = _loaded_or_error(loads_bundle, text)
-    want = _loaded_or_error(loads_bundle_parsed_first, text)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        for name in ("clip_table", "clap_table"):
-            table, expected = getattr(got, name), getattr(want, name)
-            assert (table is None) == (expected is None)
-            if expected is not None:
-                assert _row_bytes(table.rows) == _row_bytes(expected.rows)
-        saved = dumps_bundle(want)
-        assert dumps_bundle(got) == saved
-        assert dumps_bundle(loads_bundle(saved)) == saved
-        assert bundle_digest(got) == bundle_digest(want)
+def test_loaders_equal_parse_then_check_bytewise(document, entries, layout):
+    """Rows cut out of the file bytes, or made into arrays as the text is
+    parsed, load, or fail, exactly as rows checked after the whole document
+    is parsed, from bytes, text and file, in any whitespace layout."""
+    _assert_loaders_agree(json.dumps(document, **layout).encode("utf-8"))
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "source.ovd.json"
         path.write_text(json.dumps({"video_id": "vid", "format_version": 1,
-                                    "entries": entries}), encoding="utf-8")
+                                    "entries": entries}, **layout), encoding="utf-8")
         got = _loaded_or_error(load_ovd_source, path)
         want = _loaded_or_error(load_ovd_source_parsed_first, path)
     if isinstance(want, tuple):
         assert got == want
     else:
         assert _row_bytes(got.entries) == _row_bytes(want.entries)
+
+
+_HEAD = '"video_id": "vid", "T": 3, "frame_rate": 1.0, "format_version": 1'
+_ROW = '{"query": "q", "values": [0.5, -0.0, 5e-324]}'
+
+
+@pytest.mark.parametrize("document", [
+    # "values" inside strings: a query, a transcript text, a meta key's value
+    f'{{{_HEAD}, "clip_table": [{{"query": "\\"values\\": [1.0]", "values": [1.0, 2.0, 3.0]}}]}}',
+    f'{{{_HEAD}, "transcript": [{{"start": 0, "end": 1, "text": "{{\\"values\\": [0]}}"}}], '
+    f'"clip_table": [{_ROW}]}}',
+    f'{{{_HEAD}, "meta": {{"a": "values", "b": ["values", "]"]}}, "clip_table": [{_ROW}]}}',
+    f'{{{_HEAD}, "meta": {{"a": "\\"values\\":[", "b": ",\\"values\\": [2.0]"}}, '
+    f'"clip_table": [{_ROW}]}}',
+    # "values" inside meta, as a row, a longer object and a nested key
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"values": [1.0, 2.0], "rows": [{_ROW}], '
+    f'"x": {{"query": "q", "values": [1.5], "y": 1}}, "deep": [[{{"values": []}}]]}}}}',
+    # the key spelled with an escape, alone and next to a literal one
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "val\\u0075es": [0.5, 0.25, 1.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [5.0, 5.0, 5.0], '
+    f'"val\\u0075es": [0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "val\\u0075es": [0], '
+    f'"values": [5.0, 5.0, 5.0]}}]}}',
+    # duplicate keys: the last value wins, as in json
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 1.0, 1.0], '
+    f'"values": [2.0, 2.0, 2.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 1.0, 1.0], "values": 7}}]}}',
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "clip_table": [{{"query": "r", "values": [0, 1, 2]}}]}}',
+    # forged placeholders
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [0]}}, {_ROW}]}}',
+    f'{{{_HEAD}, "clip_table": [{_ROW}, {{"query": "r", "values": [99]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"val\\u0075es": [0]}}}}',
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"val\\u0075es": [99]}}}}',
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": [{{"val\\u0075es": ["x"]}}, '
+    f'{{"val\\u0075es": [0.0]}}, {{"val\\u0075es": [true]}}, {{"val\\u0075es": [-1]}}]}}',
+    # keys that end or start with the quoted word
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"\\"values": [1.0, 2.0], '
+    f'"values\\"": [3.0], "x\\"values": [4.0]}}}}',
+    # arrays whose strings hold "]"
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": ["]", 1.0, 2.0]}}]}}',
+    f'{{{_HEAD}, "meta": {{"values": ["a]b", "]"]}}, "clip_table": [{_ROW}]}}',
+    # nested and empty arrays
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [[1.0], [2.0], [3.0]]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": []}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [ ]}}]}}',
+    f'{{{_HEAD}, "meta": {{"values": [[]]}}, "clip_table": [{_ROW}]}}',
+    # arrays of strings and of objects, which are not cut out
+    f'{{{_HEAD}, "meta": {{"values": ["a", "b"]}}, "clip_table": [{_ROW}]}}',
+    f'{{{_HEAD}, "meta": {{"values": [{{"query": "q", "values": 1.0}}, {{}}]}}, '
+    f'"clip_table": [{_ROW}]}}',
+    # arrays that do not parse alone, and documents that do not parse
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0,, 2.0, 3.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 2.0, 3.0,]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0 2.0 3.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 2.0, 3.0]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 2.0, 3.0',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q" "values": [1.0, 2.0, 3.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 2.0, 3.0]}}]}} [0]',
+    '["values": [1.0, 2.0, 3.0]]',
+    # values of every kind in a row: ints, bools, null, NaN, infinities
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1, 2, 3]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, true, 3.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, null, 3.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [NaN, 1.0, 2.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1e400, 1.0, 2.0]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 2.0, 3.0, 4.0]}}]}}',
+    # compact and indented whitespace, other JSON whitespace around the key
+    f'{{{_HEAD},"clip_table":[{{"query":"q","values":[1.0,2.0,3.0]}}]}}',
+    f'{{{_HEAD},\n  "clip_table": [\n    {{\n      "query": "q",\n      "values": [\n'
+    f'        1.0,\n        2.0,\n        3.0\n      ]\n    }}\n  ]\n}}\n',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q"\t,\r\n"values"\t:\n[ 1.0 ,2.0\t, 3.0 ]}}]}}',
+    f'{{"values": [1.0, 2.0, 3.0], {_HEAD}}}',
+])
+def test_loaders_agree_on_adversarial_documents(document):
+    _assert_loaders_agree(document.encode("utf-8"))
+
+
+@pytest.mark.parametrize("data", [
+    # invalid UTF-8 inside a row, and outside one
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 2.0, \xff3.0]}}]}}'
+    .encode("latin-1"),
+    f'{{{_HEAD}, "meta": {{"x": "\xff"}}, "clip_table": [{_ROW}]}}'.encode("latin-1"),
+    f'{{{_HEAD}, "clip_table": [{{"query": "q\xff", "values": [1.0, 2.0, 3.0]}}]}}'
+    .encode("latin-1"),
+    # non-ASCII text kept as is, and a UTF-8 byte-order mark
+    f'{{{_HEAD}, "meta": {{"x": "caf\u00e9 \u2014 \U0001f600"}}, "clip_table": [{_ROW}]}}'
+    .encode("utf-8"),
+    b"\xef\xbb\xbf" + f'{{{_HEAD}, "clip_table": [{_ROW}]}}'.encode("utf-8"),
+])
+def test_loaders_agree_on_bytes_that_are_not_plain_utf8(data):
+    _assert_loaders_agree(data)
+
+
+def test_large_rows_load_in_slices_exactly():
+    """Rows longer than one parse slice (about 256 KB of text) load with
+    every value in place, as parsing the whole document does."""
+    rng = np.random.default_rng(5)
+    T = 40_000
+    values = rng.random(T)
+    values[::997] = -0.0
+    values[1::1009] = 5e-324
+    table = ScoreTable(ExpertKind.CLIP, "vid", (("q", values), ("r", rng.random(T) * 1e-300)))
+    text = dumps_bundle(make_bundle(T=T, clip_table=table))
+    assert len(text) > 2 * 256 * 1024
+    _assert_loaders_agree(text.encode("utf-8"))
+    compact = json.dumps(json.loads(text), separators=(",", ":")).encode("utf-8")
+    _assert_loaders_agree(compact)
+    np.testing.assert_array_equal(loads_bundle(compact).clip_table.rows[0][1], values)
 
 
 def test_bundle_load_holds_one_row_of_python_floats_at_a_time():
@@ -902,6 +1037,48 @@ def test_bundle_load_holds_one_row_of_python_floats_at_a_time():
     # A float object alone takes 24 bytes, so holding every value as a
     # Python float at once would exceed this bound.
     assert peak < rows * T * 24
+
+
+def test_bundle_file_load_peaks_below_one_and_a_half_times_its_size(tmp_path):
+    """Loading a table-only bundle file holds its bytes and the float64 rows,
+    not its text as well, and takes the rows it builds without copying
+    them: traced memory peaks below 1.5 times the file size (twice it when
+    bytes and text were alive together)."""
+    rows, T = 8, 50_000
+    rng = np.random.default_rng(3)
+    table = ScoreTable(ExpertKind.CLIP, "vid",
+                       tuple((f"q{i}", rng.random(T)) for i in range(rows)))
+    path = tmp_path / "table.bundle.json"
+    save_bundle(make_bundle(T=T, clip_table=table), path)
+    tracemalloc.start()
+    try:
+        loaded = load_bundle(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _row_bytes(loaded.clip_table.rows) == _row_bytes(table.rows)
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_rows_are_read_only_and_never_share_a_callers_array(tmp_path):
+    values = np.linspace(0.0, 1.0, 12)
+    read_only = np.linspace(0.0, 1.0, 12)
+    read_only.setflags(write=False)
+    for given_values in (values, read_only, values[::-1]):
+        table = ScoreTable(ExpertKind.CLIP, "vid", (("q", given_values),))
+        row = table.rows[0][1]
+        assert not row.flags.writeable
+        assert not np.shares_memory(row, given_values)
+    source = OvdSource("vid", (("car", values),))
+    assert not np.shares_memory(source.entries[0][1], values)
+
+    path = tmp_path / "b.json"
+    save_bundle(full_bundle(), path)
+    for bundle in (load_bundle(path), loads_bundle(path.read_text(encoding="utf-8"))):
+        for _, row in bundle.clip_table.rows + bundle.clap_table.rows:
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 1.0
 
 
 # --- evaluate_leaves ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,25 @@ def test_flat_lists_of_any_length_at_every_depth_match_stdlib(length):
     for depth in range(6):
         doc = {"values": doc, "row": row, "pair": (row[:2], {"k": 1})} if depth % 2 else [doc, row]
         assert dumps(doc) == dumps_stdlib(doc)
+
+
+@pytest.mark.parametrize("length", [0, 1, 8191, 8192, 8193, 2 * 8192 + 1])
+def test_float64_vectors_encode_as_the_list_of_their_values(length):
+    """A 1-D float64 array is written as the list of its values, converted
+    8192 at a time, at the top level and nested."""
+    specials = [-0.0, 5e-324, math.nan, math.inf, -math.inf]
+    values = np.array((specials + [0.1 * i for i in range(length)])[:length], dtype=np.float64)
+    as_list = values.tolist()
+    assert dumps(values) == dumps(as_list) == dumps_stdlib(as_list)
+    doc = {"video_id": "v", "T": length, "values": values}
+    assert dumps(doc) == dumps_stdlib({**doc, "values": as_list})
+    assert dumps([values, [values]]) == dumps_stdlib([as_list, [as_list]])
+
+
+@pytest.mark.parametrize("array", [np.zeros((2, 2)), np.arange(3), np.zeros(3, np.float32)])
+def test_other_arrays_are_not_serializable(array):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps({"values": array})
 
 
 def test_json_key_conversion():
