@@ -322,26 +322,6 @@ def run_benchmark(
 
 # --- file formats ---------------------------------------------------------------
 
-def script_to_obj(script: EventScript) -> dict:
-    return {
-        "script_id": script.script_id,
-        "T": script.num_frames,
-        "frame_rate": script.frame_rate,
-        "noise_level": script.noise_level,
-        "seed": script.seed,
-        "events": [
-            {
-                "expert": e.expert.value,
-                "query": e.query,
-                "support": [e.support[0], e.support[1]],
-                "amplitude": e.amplitude,
-                "modality_offset": e.modality_offset,
-            }
-            for e in script.events
-        ],
-    }
-
-
 _SCRIPT_KEYS = {"script_id", "T", "frame_rate", "noise_level", "seed", "events"}
 _EVENT_KEYS = {"expert", "query", "support", "amplitude", "modality_offset"}
 
@@ -382,13 +362,6 @@ def script_from_obj(obj) -> EventScript:
         seed=jsonio.field(obj, "seed", jsonio.integer, err, what, 0),
         frame_rate=jsonio.field(obj, "frame_rate", jsonio.number, err, what, 1.0),
     )
-
-
-def save_scripts(scripts, path) -> None:
-    jsonio.save_json({
-        "format_version": SCRIPT_FORMAT_VERSION,
-        "scripts": [script_to_obj(s) for s in scripts],
-    }, path)
 
 
 def load_scripts(path) -> list[EventScript]:

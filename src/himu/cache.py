@@ -43,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleFormatError, HimuError
-from .experts.bundle import ExpertBundle, _Loaded, bundle_from_obj, bundle_to_obj
-from .jsonio import atomic_file, decode_text, parse_json
+from .experts.bundle import ExpertBundle, bundle_from_obj, bundle_to_obj
+from .jsonio import _Loaded, atomic_file, decode_text, parse_json
 
 CACHE_DIR_ENV = "HIMU_CACHE_DIR"
 ENTRY_VERSION = 1

@@ -181,9 +181,10 @@ def _read_bundle(path, use_cache: bool):
             return bundle, key, True
     data = Path(path).read_bytes()
     key = entry_key(data) if use_cache else None
-    # The parser cuts each table row out of the bytes and turns it into
-    # float64 a slice at a time, and never builds the file's text, so a cold
-    # load peaks at the bytes plus the float64 rows.
+    # The parser cuts each table row out of the bytes, turns it into float64
+    # a slice at a time and puts it back in place of its integer literal; it
+    # never builds the file's text, so a cold load peaks at the bytes plus
+    # the float64 rows.
     return loads_bundle(data), key, False
 
 

@@ -36,7 +36,6 @@ _BUNDLE_KEYS = {
     "meta",
 }
 _NUMBER_TYPES = {int, float}
-_FLOAT_TYPES = {float}
 
 
 def _check_rows(rows, what) -> tuple[tuple[str, np.ndarray], ...]:
@@ -49,18 +48,14 @@ def _check_rows(rows, what) -> tuple[tuple[str, np.ndarray], ...]:
     return tuple(checked)
 
 
-class _Loaded(np.ndarray):
-    """A float64 row that a loader built from a file and nothing else holds:
-    ``_check_values`` takes it as it is, read-only, instead of copying it."""
-
-
 def _check_values(values, what) -> np.ndarray:
     """A nonempty, finite 1-D float64 row, read-only.
 
     A JSON list may hold numbers only: a string, bool or null element is
     rejected rather than cast, and so is an integer no float can hold. An
     array a caller passes in is copied, so the row never shares memory
-    with it; a list's new array and a ``_Loaded`` row are not.
+    with it; a list's new array and a loader's ``jsonio._Loaded`` row are
+    not.
     """
     if isinstance(values, list) and not set(map(type, values)) <= _NUMBER_TYPES:
         raise BundleFormatError(f"{what}: values must be numbers")
@@ -72,7 +67,7 @@ def _check_values(values, what) -> np.ndarray:
         raise BundleFormatError(f"{what}: values must be a nonempty 1-D array")
     if not np.all(np.isfinite(arr)):
         raise BundleFormatError(f"{what}: values must be finite")
-    if isinstance(values, np.ndarray) and type(values) is not _Loaded:
+    if isinstance(values, np.ndarray) and type(values) is not jsonio._Loaded:
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -264,31 +259,10 @@ def dumps_bundle(bundle: ExpertBundle) -> str:
     return jsonio.dumps(bundle_to_obj(bundle))
 
 
-def _float_row(obj: dict) -> dict:
-    """Object hook of the loaders: a {query, values} object whose values are
-    a nonempty list of floats gets them as a float64 array.
-
-    ``jsonio.parse_json_rows`` gives such a list as a float64 array already;
-    an object that is not a {query, values} row gets its list back, which
-    ``tolist`` returns with the same floats. So a table's rows never hold
-    all their Python floats at once. Any other row keeps its list and gets
-    ``_check_values``'s verdict on it; a NaN or infinity still fails there.
-    Other objects leave after one lookup.
-    """
-    values = obj.get("values")
-    if values is None:
-        return obj
-    row = len(obj) == 2 and "query" in obj
-    if isinstance(values, np.ndarray):
-        obj["values"] = values.view(_Loaded) if row else values.tolist()
-    elif row and type(values) is list and set(map(type, values)) == _FLOAT_TYPES:
-        obj["values"] = np.array(values, dtype=np.float64).view(_Loaded)
-    return obj
-
-
 def _restore_lists(meta) -> None:
-    """Give the rows that ``_float_row`` converted inside free-form ``meta``
-    back the lists they were parsed from; ``tolist`` returns the same floats.
+    """Give the rows that ``jsonio.parse_json_rows`` made float64 inside
+    free-form ``meta`` back the lists they were parsed from; ``tolist``
+    returns the same floats.
     """
     stack = [meta] if isinstance(meta, (dict, list)) else []
     while stack:  # no recursion: meta may nest as deep as the parser allows
@@ -379,21 +353,16 @@ def bundle_from_obj(obj) -> ExpertBundle:
     )
 
 
-def loads_bundle(source: str | bytes) -> ExpertBundle:
-    """The bundle in a JSON text, or in the bytes of a UTF-8 JSON file.
+def loads_bundle(data: bytes) -> ExpertBundle:
+    """The bundle in the bytes of a UTF-8 JSON file.
 
-    Bytes are parsed by ``jsonio.parse_json_rows``: each table row is cut
-    out of the bytes and parsed on its own, its floats turned into float64
-    a slice at a time, and the text of the whole file is never built. So a
-    table-heavy bundle's load peaks at its bytes plus its float64 rows. A text is
-    parsed whole, each row turned into float64 as the parser closes it. Both
-    give the same bundle, or the same error, as parsing in full before
-    checking.
+    ``jsonio.parse_json_rows`` cuts each table row out of the bytes and
+    parses it on its own, its floats turned into float64 a slice at a time,
+    and never builds the text of the whole file. So a table-heavy bundle's
+    load peaks at its bytes plus its float64 rows. The bundle, or the
+    error, is the same as parsing in full before checking.
     """
-    if isinstance(source, str):
-        obj = jsonio.parse_json(source, BundleFormatError, "bundle", _float_row)
-    else:
-        obj = jsonio.parse_json_rows(source, BundleFormatError, "bundle", _float_row)
+    obj = jsonio.parse_json_rows(data, BundleFormatError, "bundle")
     if isinstance(obj, dict) and "meta" in obj:
         _restore_lists(obj["meta"])
     return bundle_from_obj(obj)
@@ -432,10 +401,6 @@ def ovd_to_obj(source: OvdSource) -> dict:
     }
 
 
-def dumps_ovd(source: OvdSource) -> str:
-    return jsonio.dumps(ovd_to_obj(source))
-
-
 def ovd_from_obj(obj) -> OvdSource:
     err = BundleFormatError
     jsonio.mapping(obj, err, "detection source")
@@ -454,10 +419,10 @@ def ovd_from_obj(obj) -> OvdSource:
 def load_ovd_source(path) -> OvdSource:
     """The detection source in a file, parsed from its bytes with each entry's
     values cut out and parsed on its own, as ``loads_bundle`` does."""
-    # A detection source has no free-form part, so every converted row is
-    # an entry or is rejected as a misplaced object.
+    # A detection source has no free-form part, so every float64 row is an
+    # entry's or is rejected as a misplaced object.
     return ovd_from_obj(jsonio.parse_json_rows(Path(path).read_bytes(), BundleFormatError,
-                                               "detection source", _float_row))
+                                               "detection source"))
 
 
 def save_ovd_source(source: OvdSource, path) -> None:

@@ -21,9 +21,11 @@ succeeded, and ``bundle_digest`` hashes them.
 
 ``parse_json_rows`` reads a document with large number arrays (the score
 rows of bundles and detection sources) from its bytes: it cuts each array
-out and parses it on its own, so neither the document's whole text nor
-all of an array's Python floats are in memory at once. A document it
-cannot split is decoded and parsed whole, with the same result or error.
+out, parses it on its own, and parses the rest with an integer literal in
+each array's place that the parser swaps back for the array. So neither
+the document's whole text nor all of an array's Python floats are in
+memory at once. A document it cannot split this way is decoded and parsed
+whole, with the same result or error.
 """
 from __future__ import annotations
 
@@ -47,6 +49,10 @@ _not_serializable = JSONEncoder().default  # raises json's own TypeError
 _SLICE = 8192  # items per C encoder call: about 0.25 MB of text for floats
 _ROW_SLICE = 256 * 1024  # bytes of number text parsed per call
 _ROW_KEY = b'"values"'
+# Digits that start the integer literal standing in for a cut-out row. No
+# proper prefix equals a suffix, so occurrences never overlap and
+# ``str.count`` counts them all.
+_ROW_MARK = "9173028465"
 _WHITESPACE = b" \t\n\r"
 _FLOAT = frozenset({float})
 
@@ -68,18 +74,15 @@ def read_text(path, error: type[HimuError], what: str) -> str:
     return decode_text(Path(path).read_bytes(), error, what)
 
 
-def parse_json(text: str, error: type[HimuError], what: str, object_hook=None):
+def parse_json(text: str, error: type[HimuError], what: str):
     """Parse a JSON document, raising ``error`` for malformed input.
 
     Both failures of ``json.loads`` map to ``error``: invalid syntax (and
     integers beyond the interpreter's digit limit), and nesting deeper than
-    the parser's recursion limit. ``object_hook`` is ``json.loads``'s: it
-    gets each object as soon as the parser closes it and returns what
-    stands in its place, so a loader can shrink a large object before the
-    rest of the document is read.
+    the parser's recursion limit.
     """
     try:
-        return json.loads(text, object_hook=object_hook)
+        return json.loads(text)
     except ValueError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
@@ -91,36 +94,42 @@ def load_json(path, error: type[HimuError], what: str):
     return parse_json(read_text(path, error, what), error, what)
 
 
+class _Loaded(np.ndarray):
+    """A float64 row that a loader built from a file and nothing else holds:
+    a bundle takes it as it is, read-only, instead of copying it."""
+
+
 class _Unsplit(ValueError):
     """The document cannot be parsed with its arrays cut out."""
 
 
-def parse_json_rows(data: bytes, error: type[HimuError], what: str, object_hook):
-    """``parse_json`` of the UTF-8 bytes of a document, with every array that
-    is the value of a ``"values"`` member (a score row) parsed on its own,
-    straight from the bytes, so the text of the whole document is never
-    built.
+def parse_json_rows(data: bytes, error: type[HimuError], what: str):
+    """``parse_json`` of the UTF-8 bytes of a document, with every flat
+    array that is the value of a ``"values"`` member (a score row) parsed
+    on its own, straight from the bytes, so the text of the whole document
+    is never built.
 
     Such an array is found with ``bytes.find``: ``"values"`` after ``{`` or
     ``,``, then ``:`` and ``[``, whitespace allowed between, up to the next
-    ``]``. Inside a valid string every quote is escaped, so each hit is a
+    ``]``, with no string, array or object inside; any other array stays in
+    place. Inside a valid string every quote is escaped, so each hit is a
     member key. The array is parsed in slices of about 256 KB cut at
-    commas, so its values are never all Python floats at once, and a
-    non-empty array of floats reaches ``object_hook`` as a float64 array;
-    an array of other numbers or literals as its list. The rest of the
-    document, each array replaced with ``[k]``, is parsed with a hook that
-    puts array k back, and every k must be put back exactly once. Replacing
-    one flat array value with another keeps a document's validity, its
-    nesting depth and its parse, so the result is the same as parsing the
-    whole text. When an array holds a string, array or object, an array or
-    the rest does not parse, a placeholder is out of range, used twice or
-    never used, or the bytes are not UTF-8, the whole text is decoded and
+    commas, so its values are never all Python floats at once: a non-empty
+    array of floats becomes a ``_Loaded`` float64 array, any other its
+    list. In the rest of the document each array is replaced by the integer
+    literal ``_ROW_MARK`` followed by the row's number, and the parser's
+    ``parse_int`` puts the row back in its place. Replacing one value with
+    another keeps a document's validity and its parse, so the result is
+    the same as parsing the whole text. When the mark occurs anywhere else
+    in the rest, a row is never put back (its literal was glued to other
+    characters or sits in a string), a cut array or the rest does not
+    parse, or the bytes are not UTF-8, the whole text is decoded and
     parsed, so the error is ``parse_json``'s too.
     """
     try:
-        return _parse_split(data, object_hook)
+        return _parse_split(data)
     except (ValueError, RecursionError):
-        return parse_json(decode_text(data, error, what), error, what, object_hook)
+        return parse_json(decode_text(data, error, what), error, what)
 
 
 def _skip_space(data: bytes, pos: int, step: int) -> int:
@@ -131,68 +140,55 @@ def _skip_space(data: bytes, pos: int, step: int) -> int:
     return pos
 
 
-def _array_after(data: bytes, hit: int) -> int:
-    """Where the array starts when the ``"values"`` at ``hit`` is a member key
-    whose value is an array, else -1."""
+def _flat_array_after(data: bytes, hit: int):
+    """The start and end of the array that is the value of the member key
+    ``"values"`` at ``hit``, when the array holds no string, array or
+    object; else None."""
     before = _skip_space(data, hit - 1, -1)
     colon = _skip_space(data, hit + len(_ROW_KEY), 1)
     start = _skip_space(data, colon + 1, 1)
-    if (data[before:before + 1] in (b"{", b",") and data[colon:colon + 1] == b":"
+    if not (data[before:before + 1] in (b"{", b",") and data[colon:colon + 1] == b":"
             and data[start:start + 1] == b"["):
-        return start
-    return -1
+        return None
+    end = data.find(b"]", start) + 1
+    if not end or any(data.find(byte, start + 1, end) >= 0 for byte in b'"[{'):
+        return None
+    return start, end
 
 
-def _parse_split(data: bytes, object_hook):
+def _parse_split(data: bytes):
     view = memoryview(data)
-    rest: list = []  # the document's bytes around its arrays, and placeholders
-    rows: list = []
+    rest: list = []  # the document's bytes around its arrays, and their literals
+    rows: dict = {}  # literal -> parsed array
     done = 0
     hit = data.find(_ROW_KEY)
     while hit >= 0:
-        start = _array_after(data, hit)
-        if start >= 0:
-            end = data.find(b"]", start) + 1
-            if not end:
-                raise _Unsplit("an array has no end")
-            rest += (view[done:start], b"[%d]" % len(rows))
-            rows.append(_parse_array(data, view, start, end))
+        found = _flat_array_after(data, hit)
+        if found:
+            start, end = found
+            literal = f"{_ROW_MARK}{len(rows)}"
+            rest += (view[done:start], literal.encode("ascii"))
+            rows[literal] = _parse_array(data, view, start, end)
             done = end
         hit = data.find(_ROW_KEY, max(done, hit + 1))
-    if not rows:
-        raise _Unsplit("no array to cut out")
     rest.append(view[done:])
     text = str(b"".join(rest), "utf-8")
-    taken = object()
+    if text.count(_ROW_MARK) != len(rows):
+        raise _Unsplit("the row mark occurs outside the cut-out arrays")
 
-    def put_back(pairs):
-        obj = dict(pairs)
-        if "values" in obj:
-            last = obj["values"]
-            # Every pair is checked, so a duplicate key still uses up its row,
-            # and a one-item list under an escaped spelling of the key is
-            # taken for a forged placeholder.
-            for name, value in pairs:
-                if name == "values" and type(value) is list and len(value) == 1:
-                    k = value[0]
-                    if type(k) is not int or not 0 <= k < len(rows) or rows[k] is taken:
-                        raise _Unsplit(f"placeholder {k!r} is foreign or used twice")
-                    row, rows[k] = rows[k], taken
-                    if value is last:
-                        obj["values"] = row
-        return object_hook(obj)
+    def put_back(literal: str):
+        row = rows.pop(literal, None)
+        return int(literal) if row is None else row
 
-    obj = json.loads(text, object_pairs_hook=put_back)
-    if any(row is not taken for row in rows):
-        raise _Unsplit("a placeholder was never used")
+    obj = json.loads(text, parse_int=put_back)
+    if rows:
+        raise _Unsplit("a row was never put back")
     return obj
 
 
 def _parse_array(data: bytes, view: memoryview, start: int, end: int):
-    """The flat array in ``data[start:end]`` parsed on its own: float64 when
-    it is a non-empty array of floats, else its list."""
-    if any(data.find(byte, start + 1, end) >= 0 for byte in (b'"', b"[", b"{")):
-        raise _Unsplit("an array holds a string, an array or an object")
+    """The flat array in ``data[start:end]`` parsed on its own: ``_Loaded``
+    float64 when it is a non-empty array of floats, else its list."""
     # Numbers and literals only, so every comma separates two values.
     values = np.empty(data.count(b",", start, end) + 1)
     filled, pos = 0, start + 1
@@ -207,7 +203,7 @@ def _parse_array(data: bytes, view: memoryview, start: int, end: int):
         pos = cut + 1
     else:
         if filled == len(values):
-            return values
+            return values.view(_Loaded)
     return json.loads(str(view[start:end], "utf-8"))
 
 

@@ -202,17 +202,6 @@ class _Builder:
         return TreeNode(op=op, children=children)
 
 
-def serialize(tree: LogicTree) -> str:
-    """Canonical JSON text; parses back to a structurally identical tree."""
-    return jsonio.dumps(_node_dict(tree.root))
-
-
-def _node_dict(node: TreeNode):
-    if node.is_leaf:
-        return {"op": _LEAF_OP, "expert": node.expert.value, "query": node.query}
-    return {"op": node.op.value, "children": [_node_dict(c) for c in node.children]}
-
-
 def leaves_by_expert(tree: LogicTree) -> dict[ExpertKind, list[int]]:
     """Partition leaf ids by expert, preserving pre-order within each group.
 

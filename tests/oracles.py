@@ -3,7 +3,9 @@
 Everything here is written as a direct, unoptimized transcription of the
 intended definitions, deliberately sharing no code with the package, so a
 disagreement means the engine is wrong (or the definition was misread) and
-never that both drifted together.
+never that both drifted together. The document builders at the end write
+detection sources, event scripts and trees from the package's dataclasses
+field by field, for tests that need a file or an expected text.
 """
 from __future__ import annotations
 
@@ -394,3 +396,47 @@ def dumps_stdlib(obj) -> str:
     final newline. On CPython before 3.13 this formats every value in
     Python."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def ovd_document(source) -> dict:
+    """The document of a detection source, in the key order of its file."""
+    return {
+        "video_id": source.video_id,
+        "format_version": 1,
+        "entries": [{"query": query, "values": values.tolist()}
+                    for query, values in source.entries],
+    }
+
+
+def script_document(script) -> dict:
+    """The document of an event script, every field written out."""
+    return {
+        "script_id": script.script_id,
+        "T": script.num_frames,
+        "frame_rate": script.frame_rate,
+        "noise_level": script.noise_level,
+        "seed": script.seed,
+        "events": [
+            {
+                "expert": event.expert.value,
+                "query": event.query,
+                "support": list(event.support),
+                "amplitude": event.amplitude,
+                "modality_offset": event.modality_offset,
+            }
+            for event in script.events
+        ],
+    }
+
+
+def save_scripts(scripts, path) -> None:
+    """Write an event-script file holding ``scripts``."""
+    document = {"format_version": 1, "scripts": [script_document(s) for s in scripts]}
+    path.write_text(json.dumps(document), encoding="utf-8")
+
+
+def tree_document(node) -> dict:
+    """The document of a parsed tree node, each leaf with ``"op": "LEAF"``."""
+    if node.is_leaf:
+        return {"op": "LEAF", "expert": node.expert.value, "query": node.query}
+    return {"op": node.op.value, "children": [tree_document(child) for child in node.children]}

@@ -19,9 +19,7 @@ from himu.bench import (
     report_to_obj,
     run_benchmark,
     save_report,
-    save_scripts,
     script_from_obj,
-    script_to_obj,
     validate_script,
 )
 from himu.errors import (
@@ -32,11 +30,11 @@ from himu.errors import (
 )
 from himu.cli import main
 from himu.config import EngineConfig
-from himu.experts import ProviderCounters, bundle_digest, dumps_ovd, score_asr_leaf
+from himu.experts import ProviderCounters, bundle_digest, score_asr_leaf
 from himu.experts.matching import query_key
 from himu.pipeline import run_pipeline, satisfaction_curve
 from himu.tree import ExpertKind, parse_tree
-from oracles import planted_row_loop
+from oracles import dumps_stdlib, ovd_document, planted_row_loop, save_scripts, script_document
 
 
 def script_with(events, *, num_frames=60, noise=0.0, seed=7, script_id="s1"):
@@ -61,7 +59,8 @@ def test_generation_is_deterministic():
     first = generate(script)
     second = generate(script)
     assert bundle_digest(first.bundle) == bundle_digest(second.bundle)
-    assert dumps_ovd(first.ovd_source) == dumps_ovd(second.ovd_source)
+    assert (dumps_stdlib(ovd_document(first.ovd_source))
+            == dumps_stdlib(ovd_document(second.ovd_source)))
 
 
 def test_seed_changes_noise():
@@ -315,8 +314,8 @@ def test_script_round_trip(tmp_path):
     path = tmp_path / "suite.json"
     save_scripts(scripts, path)
     loaded = load_scripts(path)
-    assert [script_to_obj(s) for s in loaded] == [script_to_obj(s) for s in scripts]
-    assert script_from_obj(script_to_obj(scripts[0])) == scripts[0]
+    assert loaded == scripts
+    assert script_from_obj(script_document(scripts[0])) == scripts[0]
     # A misspelt key in the file is an error, not an empty suite.
     path.write_text(json.dumps({"format_version": 1, "scripts": [], "scirpts": []}))
     with pytest.raises(InvalidScriptError):

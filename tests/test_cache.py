@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import himu.jsonio
-from himu.bench import Event, EventScript, RecallReport, save_report, save_scripts
+from himu.bench import RecallReport, save_report
 from himu.cache import cache_root, entry_key, entry_path, file_key, read_entry, write_through
 from himu.experts import (
     OvdSource,
@@ -18,7 +18,6 @@ from himu.experts import (
     save_bundle,
     save_ovd_source,
 )
-from himu.tree import ExpertKind
 
 
 def test_cache_root_env_override(tmp_path, monkeypatch):
@@ -101,9 +100,6 @@ _WRITERS = {
         OvdSource("vid", (("red car", np.array([0.0, 0.5, 0.9])),)), tmp_path / "o.json"
     ),
     "write_through": lambda bundle, tmp_path: write_through(bundle, "k"),
-    "save_scripts": lambda bundle, tmp_path: save_scripts(
-        [EventScript("s", 10, (Event(ExpertKind.CLIP, "a dog", (1, 3)),))], tmp_path / "s.json"
-    ),
     "save_report": lambda bundle, tmp_path: save_report(
         RecallReport(("pass",), (8,), 0), tmp_path / "r.json"
     ),

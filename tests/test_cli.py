@@ -13,12 +13,13 @@ import pytest
 
 import himu
 import himu.jsonio
-from himu.bench import Event, EventScript, generate, save_scripts
+from himu.bench import Event, EventScript, generate
 from himu.cache import entry_key, entry_path, read_entry
 from himu.cli import _SIGMA_FLAGS, build_parser, main
 from himu.config import SCALAR_KEYS
-from himu.experts import bundle_digest, dumps_bundle, dumps_ovd, load_bundle
+from himu.experts import bundle_digest, dumps_bundle, load_bundle
 from himu.tree import ExpertKind
+from oracles import dumps_stdlib, ovd_document, save_scripts
 
 ARTIFACTS = ("selection.json", "curve.json", "attribution.json")
 
@@ -219,13 +220,14 @@ def test_select_rejects_a_detection_source_for_another_video(tmp_path, monkeypat
     tree_path = write_tree(tmp_path, {"op": "LEAF", "expert": "OVD", "query": "ball"})
     args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path), "--frames", "4"]
     own = tmp_path / "vid-2.ovd.json"
-    own.write_text(dumps_ovd(instance.ovd_source), encoding="utf-8")
+    own.write_text(json.dumps(ovd_document(instance.ovd_source)), encoding="utf-8")
     assert main([*args, "--ovd", str(own), "--out", str(tmp_path / "own"), "--no-cache"]) == 0
     capsys.readouterr()
 
     foreign = tmp_path / "other.ovd.json"
     foreign.write_text(
-        dumps_ovd(replace(instance.ovd_source, video_id="some-other-video")), encoding="utf-8"
+        json.dumps(ovd_document(replace(instance.ovd_source, video_id="some-other-video"))),
+        encoding="utf-8",
     )
     assert main([*args, "--ovd", str(foreign), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -665,7 +667,8 @@ def test_gen_and_bench_commands(tmp_path, capsys):
     assert main(["gen", "--scripts", str(suite), "--out", str(gen_dir)]) == 0
     instance = generate(scripts[0])
     assert (gen_dir / "g1.bundle.json").read_text() == dumps_bundle(instance.bundle)
-    assert (gen_dir / "g1.ovd.json").read_text() == dumps_ovd(instance.ovd_source)
+    expected_ovd = dumps_stdlib(ovd_document(instance.ovd_source))
+    assert (gen_dir / "g1.ovd.json").read_text() == expected_ovd
     assert json.loads((gen_dir / "g1.tree.json").read_text())["op"] == "OR"
     assert main(["gen", "--scripts", str(suite), "--out", str(gen_dir), "--seed", "9"]) == 0
     reseeded = generate(replace(scripts[0], seed=9)).bundle

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import himu.jsonio
 from himu.errors import (
     BundleFormatError,
     InconsistentLengthError,
@@ -686,7 +687,7 @@ def test_bundle_resave_is_byte_identical(tmp_path):
         meta={"rows": [{"query": "q", "values": [0.5, -0.0, 5e-324]}]},
     )
     first = dumps_bundle(bundle)
-    loaded = loads_bundle(first)
+    loaded = loads_bundle(first.encode("utf-8"))
     assert type(loaded.meta["rows"][0]["values"]) is list
     assert dumps_bundle(loaded) == first
 
@@ -721,28 +722,28 @@ def test_bundle_document_validation():
     bad = dict(good)
     bad["format_version"] = 99
     with pytest.raises(BundleFormatError):
-        loads_bundle(json.dumps(bad))
+        loads_bundle(json.dumps(bad).encode("utf-8"))
 
     bad = dict(good)
     bad["surprise"] = True
     with pytest.raises(BundleFormatError):
-        loads_bundle(json.dumps(bad))
+        loads_bundle(json.dumps(bad).encode("utf-8"))
 
     bad = json.loads(dumps_bundle(full_bundle()))
     bad["clip_table"][0]["values"].append(0.5)
     with pytest.raises(InconsistentLengthError):
-        loads_bundle(json.dumps(bad))
+        loads_bundle(json.dumps(bad).encode("utf-8"))
 
     # Numbers only, and only those a float can hold.
     for start in ([1], "1.5", True, None, 10**400):
         bad = json.loads(dumps_bundle(full_bundle()))
         bad["transcript"][0]["start"] = start
         with pytest.raises(BundleFormatError):
-            loads_bundle(json.dumps(bad))
+            loads_bundle(json.dumps(bad).encode("utf-8"))
     bad = json.loads(dumps_bundle(full_bundle()))
     bad["frame_rate"] = 10**400
     with pytest.raises(BundleFormatError):
-        loads_bundle(json.dumps(bad))
+        loads_bundle(json.dumps(bad).encode("utf-8"))
     # Score rows of bundles and detection sources hold numbers only; a
     # string, bool or null is rejected, never cast to a float.
     good_ovd = {"video_id": "vid", "format_version": 1,
@@ -752,7 +753,7 @@ def test_bundle_document_validation():
         bad = json.loads(dumps_bundle(full_bundle()))
         bad["clip_table"][0]["values"][0] = value
         with pytest.raises(BundleFormatError):
-            loads_bundle(json.dumps(bad))
+            loads_bundle(json.dumps(bad).encode("utf-8"))
         bad = copy.deepcopy(good_ovd)
         bad["entries"][0]["values"][0] = value
         with pytest.raises(BundleFormatError):
@@ -763,16 +764,18 @@ def test_bundle_document_validation():
         bad = json.loads(dumps_bundle(full_bundle()))
         bad["transcript"][0]["text"] = text
         with pytest.raises(BundleFormatError):
-            loads_bundle(json.dumps(bad))
+            loads_bundle(json.dumps(bad).encode("utf-8"))
         bad = json.loads(dumps_bundle(full_bundle()))
         bad["ocr"][0]["detections"].append(text)
         with pytest.raises(BundleFormatError):
-            loads_bundle(json.dumps(bad))
+            loads_bundle(json.dumps(bad).encode("utf-8"))
 
     with pytest.raises(BundleFormatError):
-        loads_bundle("not json at all")
+        loads_bundle(b"not json at all")
     with pytest.raises(BundleFormatError):
-        loads_bundle("[]")
+        loads_bundle(b"[]")
+    with pytest.raises(TypeError):  # a file's bytes, not its text
+        loads_bundle(dumps_bundle(full_bundle()))
 
 
 def test_ovd_source_round_trip(tmp_path):
@@ -860,22 +863,16 @@ def _assert_same_bundle(got, want):
             assert _row_bytes(table.rows) == _row_bytes(expected.rows)
     saved = dumps_bundle(want)
     assert dumps_bundle(got) == saved
-    assert dumps_bundle(loads_bundle(saved)) == saved
+    assert dumps_bundle(loads_bundle(saved.encode("utf-8"))) == saved
     assert bundle_digest(got) == bundle_digest(want)
 
 
 def _assert_loaders_agree(data: bytes):
-    """``loads_bundle`` of the bytes, of their text (when they are UTF-8) and
-    ``load_bundle`` of a file holding them all load, or fail, as parsing the
-    whole document before checking it."""
+    """``loads_bundle`` of the bytes and ``load_bundle`` of a file holding
+    them both load, or fail, as parsing the whole document before checking
+    it."""
     want = _loaded_or_error(loads_bundle_parsed_first, data)
     _assert_same_bundle(_loaded_or_error(loads_bundle, data), want)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        pass
-    else:
-        _assert_same_bundle(_loaded_or_error(loads_bundle, text), want)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bundle.json"
         path.write_bytes(data)
@@ -897,9 +894,9 @@ _LAYOUTS = ({}, {"separators": (",", ":")}, {"indent": 2}, {"indent": "\t \r\n"}
     st.sampled_from(_LAYOUTS),
 )
 def test_loaders_equal_parse_then_check_bytewise(document, entries, layout):
-    """Rows cut out of the file bytes, or made into arrays as the text is
-    parsed, load, or fail, exactly as rows checked after the whole document
-    is parsed, from bytes, text and file, in any whitespace layout."""
+    """Rows cut out of the file bytes load, or fail, exactly as rows checked
+    after the whole document is parsed, from bytes and from a file, in any
+    whitespace layout."""
     _assert_loaders_agree(json.dumps(document, **layout).encode("utf-8"))
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -916,6 +913,7 @@ def test_loaders_equal_parse_then_check_bytewise(document, entries, layout):
 
 _HEAD = '"video_id": "vid", "T": 3, "frame_rate": 1.0, "format_version": 1'
 _ROW = '{"query": "q", "values": [0.5, -0.0, 5e-324]}'
+_MARK = himu.jsonio._ROW_MARK
 
 
 @pytest.mark.parametrize("document", [
@@ -940,7 +938,7 @@ _ROW = '{"query": "q", "values": [0.5, -0.0, 5e-324]}'
     f'"values": [2.0, 2.0, 2.0]}}]}}',
     f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [1.0, 1.0, 1.0], "values": 7}}]}}',
     f'{{{_HEAD}, "clip_table": [{_ROW}], "clip_table": [{{"query": "r", "values": [0, 1, 2]}}]}}',
-    # forged placeholders
+    # one-number lists under the key and under its escaped spelling
     f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [0]}}, {_ROW}]}}',
     f'{{{_HEAD}, "clip_table": [{_ROW}, {{"query": "r", "values": [99]}}]}}',
     f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"val\\u0075es": [0]}}}}',
@@ -984,6 +982,24 @@ _ROW = '{"query": "q", "values": [0.5, -0.0, 5e-324]}'
     f'        1.0,\n        2.0,\n        3.0\n      ]\n    }}\n  ]\n}}\n',
     f'{{{_HEAD}, "clip_table": [{{"query": "q"\t,\r\n"values"\t:\n[ 1.0 ,2.0\t, 3.0 ]}}]}}',
     f'{{"values": [1.0, 2.0, 3.0], {_HEAD}}}',
+    # digits, a sign or an exponent glued to a cut-out array
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": 12[0.5, -0.0, 5e-324]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [0.5, -0.0, 5e-324]5}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": -[0.5, -0.0, 5e-324]}}]}}',
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [0.5, -0.0, 5e-324]e5}}]}}',
+    # the second row's array glued to a 0, which spells the eleventh row's literal
+    f'{{{_HEAD}, "clip_table": [{_ROW}, {{"query": "r", "values": [1.0, 2.0, 3.0]0}}, '
+    + ", ".join([_ROW] * 9) + ']}',
+    # the row mark outside the rows: as a number, a key and inside strings
+    f'{{{_HEAD}, "meta": {{"n": {_MARK}0}}, "clip_table": [{_ROW}]}}',
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"n": {_MARK}0}}}}',
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"n": [{_MARK}, -{_MARK}0]}}}}',
+    f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"{_MARK}0": "{_MARK}0"}}}}',
+    f'{{{_HEAD}, "transcript": [{{"start": 0, "end": 1, "text": "{_MARK}0"}}], '
+    f'"clip_table": [{_ROW}]}}',
+    # the row mark inside rows
+    f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [{_MARK}0.0, {_MARK}.5, 1.0]}}, '
+    f'{{"query": "r", "values": [{_MARK}0, 1, 2]}}]}}',
 ])
 def test_loaders_agree_on_adversarial_documents(document):
     _assert_loaders_agree(document.encode("utf-8"))
@@ -1003,6 +1019,32 @@ def test_loaders_agree_on_adversarial_documents(document):
 ])
 def test_loaders_agree_on_bytes_that_are_not_plain_utf8(data):
     _assert_loaders_agree(data)
+
+
+@pytest.mark.parametrize("document, split", [
+    # "values" arrays that hold strings or arrays stay in the rest
+    (f'{{{_HEAD}, "meta": {{"values": ["a", "b"]}}, "clip_table": [{_ROW}]}}', True),
+    (f'{{{_HEAD}, "meta": {{"values": [[1.0]]}}, "clip_table": [{_ROW}]}}', True),
+    # the row mark inside a row is cut out with it
+    (f'{{{_HEAD}, "clip_table": [{{"query": "q", "values": [{_MARK}0.0, 1.0, 2.0]}}]}}', True),
+    # the row mark anywhere else sends the document whole
+    (f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"n": {_MARK}0}}}}', False),
+    (f'{{{_HEAD}, "clip_table": [{_ROW}], "meta": {{"s": "{_MARK}"}}}}', False),
+    (f'{{{_HEAD}, "transcript": [{{"start": 0, "end": 1, "text": "{_MARK}0"}}], '
+     f'"clip_table": [{_ROW}]}}', False),
+])
+def test_which_documents_are_parsed_with_their_rows_cut_out(document, split, monkeypatch):
+    """A document is decoded whole only when the row mark occurs outside
+    its rows; either way it loads as parsing in full before checking."""
+    data = document.encode("utf-8")
+    want = loads_bundle_parsed_first(data)
+    decoded = []
+    decode_text = himu.jsonio.decode_text
+    monkeypatch.setattr(himu.jsonio, "decode_text",
+                        lambda *args: decoded.append(args) or decode_text(*args))
+    got = loads_bundle(data)
+    assert bool(decoded) is not split
+    _assert_same_bundle(got, want)
 
 
 def test_large_rows_load_in_slices_exactly():
@@ -1027,10 +1069,10 @@ def test_bundle_load_holds_one_row_of_python_floats_at_a_time():
     rng = np.random.default_rng(3)
     table = ScoreTable(ExpertKind.CLIP, "vid",
                        tuple((f"q{i}", rng.random(T)) for i in range(rows)))
-    text = dumps_bundle(make_bundle(T=T, clip_table=table))
+    data = dumps_bundle(make_bundle(T=T, clip_table=table)).encode("utf-8")
     tracemalloc.start()
     try:
-        loads_bundle(text)
+        loads_bundle(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1074,11 +1116,11 @@ def test_rows_are_read_only_and_never_share_a_callers_array(tmp_path):
 
     path = tmp_path / "b.json"
     save_bundle(full_bundle(), path)
-    for bundle in (load_bundle(path), loads_bundle(path.read_text(encoding="utf-8"))):
-        for _, row in bundle.clip_table.rows + bundle.clap_table.rows:
-            assert not row.flags.writeable
-            with pytest.raises(ValueError):
-                row[0] = 1.0
+    bundle = load_bundle(path)
+    for _, row in bundle.clip_table.rows + bundle.clap_table.rows:
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
 
 
 # --- evaluate_leaves ---------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from himu.jsonio import dumps, save_json
+from himu.errors import BundleFormatError
+from himu.jsonio import _Loaded, dumps, parse_json_rows, save_json
 from oracles import dumps_stdlib
 
 
@@ -142,3 +143,18 @@ def test_json_key_conversion():
     assert json.loads(dumps(doc)) == {
         "1": "str", "2.5": "float", "NaN": "nan", "-Infinity": "-inf", "false": "bool",
         "null": "none", str(2**70): "enum"}
+
+
+def test_only_values_members_become_float64_rows():
+    """``parse_json_rows`` turns the flat float arrays of ``"values"``
+    members into float64, and leaves every other array the list ``json``
+    parses: under keys that end or start with the quoted word, under an
+    escaped spelling of the key, with an integer inside, and in a string."""
+    data = (b'{"values": [1.0, 2.5], "x\\"values": [3.0], "values\\"": [4.0], '
+            b'"escaped": {"val\\u0075es": [5.0]}, "rows": [{"values": [6.0, 7]}], '
+            b'"s": "{\\"values\\": [8.0]}"}')
+    got = parse_json_rows(data, BundleFormatError, "document")
+    assert type(got["values"]) is _Loaded
+    assert {**got, "values": got["values"].tolist()} == json.loads(data)
+    others = (got['x"values'], got['values"'], got["escaped"]["values"], got["rows"][0]["values"])
+    assert [type(value) for value in others] == [list] * 4

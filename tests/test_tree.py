@@ -16,8 +16,8 @@ from himu.tree import (
     OperatorKind,
     leaves_by_expert,
     parse_tree,
-    serialize,
 )
+from oracles import tree_document
 
 
 def leaf(expert="CLIP", query="a dog", explicit=True):
@@ -40,7 +40,8 @@ def test_single_leaf_explicit_op():
 def test_single_leaf_implicit_form():
     explicit = parse_tree(json.dumps(leaf("OVD", "black dog", explicit=True)))
     implicit = parse_tree(json.dumps(leaf("OVD", "black dog", explicit=False)))
-    assert serialize(explicit) == serialize(implicit)
+    assert explicit == implicit
+    assert tree_document(explicit.root) == leaf("OVD", "black dog")
 
 
 def test_mcq_pattern_leaf_ids_are_preorder():
@@ -260,8 +261,8 @@ def _tree_documents():
 @given(_tree_documents())
 def test_round_trip_and_partition(doc):
     tree = parse_tree(json.dumps(doc))
-    again = parse_tree(serialize(tree))
-    assert serialize(again) == serialize(tree)
+    again = parse_tree(json.dumps(tree_document(tree.root)))
+    assert again == tree
     assert [l.leaf_id for l in again.leaves] == [l.leaf_id for l in tree.leaves]
     groups = leaves_by_expert(tree)
     flat = sorted(i for ids in groups.values() for i in ids)
