@@ -1,32 +1,42 @@
-"""On-disk bundle cache read and written by ``himu select``.
+"""On-disk cache of score-row documents, read and written by ``himu select``.
 
-Key: the SHA-256 of the bundle file's bytes, so a hit is found without
-parsing the bundle, and ``file_key`` finds it without holding the whole
-file. For a file in the canonical form that ``save_bundle`` writes, the key
-equals ``bundle_digest`` of its content. A file holding the
-same bundle in another layout (compact JSON, other key order) hashes
-differently and gets an entry of its own.
+Two kinds of document have score rows, ``{query, values}`` objects that
+hold nearly all of a file's bytes: a bundle (``clip_table`` and
+``clap_table``) and a detection source (``entries``). Each ``--bundle``
+and ``--ovd`` file gets an entry of its own, so a warm run parses neither.
+
+Key: the SHA-256 of the file's bytes, so a hit is found without parsing
+the file, and ``file_key`` finds it without holding the whole file. For a
+bundle file in the canonical form that ``save_bundle`` writes, the key
+equals ``bundle_digest`` of its content. A file holding the same document
+in another layout (compact JSON, other key order) hashes differently and
+gets an entry of its own.
 
 Entry: one file, ``<root>/<key>.entry``. Its first line is a compact ASCII
-JSON header: ``entry_version`` and the ``bundle_to_obj`` document with each
-score table reduced to its list of row queries. The rest is one ``.npy``
-block (NumPy format 1.0) holding every table row, CLIP rows then CLAP rows,
-as a C-order ``<f8`` array of shape (rows, T). ``write_through`` writes an
-entry only after a successful run, through a temporary file and an atomic
-rename, so a failed write leaves no file behind. The path depends on the
-key alone, so nothing in the bundle can steer the write outside the root.
+JSON header: ``entry_version``, the document ``kind`` (``"bundle"`` or
+``"ovd"``) and the document itself, with each row list reduced to
+``{"queries": [...], "lengths": [...]}``, the query and the number of
+values of each row. The rest is one ``.npy`` block (NumPy format 1.0): every
+row, list after list, concatenated into one C-order 1-D ``<f8`` array.
+Detection rows may differ in length, so the block is 1-D for both kinds.
+``write_through`` writes an entry only after a successful run, through a
+temporary file and an atomic rename, so a failed write leaves no file
+behind. The path depends on the key alone, so nothing in the document can
+steer the write outside the root.
 
-Read-back: ``read_entry`` returns the stored bundle, or None for a miss. An
-entry is untrusted input, because anyone who can write to the root can put
-a file there. Before the rows are read, the ``.npy`` header must give
-dtype ``<f8``, C order and the shape the JSON header implies, and the bytes
-left in the file must be exactly those rows; the rows are then loaded with
-``allow_pickle=False``. Header and rows pass the same checks as a bundle
-file (``bundle_from_obj``). Any failure, from a missing or truncated file to
-another version or a malformed header, is a miss: the caller parses the
-bundle file and rewrites the entry. These checks do not authenticate an
-entry, so a forged one that is internally consistent would be used as it
-stands. Keep the cache root writable only by its owner.
+Read-back: ``read_entry`` returns the stored document of the kind asked
+for, or None for a miss. An entry is untrusted input, because anyone who
+can write to the root can put a file there. Every row length must be an
+int of at least 1 before any row is cut. Before the rows are read, the
+``.npy`` header must give dtype ``<f8``, C order and the length the row
+lengths add up to, and the bytes left in the file must be exactly those
+rows; the rows are then loaded with ``allow_pickle=False``. Header and rows
+pass the same checks as the file they came from (``bundle_from_obj`` or
+``ovd_from_obj``). Any failure, from a missing or truncated file to another
+version, another kind or a malformed header, is a miss: the caller parses
+the file and rewrites the entry. These checks do not authenticate an entry,
+so a forged one that is internally consistent would be used as it stands.
+Keep the cache root writable only by its owner.
 
 To reuse a bundle across questions in one process, load it once and pass
 it to ``run_pipeline`` for each question.
@@ -43,13 +53,25 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleFormatError, HimuError
-from .experts.bundle import ExpertBundle, bundle_from_obj, bundle_to_obj
+from .experts.bundle import (
+    ExpertBundle,
+    OvdSource,
+    bundle_from_obj,
+    bundle_to_obj,
+    ovd_from_obj,
+    ovd_to_obj,
+)
 from .jsonio import _Loaded, atomic_file, decode_text, parse_json
 
 CACHE_DIR_ENV = "HIMU_CACHE_DIR"
-ENTRY_VERSION = 1
+ENTRY_VERSION = 2
 
-_TABLES = ("clip_table", "clap_table")  # bundle attributes and document keys
+# Per document kind: the document keys that hold score rows, and the check
+# that turns the document into its object.
+_KINDS = {
+    "bundle": (("clip_table", "clap_table"), bundle_from_obj),
+    "ovd": (("entries",), ovd_from_obj),
+}
 _ROW_DTYPE = np.dtype("<f8")
 _KEY_PIECE = 64 * 1024
 
@@ -63,7 +85,7 @@ def cache_root() -> Path:
 
 
 def entry_key(data: bytes) -> str:
-    """Cache key of a bundle file: the SHA-256 of its bytes."""
+    """Cache key of a file: the SHA-256 of its bytes."""
     return hashlib.sha256(data).hexdigest()
 
 
@@ -84,40 +106,47 @@ def entry_path(key: str) -> Path:
     return cache_root() / f"{key}.entry"
 
 
-def write_through(bundle: ExpertBundle, key: str) -> Path:
-    """Store a bundle under its key; returns the entry path."""
-    # The tables leave the JSON header before it is built, so their values
-    # are never turned into Python floats.
-    header = {
-        "entry_version": ENTRY_VERSION,
-        **bundle_to_obj(replace(bundle, clip_table=None, clap_table=None)),
-    }
-    rows = []
-    for name in _TABLES:
-        table = getattr(bundle, name)
-        if table is not None:
-            header[name] = [query for query, _ in table.rows]
-            rows += [values for _, values in table.rows]
-    array = np.array(rows, dtype=_ROW_DTYPE).reshape(len(rows), bundle.num_frames)
+def _without_rows(document: ExpertBundle | OvdSource) -> tuple[str, dict, dict]:
+    """The document's kind, its JSON document without row lists, and the
+    (query, values) rows of each row list it has."""
+    # The rows leave the document before it is built, so their values are
+    # never turned into Python floats.
+    if isinstance(document, OvdSource):
+        return "ovd", ovd_to_obj(replace(document, entries=())), {"entries": document.entries}
+    tables = {name: getattr(document, name) for name in _KINDS["bundle"][0]}
+    rows = {name: table.rows for name, table in tables.items() if table is not None}
+    return "bundle", bundle_to_obj(replace(document, **dict.fromkeys(tables))), rows
+
+
+def write_through(document: ExpertBundle | OvdSource, key: str) -> Path:
+    """Store a bundle or detection source under its key; returns the entry path."""
+    kind, obj, lists = _without_rows(document)
+    header = {"entry_version": ENTRY_VERSION, "kind": kind, **obj}
+    for name, rows in lists.items():
+        header[name] = {"queries": [query for query, _ in rows],
+                        "lengths": [len(values) for _, values in rows]}
+    values = [values for rows in lists.values() for _, values in rows]
+    block = np.concatenate(values, dtype=_ROW_DTYPE) if values else np.empty(0, _ROW_DTYPE)
 
     path = entry_path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_file(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
-        np.save(fh, array, allow_pickle=False)
+        np.save(fh, block, allow_pickle=False)
     return path
 
 
-def read_entry(key: str) -> ExpertBundle | None:
-    """The bundle stored under ``key``, or None when there is no valid entry."""
+def read_entry(key: str, kind: str) -> ExpertBundle | OvdSource | None:
+    """The document of ``kind`` (``"bundle"`` or ``"ovd"``) stored under
+    ``key``, or None when there is no valid entry of that kind."""
     try:
         with open(entry_path(key), "rb") as fh:
-            return _load_entry(fh)
+            return _load_entry(fh, kind)
     except (OSError, ValueError, HimuError):
         return None
 
 
-def _load_entry(fh) -> ExpertBundle:
+def _load_entry(fh, kind: str):
     what = "cache entry header"
     header = parse_json(decode_text(fh.readline(), BundleFormatError, what),
                         BundleFormatError, what)
@@ -126,18 +155,36 @@ def _load_entry(fh) -> ExpertBundle:
     version = header.pop("entry_version", None)
     if type(version) is not int or version != ENTRY_VERSION:
         raise BundleFormatError(f"unsupported cache entry version {version!r}")
-    queries = {name: header.pop(name) for name in _TABLES if name in header}
-    if not all(isinstance(names, list) for names in queries.values()):
-        raise BundleFormatError(f"{what} table queries must be lists")
-    rows = _read_rows(fh, (sum(map(len, queries.values())), header.get("T")))
+    found = header.pop("kind", None)
+    if found != kind:
+        raise BundleFormatError(f"cache entry holds kind {found!r}, expected {kind!r}")
+    names, from_obj = _KINDS[kind]
+    lists = {name: _row_layout(header.pop(name)) for name in names if name in header}
+    rows = _read_rows(fh, (sum(sum(lengths) for _, lengths in lists.values()),))
     start = 0
-    for name, names in queries.items():
-        header[name] = [
-            {"query": query, "values": values}
-            for query, values in zip(names, rows[start:start + len(names)])
-        ]
-        start += len(names)
-    return bundle_from_obj(header)
+    for name, (queries, lengths) in lists.items():
+        header[name] = []
+        for query, length in zip(queries, lengths):
+            header[name].append({"query": query, "values": rows[start:start + length]})
+            start += length
+    return from_obj(header)
+
+
+def _row_layout(layout) -> tuple[list, list]:
+    """The queries and row lengths of one row list, checked before any row
+    is cut: a length below 1 would slice from the end or give an empty row,
+    and still add up to the block's size."""
+    if not isinstance(layout, dict) or set(layout) != {"queries", "lengths"}:
+        raise BundleFormatError("cache entry row lists must be {queries, lengths}")
+    queries, lengths = layout["queries"], layout["lengths"]
+    if not isinstance(queries, list) or not isinstance(lengths, list):
+        raise BundleFormatError("cache entry queries and lengths must be lists")
+    if len(queries) != len(lengths):
+        raise BundleFormatError(f"cache entry has {len(queries)} queries "
+                                f"and {len(lengths)} row lengths")
+    if not all(type(length) is int and length >= 1 for length in lengths):
+        raise BundleFormatError("cache entry row lengths must be integers >= 1")
+    return queries, lengths
 
 
 def _read_rows(fh, shape: tuple) -> np.ndarray:
@@ -154,5 +201,5 @@ def _read_rows(fh, shape: tuple) -> np.ndarray:
     if left != math.prod(found) * _ROW_DTYPE.itemsize:
         raise BundleFormatError(f"cache entry has {left} bytes of rows for shape {found}")
     fh.seek(start)
-    # Nothing else holds the rows, so the bundle keeps them without a copy.
+    # Nothing else holds the rows, so the document keeps them without a copy.
     return np.load(fh, allow_pickle=False).view(_Loaded)

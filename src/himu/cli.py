@@ -30,8 +30,9 @@ from .errors import (
 )
 from .experts.bundle import (
     bundle_digest,  # traced by perfbench/spans.py; cmd_select keys by file bytes
-    load_ovd_source,
+    load_ovd_source,  # traced by perfbench/spans.py; cmd_select reads via _read_document
     loads_bundle,
+    loads_ovd_source,
     save_bundle,
     save_ovd_source,
 )
@@ -144,30 +145,36 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _write_outputs(out_dir: Path, artifacts: dict[str, dict], bundle, key) -> list[Path]:
-    """Write the artifacts, then the bundle's cache entry when ``key`` is set.
+def _write_outputs(out_dir: Path, artifacts: dict[str, dict], entries) -> list[Path]:
+    """Write the artifacts, then a cache entry for each (document, key) in
+    ``entries`` whose key is set.
 
-    If any write fails, the artifacts already written are removed, so a
-    failed run leaves neither part of the set nor a cache entry behind.
+    If any write fails, the artifacts and entries already written are
+    removed, so a failed run leaves neither part of the set nor a cache
+    entry behind.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    cached: list[Path] = []
     try:
         for name, obj in artifacts.items():
             save_json(obj, out_dir / name)
             written.append(out_dir / name)
-        if key is not None:
-            write_through(bundle, key)
+        for document, key in entries:
+            if key is not None:
+                cached.append(write_through(document, key))
     except BaseException:
-        for path in written:
+        for path in written + cached:
             path.unlink(missing_ok=True)
         raise
     return written
 
 
-def _read_bundle(path, use_cache: bool):
-    """The bundle in ``path``, its cache key (None without the cache) and
-    whether it came from a cache entry, in which case the file is not parsed.
+def _read_document(path, use_cache: bool, kind: str):
+    """The document of ``kind`` (``"bundle"`` or ``"ovd"``) in ``path``, the
+    key to cache it under and whether it came from its cache entry, in which
+    case the file is not parsed and the key is None, as it is without the
+    cache.
 
     The lookup hashes the file in pieces, and the file is read whole only on
     a miss. The key of a miss is then taken from the bytes that are parsed,
@@ -176,16 +183,18 @@ def _read_bundle(path, use_cache: bool):
     """
     if use_cache:
         key = file_key(path)
-        bundle = read_entry(key)
-        if bundle is not None:
-            return bundle, key, True
+        document = read_entry(key, kind)
+        if document is not None:
+            return document, None, True
     data = Path(path).read_bytes()
     key = entry_key(data) if use_cache else None
-    # The parser cuts each table row out of the bytes, turns it into float64
+    # The parser cuts each score row out of the bytes, turns it into float64
     # a slice at a time and puts it back in place of its integer literal; it
     # never builds the file's text, so a cold load peaks at the bytes plus
-    # the float64 rows.
-    return loads_bundle(data), key, False
+    # the float64 rows. The parsers are looked up here, at call time, so
+    # that a wrapper put in their place is called.
+    parse = loads_bundle if kind == "bundle" else loads_ovd_source
+    return parse(data), key, False
 
 
 def cmd_select(args) -> int:
@@ -193,8 +202,14 @@ def cmd_select(args) -> int:
     if args.frames < 1:
         raise ValueError("budget must be >= 1")
     tree = _parse_tree_file(args.tree, config)
-    bundle, key, disk_hit = _read_bundle(args.bundle, not args.no_cache)
-    ovd_source = load_ovd_source(args.ovd) if args.ovd else None
+    use_cache = not args.no_cache
+    bundle, key, disk_hit = _read_document(args.bundle, use_cache, "bundle")
+    # Each file is cached only once the run and its artifacts have succeeded.
+    ingest = [(bundle, key)]
+    ovd_source = None
+    if args.ovd:
+        ovd_source, ovd_key, _ = _read_document(args.ovd, use_cache, "ovd")
+        ingest.append((ovd_source, ovd_key))
 
     counters = ProviderCounters()
     result = run_pipeline(
@@ -207,8 +222,6 @@ def cmd_select(args) -> int:
         strategy=args.strategy,
     )
     selection = result.selection
-    # The bundle is cached only once the run and its artifacts have succeeded.
-    ingest_key = key if not disk_hit else None
 
     selection_obj = {
         "video_id": bundle.video_id,
@@ -243,7 +256,7 @@ def cmd_select(args) -> int:
         "video_id": bundle.video_id,
         "providers": counters.snapshot(),
         "cache": {
-            "bundle_ingested": int(ingest_key is not None),
+            "bundle_ingested": int(key is not None),
             "disk_hit": disk_hit,
             "disabled": bool(args.no_cache),
         },
@@ -257,8 +270,7 @@ def cmd_select(args) -> int:
             "attribution.json": attribution_obj,
             "stats.json": stats_obj,
         },
-        bundle,
-        ingest_key,
+        ingest,
     )
     frames_text = ",".join(str(t) for t in selection.frames)
     print(f"selected {len(selection.frames)} frames: {frames_text}")
@@ -343,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--strategy", choices=STRATEGIES, default="pass")
     p_select.add_argument("--out", default="himu-out", help="output directory")
     p_select.add_argument("--no-cache", action="store_true",
-                          help="skip the on-disk bundle cache")
+                          help="neither read nor write the on-disk cache of the "
+                               "--bundle and --ovd files")
     _add_config_flags(p_select)
     p_select.set_defaults(func=cmd_select)
 

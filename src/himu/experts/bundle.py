@@ -2,9 +2,10 @@
 
 A bundle gathers everything query-independent about one video: embedding
 score tables (one row per known query), transcript segments, and per-frame
-text detections. Object-detection scores stay outside the bundle in their
-own per-query source file because they are recomputed per query and never
-cached. Bundles are immutable after construction and round-trip losslessly
+text detections. Object-detection scores stay outside the bundle, in a
+per-video detection source file of their own (``OvdSource``). ``himu
+select`` caches both files, each keyed by its own bytes (``himu.cache``).
+Bundles are immutable after construction and round-trip losslessly
 through a canonical JSON serialization.
 """
 from __future__ import annotations
@@ -416,13 +417,18 @@ def ovd_from_obj(obj) -> OvdSource:
     return OvdSource(video_id, tuple(rows))
 
 
-def load_ovd_source(path) -> OvdSource:
-    """The detection source in a file, parsed from its bytes with each entry's
+def loads_ovd_source(data: bytes) -> OvdSource:
+    """The detection source in the bytes of a UTF-8 JSON file, each entry's
     values cut out and parsed on its own, as ``loads_bundle`` does."""
     # A detection source has no free-form part, so every float64 row is an
     # entry's or is rejected as a misplaced object.
-    return ovd_from_obj(jsonio.parse_json_rows(Path(path).read_bytes(), BundleFormatError,
-                                               "detection source"))
+    return ovd_from_obj(jsonio.parse_json_rows(data, BundleFormatError, "detection source"))
+
+
+def load_ovd_source(path) -> OvdSource:
+    """The detection source in a file, parsed from its bytes as
+    ``loads_ovd_source`` does."""
+    return loads_ovd_source(Path(path).read_bytes())
 
 
 def save_ovd_source(source: OvdSource, path) -> None:

@@ -1,11 +1,16 @@
 import errno
 import io
 import json
+import os
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import himu.jsonio
 from himu.bench import RecallReport, save_report
@@ -15,6 +20,7 @@ from himu.experts import (
     bundle_digest,
     dumps_bundle,
     load_bundle,
+    ovd_to_obj,
     save_bundle,
     save_ovd_source,
 )
@@ -36,10 +42,13 @@ def test_disk_round_trip_bit_identical(tmp_path, monkeypatch, rich_bundle):
     assert path == entry_path(key) == tmp_path / f"{key}.entry"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     header, rows = path.read_bytes().split(b"\n", 1)
-    assert json.loads(header)["clip_table"] == ["a dog", "a cat"]
+    header = json.loads(header)
+    assert (header["entry_version"], header["kind"]) == (2, "bundle")
+    assert header["clip_table"] == {"queries": ["a dog", "a cat"], "lengths": [40, 40]}
     assert rows.startswith(b"\x93NUMPY\x01\x00")
+    assert np.load(io.BytesIO(rows), allow_pickle=False).shape == (3 * 40,)
 
-    loaded = read_entry(key)
+    loaded = read_entry(key, "bundle")
     assert dumps_bundle(loaded) == dumps_bundle(rich_bundle)
     assert loaded.meta == rich_bundle.meta
     for table in ("clip_table", "clap_table"):
@@ -69,16 +78,62 @@ def test_file_key_is_the_entry_key_of_the_file_bytes(tmp_path, size):
 def test_missing_entry_is_a_miss(tmp_path, monkeypatch):
     for root in (tmp_path, tmp_path / "absent"):
         monkeypatch.setenv("HIMU_CACHE_DIR", str(root))
-        assert read_entry("0" * 64) is None
+        for kind in ("bundle", "ovd"):
+            assert read_entry("0" * 64, kind) is None
+
+
+def test_an_entry_is_read_only_as_its_own_kind(tmp_path, monkeypatch, rich_bundle):
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path))
+    source = OvdSource("vid-rich", (("ball", np.linspace(0.0, 1.0, 40)),))
+    write_through(rich_bundle, "b")
+    write_through(source, "o")
+    assert read_entry("b", "ovd") is None and read_entry("o", "bundle") is None
+    assert dumps_bundle(read_entry("b", "bundle")) == dumps_bundle(rich_bundle)
+    assert ovd_to_obj(read_entry("o", "ovd")) == ovd_to_obj(source)
 
 
 def test_bundle_without_tables_round_trips(tmp_path, monkeypatch, rich_bundle):
     monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path))
     bundle = replace(rich_bundle, clip_table=None, clap_table=None)
     path = write_through(bundle, "k")
-    assert dumps_bundle(read_entry("k")) == dumps_bundle(bundle)
+    assert dumps_bundle(read_entry("k", "bundle")) == dumps_bundle(bundle)
     rows = np.load(io.BytesIO(path.read_bytes().split(b"\n", 1)[1]), allow_pickle=False)
-    assert rows.shape == (0, bundle.num_frames)
+    assert rows.shape == (0,)
+
+
+def _examples(n):
+    """n examples, or the loaded hypothesis profile's count when that is
+    larger: the byte-equality properties run longer under "thorough"."""
+    return max(n, settings.default.max_examples)
+
+
+_ENTRY_QUERY = st.one_of(
+    st.sampled_from(["ball", "Ball", "a red car", "Straße", "\u65e5\u672c", "a\nb \"c\""]),
+    st.text(min_size=1, max_size=8).filter(str.strip),
+)
+_ENTRY_ROW = st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([-0.0, 5e-324, 0.30000000000000004])),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=_examples(100), deadline=None)
+@given(st.text(min_size=1, max_size=6), st.lists(st.tuples(_ENTRY_QUERY, _ENTRY_ROW), max_size=6))
+def test_detection_entry_round_trip_bytewise(video_id, entries):
+    """A detection source of rows of mixed lengths, repeated and non-ASCII
+    queries or no entries at all reads back from its entry as it was
+    written, bit for bit, with read-only rows."""
+    source = OvdSource(video_id, tuple((query, np.array(row)) for query, row in entries))
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.dict(os.environ, {"HIMU_CACHE_DIR": root}):
+        write_through(source, "k")
+        loaded = read_entry("k", "ovd")
+    assert ovd_to_obj(loaded) == ovd_to_obj(source)
+    assert [query for query, _ in loaded.entries] == [query for query, _ in source.entries]
+    for (_, values), (_, want) in zip(loaded.entries, source.entries):
+        assert values.tobytes() == want.tobytes()  # -0.0 and subnormals too
+        assert not values.flags.writeable
 
 
 def _disk_full_open(file, mode="r", **kwargs):
@@ -100,6 +155,9 @@ _WRITERS = {
         OvdSource("vid", (("red car", np.array([0.0, 0.5, 0.9])),)), tmp_path / "o.json"
     ),
     "write_through": lambda bundle, tmp_path: write_through(bundle, "k"),
+    "write_through ovd": lambda bundle, tmp_path: write_through(
+        OvdSource("vid", (("red car", np.array([0.0, 0.5, 0.9])),)), "k"
+    ),
     "save_report": lambda bundle, tmp_path: save_report(
         RecallReport(("pass",), (8,), 0), tmp_path / "r.json"
     ),

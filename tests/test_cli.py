@@ -14,10 +14,18 @@ import pytest
 import himu
 import himu.jsonio
 from himu.bench import Event, EventScript, generate
-from himu.cache import entry_key, entry_path, read_entry
+from himu.cache import entry_key, entry_path, file_key, read_entry, write_through
 from himu.cli import _SIGMA_FLAGS, build_parser, main
 from himu.config import SCALAR_KEYS
-from himu.experts import bundle_digest, dumps_bundle, load_bundle
+from himu.experts import (
+    OvdSource,
+    bundle_digest,
+    dumps_bundle,
+    load_bundle,
+    load_ovd_source,
+    ovd_to_obj,
+    save_ovd_source,
+)
 from himu.tree import ExpertKind
 from oracles import dumps_stdlib, ovd_document, save_scripts
 
@@ -235,6 +243,19 @@ def test_select_rejects_a_detection_source_for_another_video(tmp_path, monkeypat
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cache").exists()
 
+    # Read from its cache entry, without the file being parsed, the foreign
+    # source is rejected all the same.
+    planted = write_through(load_ovd_source(foreign), file_key(foreign))
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: (
+        pytest.fail("the detection file was read whole") if path == foreign
+        else read_bytes(path)))
+    assert main([*args, "--ovd", str(foreign), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "'some-other-video'" in err and "'vid-2'" in err
+    assert not (tmp_path / "out").exists()
+    assert list((tmp_path / "cache").iterdir()) == [planted]
+
 
 def test_select_cache_entry_stays_under_root(workspace, monkeypatch):
     tmp_path, tree_path, bundle_path = workspace
@@ -326,7 +347,7 @@ def test_a_bundle_replaced_after_hashing_is_cached_under_its_own_bytes(
     assert cold_stats["bundle_ingested"] == 1
     entry = entry_path(entry_key(bundle_path.read_bytes()))
     assert list((tmp_path / "cache").iterdir()) == [entry]
-    assert dumps_bundle(read_entry(entry_key(bundle_path.read_bytes()))) == \
+    assert dumps_bundle(read_entry(entry_key(bundle_path.read_bytes()), "bundle")) == \
         bundle_path.read_text(encoding="utf-8")
 
 
@@ -375,21 +396,45 @@ def _with_rows(make):
     return rewrite
 
 
+def _npy_header(shape, fortran_order=False) -> bytes:
+    """A ``.npy`` format 1.0 magic and header for ``<f8`` rows."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": fortran_order, "shape": shape}
+    )
+    return buf.getvalue()
+
+
 def _nan_row(rows):
     rows = rows.copy()
-    rows[0, 3] = np.nan
+    rows[3] = np.nan
     return _npy(rows)
 
 
+def _fortran_order(rows):
+    """The same bytes under a header that says Fortran order."""
+    return _npy_header(rows.shape, fortran_order=True) + rows.tobytes()
+
+
 def _declared_far_larger(data):
-    """Header and .npy both claim 10**12 frames; the file holds 40."""
+    """Header and .npy both claim 10**12 frames a row; the file holds 40."""
     header, rows = _split_entry(data)
+    count = len(rows) // header["T"]
     header["T"] = 10**12
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": "<f8", "fortran_order": False, "shape": (len(rows), 10**12)}
-    )
-    return _entry(header, buf.getvalue() + rows.tobytes())
+    for name in ("clip_table", "clap_table"):
+        header[name]["lengths"] = [10**12] * len(header[name]["lengths"])
+    return _entry(header, _npy_header((count * 10**12,)) + rows.tobytes())
+
+
+def _former_layout(data):
+    """The entry as version 1 wrote it: each table as its list of queries,
+    and the rows as one (rows, T) block."""
+    header, rows = _split_entry(data)
+    header["entry_version"] = 1
+    del header["kind"]
+    for name in ("clip_table", "clap_table"):
+        header[name] = header[name]["queries"]
+    return _entry(header, _npy(rows.reshape(-1, header["T"])))
 
 
 def _ocr_frame_past_end(header):
@@ -403,14 +448,18 @@ _HOSTILE_ENTRIES = {
     "header not JSON": lambda data: b"{not json" + data[data.index(b"\n"):],
     "header not an object": lambda data: b"[1, 2]" + data[data.index(b"\n"):],
     "header not UTF-8": lambda data: b"\xff" + data,
-    "entry version 2": _with_header(lambda h: h.update(entry_version=2)),
+    "entry version 1": _former_layout,
+    "entry version 3": _with_header(lambda h: h.update(entry_version=3)),
     "entry version true": _with_header(lambda h: h.update(entry_version=True)),
-    "queries not a list": _with_header(lambda h: h.update(clip_table="a dog")),
+    "kind ovd": _with_header(lambda h: h.update(kind="ovd")),
+    "kind missing": _with_header(lambda h: h.pop("kind")),
+    "queries not a list": _with_header(lambda h: h["clip_table"].update(queries="a dog")),
+    "row list not an object": _with_header(lambda h: h.update(clip_table=["a dog", "a cat"])),
     "rows float32": _with_rows(lambda rows: _npy(rows.astype("<f4"))),
     "rows pickled objects": _with_rows(lambda rows: _npy(
         np.full(rows.shape, _PickleSentinel(), dtype=object), allow_pickle=True
     )),
-    "rows Fortran order": _with_rows(lambda rows: _npy(np.asfortranarray(rows))),
+    "rows Fortran order": _with_rows(_fortran_order),
     "rows wrong shape": _with_rows(lambda rows: _npy(rows[:-1])),
     "shape far larger than file": _declared_far_larger,
     "NaN in a row": _with_rows(_nan_row),
@@ -437,15 +486,153 @@ def test_invalid_cache_entry_is_a_miss_and_rewritten(rich_workspace, capsys, cas
     assert _UNPICKLED == []
 
 
-def test_failed_artifact_write_leaves_no_file(workspace, monkeypatch):
-    tmp_path, tree_path, bundle_path = workspace
-    cache_dir = tmp_path / "cache"
-    for failing in ("curve.json", ".entry"):
+@pytest.fixture()
+def ovd_workspace(tmp_path, monkeypatch):
+    """A bundle, its two-row detection source and a tree that reads both."""
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path / "cache"))
+    instance = generate(EventScript(
+        script_id="vid-3",
+        num_frames=90,
+        events=(
+            Event(ExpertKind.CLIP, "a red car", (20, 24), amplitude=0.9),
+            Event(ExpertKind.OVD, "ball", (50, 54), amplitude=0.8),
+            Event(ExpertKind.OVD, "a dog", (70, 73), amplitude=0.7),
+        ),
+        noise_level=0.02,
+        seed=6,
+    ))
+    bundle_path = tmp_path / "vid-3.bundle.json"
+    bundle_path.write_text(dumps_bundle(instance.bundle), encoding="utf-8")
+    ovd_path = tmp_path / "vid-3.ovd.json"
+    save_ovd_source(instance.ovd_source, ovd_path)
+    tree_path = write_tree(tmp_path, {"op": "OR", "children": [
+        {"expert": "CLIP", "query": "a red car"},
+        {"expert": "OVD", "query": "ball"},
+        {"expert": "OVD", "query": "a dog"},
+    ]})
+    args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
+            "--ovd", str(ovd_path), "--frames", "6"]
+    return tmp_path, args, bundle_path, ovd_path
 
-        def disk_full_on(file, mode="r", **kwargs):
-            """``open`` that fails halfway through the first write to ``failing``."""
-            fh = open(file, mode, **kwargs)
-            if failing in Path(file).name:
+
+def test_detection_source_is_cached_under_its_own_bytes(ovd_workspace, monkeypatch):
+    tmp_path, args, bundle_path, ovd_path = ovd_workspace
+    cold, cold_stats = _select(args, tmp_path / "cold")
+    entries = {entry_path(entry_key(bundle_path.read_bytes())),
+               entry_path(entry_key(ovd_path.read_bytes()))}
+    assert set((tmp_path / "cache").iterdir()) == entries
+    written = {path: path.read_bytes() for path in entries}
+
+    # A warm run reads neither file whole, so it parses neither.
+    read_bytes = Path.read_bytes
+
+    def refuse_the_inputs(path):
+        assert path not in (bundle_path, ovd_path), f"a warm run read {path.name} whole"
+        return read_bytes(path)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "read_bytes", refuse_the_inputs)
+        warm, warm_stats = _select(args, tmp_path / "warm")
+    uncached, uncached_stats = _select(args, tmp_path / "uncached", "--no-cache")
+    assert cold == warm == uncached
+    assert cold_stats == {"bundle_ingested": 1, "disk_hit": False, "disabled": False}
+    assert warm_stats == {"bundle_ingested": 0, "disk_hit": True, "disabled": False}
+    assert uncached_stats == {"bundle_ingested": 0, "disk_hit": False, "disabled": True}
+    assert {path: path.read_bytes() for path in entries} == written
+    assert set((tmp_path / "cache").iterdir()) == entries
+    assert ovd_to_obj(read_entry(entry_key(ovd_path.read_bytes()), "ovd")) == \
+        ovd_to_obj(load_ovd_source(ovd_path))
+
+
+def test_a_detection_file_replaced_after_hashing_is_cached_under_its_own_bytes(
+        ovd_workspace, monkeypatch):
+    """The file changes between the lookup's hash and the read of a miss:
+    the entry goes under the key of the bytes that were parsed."""
+    tmp_path, args, bundle_path, ovd_path = ovd_workspace
+    former = load_ovd_source(ovd_path)
+    replacement = OvdSource(former.video_id, tuple(
+        (query, values[::-1].copy()) for query, values in former.entries
+    ))
+
+    replaced = []
+
+    def hash_then_replace(path):
+        """The key of the file as it is; the detection file is then replaced."""
+        key = file_key(path)
+        if Path(path) == ovd_path and not replaced:
+            save_ovd_source(replacement, ovd_path)
+            replaced.append(path)
+        return key
+
+    monkeypatch.setattr("himu.cli.file_key", hash_then_replace)
+    cold, _ = _select(args, tmp_path / "cold")
+    key = entry_key(ovd_path.read_bytes())
+    assert set((tmp_path / "cache").iterdir()) == {
+        entry_path(entry_key(bundle_path.read_bytes())), entry_path(key)
+    }
+    assert ovd_to_obj(read_entry(key, "ovd")) == ovd_to_obj(replacement)
+    assert cold == _select(args, tmp_path / "uncached", "--no-cache")[0]
+
+
+def _detection_lengths(change):
+    def mutate(header):
+        header["entries"]["lengths"] = change(header["entries"]["lengths"])
+    return _with_header(mutate)
+
+
+_OTHER_KIND = "bundle entry under the detection key"
+# Each maker gets the valid entry's bytes; the detection source has two
+# rows of 90 values.
+_HOSTILE_DETECTION_ENTRIES = {
+    _OTHER_KIND: None,  # the bundle's own valid entry, copied
+    "kind bundle": _with_header(lambda h: h.update(kind="bundle")),
+    "zero length": _detection_lengths(lambda lengths: [0, sum(lengths)]),
+    "bool length": _detection_lengths(lambda lengths: [True, sum(lengths) - 1]),
+    "float length": _detection_lengths(lambda lengths: [float(lengths[0]), lengths[1]]),
+    "negative length": _detection_lengths(lambda lengths: [-2, sum(lengths) + 2]),
+    "a query without a length": _with_header(
+        lambda h: h["entries"]["queries"].append("a cat")),
+    "a length without a query": _detection_lengths(
+        lambda lengths: [lengths[0], lengths[1] - 1, 1]),
+    "NaN in a row": _with_rows(_nan_row),
+    "rows float32": _with_rows(lambda rows: _npy(rows.astype("<f4"))),
+    "rows Fortran order": _with_rows(_fortran_order),
+    "rows pickled objects": _with_rows(lambda rows: _npy(
+        np.full(rows.shape, _PickleSentinel(), dtype=object), allow_pickle=True
+    )),
+    "truncated rows": lambda data: data[:-8],
+}
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE_DETECTION_ENTRIES))
+def test_invalid_detection_entry_is_a_miss_and_rewritten(ovd_workspace, capsys, case):
+    tmp_path, args, bundle_path, ovd_path = ovd_workspace
+    expected, _ = _select(args, tmp_path / "cold")
+    entry = entry_path(file_key(ovd_path))
+    valid = entry.read_bytes()
+    make = _HOSTILE_DETECTION_ENTRIES[case]
+    hostile = entry_path(file_key(bundle_path)).read_bytes() if make is None else make(valid)
+    entry.write_bytes(hostile)
+    capsys.readouterr()
+
+    artifacts, stats = _select(args, tmp_path / "hostile")
+    assert capsys.readouterr().err == ""
+    assert stats["disk_hit"] is True  # the bundle's entry is untouched
+    assert artifacts == expected
+    assert entry.read_bytes() == valid
+    assert _UNPICKLED == []
+
+
+def _disk_full_on(failing: str, nth: int):
+    """``open`` that fails halfway through the first write to the ``nth``
+    file opened whose name holds ``failing``."""
+    opened = []
+
+    def disk_full_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        if failing in Path(file).name:
+            opened.append(file)
+            if len(opened) == nth:
                 write = fh.write
 
                 def half_then_fail(data):
@@ -453,12 +640,24 @@ def test_failed_artifact_write_leaves_no_file(workspace, monkeypatch):
                     raise OSError(errno.ENOSPC, "No space left on device")
 
                 fh.write = half_then_fail
-            return fh
+        return fh
 
-        monkeypatch.setattr(himu.jsonio, "open", disk_full_on, raising=False)
-        out_dir = tmp_path / f"out{failing}"
+    return disk_full_open
+
+
+def test_failed_artifact_write_leaves_no_file(workspace, monkeypatch):
+    tmp_path, tree_path, bundle_path = workspace
+    cache_dir = tmp_path / "cache"
+    ovd_path = tmp_path / "vid-1.ovd.json"
+    save_ovd_source(OvdSource("vid-1", (("ball", np.linspace(0.0, 1.0, 120)),)), ovd_path)
+    # The bundle's entry is the first .entry write and the detection
+    # source's the second: when that fails, the first is removed too.
+    for failing, nth, extra in (("curve.json", 1, []), (".entry", 1, []),
+                                (".entry", 2, ["--ovd", str(ovd_path)])):
+        monkeypatch.setattr(himu.jsonio, "open", _disk_full_on(failing, nth), raising=False)
+        out_dir = tmp_path / f"out{failing}{nth}"
         assert main(["select", "--tree", str(tree_path), "--bundle", str(bundle_path),
-                     "--frames", "8", "--out", str(out_dir)]) == 1
+                     "--frames", "8", "--out", str(out_dir), *extra]) == 1
         assert list(out_dir.iterdir()) == []
         assert list(cache_dir.glob("*")) == []
 
