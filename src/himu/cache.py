@@ -13,11 +13,11 @@ in another layout (compact JSON, other key order) hashes differently and
 gets an entry of its own.
 
 Entry: one file, ``<root>/<key>.entry``. Its first line is a compact ASCII
-JSON header: ``entry_version``, the document ``kind`` (``"bundle"`` or
-``"ovd"``) and the document itself, with each row list reduced to
-``{"queries": [...], "lengths": [...]}``, the query and the number of
-values of each row. The rest is one ``.npy`` block (NumPy format 1.0): every
-row, list after list, concatenated into one C-order 1-D ``<f8`` array.
+JSON header: ``entry_version`` (3), the document ``kind`` (``"bundle"`` or
+``"ovd"``) and the document form that ``bundle_to_obj`` or ``ovd_to_obj``
+gives, with each row's ``"values"`` replaced by its number of values. The
+rest is one ``.npy`` block (NumPy format 1.0): every row, list after list,
+concatenated into one C-order 1-D ``<f8`` array.
 Detection rows may differ in length, so the block is 1-D for both kinds.
 ``write_through`` writes an entry only after a successful run, through a
 temporary file and an atomic rename, so a failed write leaves no file
@@ -26,11 +26,12 @@ steer the write outside the root.
 
 Read-back: ``read_entry`` returns the stored document of the kind asked
 for, or None for a miss. An entry is untrusted input, because anyone who
-can write to the root can put a file there. Every row length must be an
-int of at least 1 before any row is cut. Before the rows are read, the
-``.npy`` header must give dtype ``<f8``, C order and the length the row
-lengths add up to, and the bytes left in the file must be exactly those
-rows; the rows are then loaded with ``allow_pickle=False``. Header and rows
+can write to the root can put a file there. Before any row is cut, every
+row must be an object whose length is an int of at least 1. Before the
+rows are read, the ``.npy`` header must give dtype ``<f8``, C order and
+the length the row lengths add up to, and the bytes left in the file must
+be exactly those rows; the rows are then loaded with ``allow_pickle=False``
+and each row's slice of them takes its length's place. Header and rows
 pass the same checks as the file they came from (``bundle_from_obj`` or
 ``ovd_from_obj``). Any failure, from a missing or truncated file to another
 version, another kind or a malformed header, is a miss: the caller parses
@@ -47,7 +48,6 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,13 +64,13 @@ from .experts.bundle import (
 from .jsonio import _Loaded, atomic_file, decode_text, parse_json
 
 CACHE_DIR_ENV = "HIMU_CACHE_DIR"
-ENTRY_VERSION = 2
+ENTRY_VERSION = 3
 
-# Per document kind: the document keys that hold score rows, and the check
-# that turns the document into its object.
+# Per document kind: the document keys that hold score rows, the document
+# form of the object, and the check that turns the document into its object.
 _KINDS = {
-    "bundle": (("clip_table", "clap_table"), bundle_from_obj),
-    "ovd": (("entries",), ovd_from_obj),
+    "bundle": (("clip_table", "clap_table"), bundle_to_obj, bundle_from_obj),
+    "ovd": (("entries",), ovd_to_obj, ovd_from_obj),
 }
 _ROW_DTYPE = np.dtype("<f8")
 _KEY_PIECE = 64 * 1024
@@ -106,26 +106,16 @@ def entry_path(key: str) -> Path:
     return cache_root() / f"{key}.entry"
 
 
-def _without_rows(document: ExpertBundle | OvdSource) -> tuple[str, dict, dict]:
-    """The document's kind, its JSON document without row lists, and the
-    (query, values) rows of each row list it has."""
-    # The rows leave the document before it is built, so their values are
-    # never turned into Python floats.
-    if isinstance(document, OvdSource):
-        return "ovd", ovd_to_obj(replace(document, entries=())), {"entries": document.entries}
-    tables = {name: getattr(document, name) for name in _KINDS["bundle"][0]}
-    rows = {name: table.rows for name, table in tables.items() if table is not None}
-    return "bundle", bundle_to_obj(replace(document, **dict.fromkeys(tables))), rows
-
-
 def write_through(document: ExpertBundle | OvdSource, key: str) -> Path:
     """Store a bundle or detection source under its key; returns the entry path."""
-    kind, obj, lists = _without_rows(document)
-    header = {"entry_version": ENTRY_VERSION, "kind": kind, **obj}
-    for name, rows in lists.items():
-        header[name] = {"queries": [query for query, _ in rows],
-                        "lengths": [len(values) for _, values in rows]}
-    values = [values for rows in lists.values() for _, values in rows]
+    kind = "ovd" if isinstance(document, OvdSource) else "bundle"
+    names, to_obj, _ = _KINDS[kind]
+    header = {"entry_version": ENTRY_VERSION, "kind": kind, **to_obj(document)}
+    values = []
+    for name in names:
+        for row in header.get(name, ()):
+            values.append(row["values"])
+            row["values"] = len(row["values"])
     block = np.concatenate(values, dtype=_ROW_DTYPE) if values else np.empty(0, _ROW_DTYPE)
 
     path = entry_path(key)
@@ -158,33 +148,23 @@ def _load_entry(fh, kind: str):
     found = header.pop("kind", None)
     if found != kind:
         raise BundleFormatError(f"cache entry holds kind {found!r}, expected {kind!r}")
-    names, from_obj = _KINDS[kind]
-    lists = {name: _row_layout(header.pop(name)) for name in names if name in header}
-    rows = _read_rows(fh, (sum(sum(lengths) for _, lengths in lists.values()),))
+    names, _, from_obj = _KINDS[kind]
+    lists = [header[name] for name in names if name in header]
+    if not all(isinstance(rows, list) for rows in lists):
+        raise BundleFormatError("cache entry row lists must be lists")
+    rows = [row for rows in lists for row in rows]
+    # Every row is checked before any is cut: a length below 1 would slice
+    # from the end or give an empty row, and still add up to the block's size.
+    if not all(isinstance(row, dict) and type(row.get("values")) is int
+               and row["values"] >= 1 for row in rows):
+        raise BundleFormatError("cache entry rows must be objects with a length >= 1")
+    block = _read_rows(fh, (sum(row["values"] for row in rows),))
     start = 0
-    for name, (queries, lengths) in lists.items():
-        header[name] = []
-        for query, length in zip(queries, lengths):
-            header[name].append({"query": query, "values": rows[start:start + length]})
-            start += length
+    for row in rows:
+        length = row["values"]
+        row["values"] = block[start:start + length]
+        start += length
     return from_obj(header)
-
-
-def _row_layout(layout) -> tuple[list, list]:
-    """The queries and row lengths of one row list, checked before any row
-    is cut: a length below 1 would slice from the end or give an empty row,
-    and still add up to the block's size."""
-    if not isinstance(layout, dict) or set(layout) != {"queries", "lengths"}:
-        raise BundleFormatError("cache entry row lists must be {queries, lengths}")
-    queries, lengths = layout["queries"], layout["lengths"]
-    if not isinstance(queries, list) or not isinstance(lengths, list):
-        raise BundleFormatError("cache entry queries and lengths must be lists")
-    if len(queries) != len(lengths):
-        raise BundleFormatError(f"cache entry has {len(queries)} queries "
-                                f"and {len(lengths)} row lengths")
-    if not all(type(length) is int and length >= 1 for length in lengths):
-        raise BundleFormatError("cache entry row lengths must be integers >= 1")
-    return queries, lengths
 
 
 def _read_rows(fh, shape: tuple) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -145,29 +146,37 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _all_or_none():
+    """A list for the paths a block writes: if the block fails, every path
+    in it is removed, so a failed run leaves no part of its output behind."""
+    written: list[Path] = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _write_outputs(out_dir: Path, artifacts: dict[str, dict], entries) -> list[Path]:
     """Write the artifacts, then a cache entry for each (document, key) in
-    ``entries`` whose key is set.
+    ``entries`` whose key is set, and return the artifact paths.
 
     If any write fails, the artifacts and entries already written are
     removed, so a failed run leaves neither part of the set nor a cache
     entry behind.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    cached: list[Path] = []
-    try:
-        for name, obj in artifacts.items():
-            save_json(obj, out_dir / name)
-            written.append(out_dir / name)
+    paths = [out_dir / name for name in artifacts]
+    with _all_or_none() as written:
+        for path, obj in zip(paths, artifacts.values()):
+            save_json(obj, path)
+            written.append(path)
         for document, key in entries:
             if key is not None:
-                cached.append(write_through(document, key))
-    except BaseException:
-        for path in written + cached:
-            path.unlink(missing_ok=True)
-        raise
-    return written
+                written.append(write_through(document, key))
+    return paths
 
 
 def _read_document(path, use_cache: bool, kind: str):
@@ -285,13 +294,21 @@ def cmd_gen(args) -> int:
         scripts = [replace(s, seed=args.seed) for s in scripts]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    with _all_or_none() as written:
+        for script in scripts:
+            instance = bench_mod.generate(script)
+            path = out_dir / f"{script.script_id}.bundle.json"
+            save_bundle(instance.bundle, path)
+            written.append(path)
+            if instance.ovd_source is not None:
+                path = out_dir / f"{script.script_id}.ovd.json"
+                save_ovd_source(instance.ovd_source, path)
+                written.append(path)
+            path = out_dir / f"{script.script_id}.tree.json"
+            with atomic_file(path) as fh:
+                fh.write(bench_mod.matched_tree_document(script) + "\n")
+            written.append(path)
     for script in scripts:
-        instance = bench_mod.generate(script)
-        save_bundle(instance.bundle, out_dir / f"{script.script_id}.bundle.json")
-        if instance.ovd_source is not None:
-            save_ovd_source(instance.ovd_source, out_dir / f"{script.script_id}.ovd.json")
-        with atomic_file(out_dir / f"{script.script_id}.tree.json") as fh:
-            fh.write(bench_mod.matched_tree_document(script) + "\n")
         print(f"generated {script.script_id}: T={script.num_frames}, "
               f"events={len(script.events)}")
     return EXIT_OK

@@ -220,14 +220,14 @@ class OvdSource:
 
 # --- JSON (de)serialization ---------------------------------------------------
 
-def _table_to_obj(table: ScoreTable | None):
-    if table is None:
-        return None
-    return [{"query": q, "values": vals.tolist()} for q, vals in table.rows]
+def _table_to_obj(table: ScoreTable):
+    return [{"query": q, "values": vals} for q, vals in table.rows]
 
 
 def bundle_to_obj(bundle: ExpertBundle) -> dict:
-    """Plain-JSON form of a bundle, keys in canonical order."""
+    """Document form of a bundle, keys in canonical order: plain JSON
+    values, except that each row's ``"values"`` is its read-only float64
+    array, which ``himu.jsonio`` writes as the list of its values."""
     obj = {
         "video_id": bundle.video_id,
         "T": bundle.num_frames,
@@ -393,12 +393,12 @@ def bundle_digest(bundle: ExpertBundle) -> str:
 # --- OVD source files ----------------------------------------------------------
 
 def ovd_to_obj(source: OvdSource) -> dict:
+    """Document form of a detection source; each entry's ``"values"`` is
+    its read-only float64 array, as in ``bundle_to_obj``."""
     return {
         "video_id": source.video_id,
         "format_version": FORMAT_VERSION,
-        "entries": [
-            {"query": q, "values": vals.tolist()} for q, vals in source.entries
-        ],
+        "entries": [{"query": q, "values": vals} for q, vals in source.entries],
     }
 
 

@@ -6,12 +6,12 @@ below 0.5 zeroed so weak coincidental matches never leak into the signal.
 
 Everything about the texts that does not depend on the query is built
 once, as a ``TextIndex``: the normalized texts joined by newlines, the
-UTF-32 code points of that string, the sorted alphabet of those code
-points with each code's id in it, and where each text and each word
-starts and ends in it. A bundle keeps one index for its transcript and
-one for its on-screen text. Queries then score from the index without
-building a string: containment is ``str.find`` over the joined string,
-and a candidate is a span of the code array. A detection is its text's
+sorted alphabet of that string's code points with each character's id
+in it, and where each text and each word starts and ends in it. A bundle
+keeps one index for its transcript and one for its on-screen text.
+Queries then score from the index without building a string:
+containment is ``str.find`` over the joined string, and a candidate is a
+span of its characters' ids. A detection is its text's
 full span; a word window is the span from its first word's start to its
 last word's end, because normalized text has single spaces. The length
 cutoff runs on span lengths: a candidate whose length differs from its
@@ -67,18 +67,17 @@ def _codes(text: str) -> np.ndarray:
 class TextIndex:
     """The query-independent form of a list of texts.
 
-    Text i is ``joined[starts[i] : starts[i] + lengths[i]]``, normalized,
-    and ``codes`` holds the code points of ``joined``. ``alphabet`` holds
-    the distinct code points in ascending order and ``ids`` the position
-    of each code in it, so ``alphabet[ids] == codes``. A normalized text
-    holds no newline, so the joins are the only newlines. Word k is
-    ``codes[word_starts[k] : word_ends[k]]``, a maximal run of codes that
-    are neither space nor newline, and belongs to text ``word_texts[k]``.
+    Text i is ``joined[starts[i] : starts[i] + lengths[i]]``, normalized.
+    ``alphabet`` holds the distinct code points of ``joined`` in ascending
+    order and ``ids`` the position of each character's code point in it,
+    so ``alphabet[ids]`` is the code points of ``joined``. A normalized
+    text holds no newline, so the joins are the only newlines. Word k,
+    ``joined[word_starts[k] : word_ends[k]]``, is a maximal run of
+    characters that are neither space nor newline, in text ``word_texts[k]``.
     ``frames`` is the frame of each text, for on-screen text, else None.
     """
 
     joined: str
-    codes: np.ndarray
     alphabet: np.ndarray
     ids: np.ndarray
     starts: np.ndarray
@@ -103,7 +102,6 @@ def text_index(texts, frames: np.ndarray | None = None) -> TextIndex:
     word_starts = np.flatnonzero(edges == 1)
     return TextIndex(
         joined=joined,
-        codes=codes,
         alphabet=alphabet,
         ids=ids.astype(np.int32),
         starts=starts,
@@ -237,7 +235,7 @@ def levenshtein_spans(
 
 def _fuzzy_scores(queries: list[str], index: TextIndex, owners, starts, lengths) -> np.ndarray:
     """1 - edits / max(len) between ``queries[owners[r]]`` and span r, for
-    every span r of the index's codes where it reaches the threshold, else
+    every span r of the joined text where it reaches the threshold, else
     0.0, from one kernel call.
 
     The distance is at least the length difference, so with

@@ -286,8 +286,9 @@ def _flat_encoder(level: int):
 
 
 def _is_float_vector(obj) -> bool:
-    """A 1-D float64 array, which is encoded as the list of its values."""
-    return type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64
+    """A 1-D float64 array, plain or a loader's row, which is encoded as the
+    list of its values."""
+    return type(obj) in (np.ndarray, _Loaded) and obj.ndim == 1 and obj.dtype == np.float64
 
 
 def _write_flat(obj, write, level: int) -> bool:

@@ -16,7 +16,11 @@ import himu.jsonio
 from himu.bench import RecallReport, save_report
 from himu.cache import cache_root, entry_key, entry_path, file_key, read_entry, write_through
 from himu.experts import (
+    ExpertBundle,
+    OcrFrameText,
     OvdSource,
+    ScoreTable,
+    TranscriptSegment,
     bundle_digest,
     dumps_bundle,
     load_bundle,
@@ -24,6 +28,8 @@ from himu.experts import (
     save_bundle,
     save_ovd_source,
 )
+from himu.jsonio import dumps
+from himu.tree import ExpertKind
 
 
 def test_cache_root_env_override(tmp_path, monkeypatch):
@@ -43,8 +49,9 @@ def test_disk_round_trip_bit_identical(tmp_path, monkeypatch, rich_bundle):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     header, rows = path.read_bytes().split(b"\n", 1)
     header = json.loads(header)
-    assert (header["entry_version"], header["kind"]) == (2, "bundle")
-    assert header["clip_table"] == {"queries": ["a dog", "a cat"], "lengths": [40, 40]}
+    assert (header["entry_version"], header["kind"]) == (3, "bundle")
+    assert header["clip_table"] == [{"query": "a dog", "values": 40},
+                                    {"query": "a cat", "values": 40}]
     assert rows.startswith(b"\x93NUMPY\x01\x00")
     assert np.load(io.BytesIO(rows), allow_pickle=False).shape == (3 * 40,)
 
@@ -89,7 +96,7 @@ def test_an_entry_is_read_only_as_its_own_kind(tmp_path, monkeypatch, rich_bundl
     write_through(source, "o")
     assert read_entry("b", "ovd") is None and read_entry("o", "bundle") is None
     assert dumps_bundle(read_entry("b", "bundle")) == dumps_bundle(rich_bundle)
-    assert ovd_to_obj(read_entry("o", "ovd")) == ovd_to_obj(source)
+    assert dumps(ovd_to_obj(read_entry("o", "ovd"))) == dumps(ovd_to_obj(source))
 
 
 def test_bundle_without_tables_round_trips(tmp_path, monkeypatch, rich_bundle):
@@ -111,11 +118,9 @@ _ENTRY_QUERY = st.one_of(
     st.sampled_from(["ball", "Ball", "a red car", "Straße", "\u65e5\u672c", "a\nb \"c\""]),
     st.text(min_size=1, max_size=8).filter(str.strip),
 )
-_ENTRY_ROW = st.lists(
-    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-              st.sampled_from([-0.0, 5e-324, 0.30000000000000004])),
-    min_size=1, max_size=6,
-)
+_ENTRY_VALUE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, 0.30000000000000004]))
+_ENTRY_ROW = st.lists(_ENTRY_VALUE, min_size=1, max_size=6)
 
 
 @settings(max_examples=_examples(100), deadline=None)
@@ -129,11 +134,67 @@ def test_detection_entry_round_trip_bytewise(video_id, entries):
             mock.patch.dict(os.environ, {"HIMU_CACHE_DIR": root}):
         write_through(source, "k")
         loaded = read_entry("k", "ovd")
-    assert ovd_to_obj(loaded) == ovd_to_obj(source)
+    assert dumps(ovd_to_obj(loaded)) == dumps(ovd_to_obj(source))
     assert [query for query, _ in loaded.entries] == [query for query, _ in source.entries]
     for (_, values), (_, want) in zip(loaded.entries, source.entries):
         assert values.tobytes() == want.tobytes()  # -0.0 and subnormals too
         assert not values.flags.writeable
+
+
+_META_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _ENTRY_VALUE, st.text(max_size=4))
+_META = st.fixed_dictionaries(
+    {"values": st.lists(_ENTRY_VALUE, max_size=4)},
+    optional={"nested": st.recursive(
+        _META_SCALAR,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=8,
+    )},
+)
+
+
+@st.composite
+def _entry_bundles(draw):
+    """A bundle with both tables, a transcript, OCR text and free-form meta."""
+    num_frames = draw(st.integers(1, 6))
+    rows = st.lists(st.tuples(
+        _ENTRY_QUERY, st.lists(_ENTRY_VALUE, min_size=num_frames, max_size=num_frames)
+    ), max_size=3)
+    video_id = draw(st.text(min_size=1, max_size=6))
+    segments = draw(st.lists(st.tuples(
+        st.floats(0.0, 100.0), st.floats(1e-3, 100.0), st.text(max_size=6)
+    ), max_size=4))
+    ocr = draw(st.lists(st.tuples(
+        st.integers(0, num_frames - 1), st.lists(st.text(max_size=5), max_size=3)
+    ), max_size=4))
+    return ExpertBundle(
+        video_id=video_id,
+        num_frames=num_frames,
+        frame_rate=draw(st.floats(0.1, 60.0)),
+        clip_table=ScoreTable(ExpertKind.CLIP, video_id, tuple(
+            (query, np.array(row)) for query, row in draw(rows))),
+        clap_table=ScoreTable(ExpertKind.CLAP, video_id, tuple(
+            (query, np.array(row)) for query, row in draw(rows))),
+        transcript=tuple(TranscriptSegment(start, start + span, text)
+                         for start, span, text in segments),
+        ocr=tuple(OcrFrameText(frame, tuple(texts)) for frame, texts in ocr),
+        meta=draw(_META),
+    )
+
+
+@settings(max_examples=_examples(100), deadline=None)
+@given(_entry_bundles())
+def test_bundle_entry_round_trip_bytewise(bundle):
+    """A bundle with every section, and a meta that holds a "values" list
+    of its own, reads back from its entry with the same canonical text and
+    read-only rows."""
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.dict(os.environ, {"HIMU_CACHE_DIR": root}):
+        write_through(bundle, "k")
+        loaded = read_entry("k", "bundle")
+    assert dumps_bundle(loaded) == dumps_bundle(bundle)
+    for table in (loaded.clip_table, loaded.clap_table):
+        assert not any(values.flags.writeable for _, values in table.rows)
 
 
 def _disk_full_open(file, mode="r", **kwargs):

@@ -26,6 +26,7 @@ from himu.experts import (
     ovd_to_obj,
     save_ovd_source,
 )
+from himu.jsonio import dumps
 from himu.tree import ExpertKind
 from oracles import dumps_stdlib, ovd_document, save_scripts
 
@@ -422,8 +423,21 @@ def _declared_far_larger(data):
     count = len(rows) // header["T"]
     header["T"] = 10**12
     for name in ("clip_table", "clap_table"):
-        header[name]["lengths"] = [10**12] * len(header[name]["lengths"])
+        for row in header[name]:
+            row["values"] = 10**12
     return _entry(header, _npy_header((count * 10**12,)) + rows.tobytes())
+
+
+def _queries_and_lengths(header):
+    """Each table as version 2 wrote it: its queries and its row lengths."""
+    for name in ("clip_table", "clap_table"):
+        header[name] = {"queries": [row["query"] for row in header[name]],
+                        "lengths": [row["values"] for row in header[name]]}
+
+
+def _version_2_layout(header):
+    header["entry_version"] = 2
+    _queries_and_lengths(header)
 
 
 def _former_layout(data):
@@ -433,7 +447,7 @@ def _former_layout(data):
     header["entry_version"] = 1
     del header["kind"]
     for name in ("clip_table", "clap_table"):
-        header[name] = header[name]["queries"]
+        header[name] = [row["query"] for row in header[name]]
     return _entry(header, _npy(rows.reshape(-1, header["T"])))
 
 
@@ -449,12 +463,15 @@ _HOSTILE_ENTRIES = {
     "header not an object": lambda data: b"[1, 2]" + data[data.index(b"\n"):],
     "header not UTF-8": lambda data: b"\xff" + data,
     "entry version 1": _former_layout,
-    "entry version 3": _with_header(lambda h: h.update(entry_version=3)),
+    "entry version 2": _with_header(_version_2_layout),
+    "entry version 4": _with_header(lambda h: h.update(entry_version=4)),
     "entry version true": _with_header(lambda h: h.update(entry_version=True)),
     "kind ovd": _with_header(lambda h: h.update(kind="ovd")),
     "kind missing": _with_header(lambda h: h.pop("kind")),
-    "queries not a list": _with_header(lambda h: h["clip_table"].update(queries="a dog")),
-    "row list not an object": _with_header(lambda h: h.update(clip_table=["a dog", "a cat"])),
+    "row list not a list": _with_header(_queries_and_lengths),
+    "a row not an object": _with_header(
+        lambda h: h.update(clip_table=["a dog", *h["clip_table"][1:]])),
+    "row list of queries": _with_header(lambda h: h.update(clip_table=["a dog", "a cat"])),
     "rows float32": _with_rows(lambda rows: _npy(rows.astype("<f4"))),
     "rows pickled objects": _with_rows(lambda rows: _npy(
         np.full(rows.shape, _PickleSentinel(), dtype=object), allow_pickle=True
@@ -540,8 +557,8 @@ def test_detection_source_is_cached_under_its_own_bytes(ovd_workspace, monkeypat
     assert uncached_stats == {"bundle_ingested": 0, "disk_hit": False, "disabled": True}
     assert {path: path.read_bytes() for path in entries} == written
     assert set((tmp_path / "cache").iterdir()) == entries
-    assert ovd_to_obj(read_entry(entry_key(ovd_path.read_bytes()), "ovd")) == \
-        ovd_to_obj(load_ovd_source(ovd_path))
+    assert dumps(ovd_to_obj(read_entry(entry_key(ovd_path.read_bytes()), "ovd"))) == \
+        dumps(ovd_to_obj(load_ovd_source(ovd_path)))
 
 
 def test_a_detection_file_replaced_after_hashing_is_cached_under_its_own_bytes(
@@ -570,14 +587,26 @@ def test_a_detection_file_replaced_after_hashing_is_cached_under_its_own_bytes(
     assert set((tmp_path / "cache").iterdir()) == {
         entry_path(entry_key(bundle_path.read_bytes())), entry_path(key)
     }
-    assert ovd_to_obj(read_entry(key, "ovd")) == ovd_to_obj(replacement)
+    assert dumps(ovd_to_obj(read_entry(key, "ovd"))) == dumps(ovd_to_obj(replacement))
     assert cold == _select(args, tmp_path / "uncached", "--no-cache")[0]
 
 
 def _detection_lengths(change):
     def mutate(header):
-        header["entries"]["lengths"] = change(header["entries"]["lengths"])
+        rows = header["entries"]
+        for row, length in zip(rows, change([row["values"] for row in rows]), strict=True):
+            row["values"] = length
     return _with_header(mutate)
+
+
+def _first_row_inline(data):
+    """The first detection row's values in the header as a list, and only
+    the rows after it in the block."""
+    header, rows = _split_entry(data)
+    first = header["entries"][0]
+    length = first["values"]
+    first["values"] = rows[:length].tolist()
+    return _entry(header, _npy(rows[length:]))
 
 
 _OTHER_KIND = "bundle entry under the detection key"
@@ -590,10 +619,8 @@ _HOSTILE_DETECTION_ENTRIES = {
     "bool length": _detection_lengths(lambda lengths: [True, sum(lengths) - 1]),
     "float length": _detection_lengths(lambda lengths: [float(lengths[0]), lengths[1]]),
     "negative length": _detection_lengths(lambda lengths: [-2, sum(lengths) + 2]),
-    "a query without a length": _with_header(
-        lambda h: h["entries"]["queries"].append("a cat")),
-    "a length without a query": _detection_lengths(
-        lambda lengths: [lengths[0], lengths[1] - 1, 1]),
+    "a row without values": _with_header(lambda h: h["entries"][1].pop("values")),
+    "a row whose values is a list": _first_row_inline,
     "NaN in a row": _with_rows(_nan_row),
     "rows float32": _with_rows(lambda rows: _npy(rows.astype("<f4"))),
     "rows Fortran order": _with_rows(_fortran_order),
@@ -887,6 +914,32 @@ def test_gen_and_bench_commands(tmp_path, capsys):
         ["bench", "--scripts", str(suite), "--out", str(report_path),
          "--selectors", "sorcery"]
     ) == 1
+
+
+def test_failed_gen_leaves_no_file(tmp_path, capsys):
+    """Script b's detection source cannot be written over a directory: the
+    run fails and removes what it wrote for a and for b."""
+    scripts = [
+        EventScript(
+            script_id=script_id,
+            num_frames=60,
+            events=(Event(ExpertKind.OVD, "ball", (20, 24), amplitude=0.8),),
+            noise_level=0.05,
+            seed=5,
+        )
+        for script_id in ("a", "b")
+    ]
+    suite = tmp_path / "suite.json"
+    save_scripts(scripts, suite)
+    out_dir = tmp_path / "gen"
+    (out_dir / "b.ovd.json").mkdir(parents=True)
+    capsys.readouterr()
+
+    assert main(["gen", "--scripts", str(suite), "--out", str(out_dir)]) == 1
+    assert [path.name for path in out_dir.iterdir()] == ["b.ovd.json"]
+    assert (out_dir / "b.ovd.json").is_dir()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_console_entry_point(workspace):

@@ -119,8 +119,8 @@ def test_flat_lists_of_any_length_at_every_depth_match_stdlib(length):
 
 @pytest.mark.parametrize("length", [0, 1, 8191, 8192, 8193, 2 * 8192 + 1])
 def test_float64_vectors_encode_as_the_list_of_their_values(length):
-    """A 1-D float64 array is written as the list of its values, converted
-    8192 at a time, at the top level and nested."""
+    """A 1-D float64 array, a loader's row included, is written as the list
+    of its values, converted 8192 at a time, at the top level and nested."""
     specials = [-0.0, 5e-324, math.nan, math.inf, -math.inf]
     values = np.array((specials + [0.1 * i for i in range(length)])[:length], dtype=np.float64)
     as_list = values.tolist()
@@ -128,9 +128,13 @@ def test_float64_vectors_encode_as_the_list_of_their_values(length):
     doc = {"video_id": "v", "T": length, "values": values}
     assert dumps(doc) == dumps_stdlib({**doc, "values": as_list})
     assert dumps([values, [values]]) == dumps_stdlib([as_list, [as_list]])
+    loaded = values.view(_Loaded)
+    assert dumps(loaded) == dumps(as_list)
+    assert dumps({**doc, "values": loaded}) == dumps_stdlib({**doc, "values": as_list})
 
 
-@pytest.mark.parametrize("array", [np.zeros((2, 2)), np.arange(3), np.zeros(3, np.float32)])
+@pytest.mark.parametrize("array", [np.zeros((2, 2)), np.arange(3), np.zeros(3, np.float32),
+                                   np.ma.masked_array(np.zeros(3))])
 def test_other_arrays_are_not_serializable(array):
     with pytest.raises(TypeError, match="not JSON serializable"):
         dumps({"values": array})
