@@ -10,14 +10,19 @@ the file, and ``file_key`` finds it without holding the whole file. For a
 bundle file in the canonical form that ``save_bundle`` writes, the key
 equals ``bundle_digest`` of its content. A file holding the same document
 in another layout (compact JSON, other key order) hashes differently and
-gets an entry of its own.
+gets an entry of its own. A miss is streamed: the file is parsed from
+1 MiB pieces (``jsonio.FilePieces``) that are hashed as they are read, so
+the entry is keyed by the bytes that were parsed and the file is never
+whole in memory.
 
 Entry: one file, ``<root>/<key>.entry``. Its first line is a compact ASCII
 JSON header: ``entry_version`` (3), the document ``kind`` (``"bundle"`` or
 ``"ovd"``) and the document form that ``bundle_to_obj`` or ``ovd_to_obj``
 gives, with each row's ``"values"`` replaced by its number of values. The
 rest is one ``.npy`` block (NumPy format 1.0): every row, list after list,
-concatenated into one C-order 1-D ``<f8`` array.
+as one C-order 1-D ``<f8`` array. ``write_through`` writes the block's
+header for the total length and then each row in turn, the bytes
+``np.save`` writes for the concatenated rows, without building them.
 Detection rows may differ in length, so the block is 1-D for both kinds.
 ``write_through`` writes an entry only after a successful run, through a
 temporary file and an atomic rename, so a failed write leaves no file
@@ -44,7 +49,6 @@ it to ``run_pipeline`` for each question.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -61,7 +65,7 @@ from .experts.bundle import (
     ovd_from_obj,
     ovd_to_obj,
 )
-from .jsonio import _Loaded, atomic_file, decode_text, parse_json
+from .jsonio import FilePieces, _Loaded, atomic_file, decode_text, parse_json
 
 CACHE_DIR_ENV = "HIMU_CACHE_DIR"
 ENTRY_VERSION = 3
@@ -73,7 +77,6 @@ _KINDS = {
     "ovd": (("entries",), ovd_to_obj, ovd_from_obj),
 }
 _ROW_DTYPE = np.dtype("<f8")
-_KEY_PIECE = 64 * 1024
 
 
 def cache_root() -> Path:
@@ -84,21 +87,13 @@ def cache_root() -> Path:
     return Path(".himu-cache")
 
 
-def entry_key(data: bytes) -> str:
-    """Cache key of a file: the SHA-256 of its bytes."""
-    return hashlib.sha256(data).hexdigest()
-
-
 def file_key(path) -> str:
-    """``entry_key`` of the file at ``path``, read in 64 KiB pieces, so the
-    file is never whole in memory."""
-    digest = hashlib.sha256()
-    buffer = bytearray(_KEY_PIECE)
-    view = memoryview(buffer)
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(buffer):
-            digest.update(view[:size])
-    return digest.hexdigest()
+    """Cache key of the file at ``path``: the SHA-256 of its bytes, read in
+    pieces (``FilePieces``), so the file is never whole in memory."""
+    pieces = FilePieces(path)
+    for _ in pieces:
+        pass
+    return pieces.digest
 
 
 def entry_path(key: str) -> Path:
@@ -111,18 +106,23 @@ def write_through(document: ExpertBundle | OvdSource, key: str) -> Path:
     kind = "ovd" if isinstance(document, OvdSource) else "bundle"
     names, to_obj, _ = _KINDS[kind]
     header = {"entry_version": ENTRY_VERSION, "kind": kind, **to_obj(document)}
-    values = []
+    rows = []
     for name in names:
         for row in header.get(name, ()):
-            values.append(row["values"])
+            rows.append(row["values"])
             row["values"] = len(row["values"])
-    block = np.concatenate(values, dtype=_ROW_DTYPE) if values else np.empty(0, _ROW_DTYPE)
 
     path = entry_path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_file(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
-        np.save(fh, block, allow_pickle=False)
+        # The bytes ``np.save`` writes for the rows concatenated, written
+        # row after row, so no concatenated copy is made.
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": _ROW_DTYPE.str, "fortran_order": False, "shape": (sum(map(len, rows)),),
+        })
+        for values in rows:
+            fh.write(np.ascontiguousarray(values, dtype=_ROW_DTYPE))
     return path
 
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cache import entry_key, file_key, read_entry, write_through
+from .cache import file_key, read_entry, write_through
 from .config import SCALAR_KEYS, EngineConfig, config_from_obj, load_config
 from .errors import (
     ArityError,
@@ -38,7 +38,7 @@ from .experts.bundle import (
     save_ovd_source,
 )
 from .experts.scoring import ProviderCounters
-from .jsonio import atomic_file, read_text, save_json
+from .jsonio import FilePieces, atomic_file, read_text, save_json
 from .pipeline import STRATEGIES, run_pipeline
 from .tree import ExpertKind, parse_tree
 
@@ -185,25 +185,27 @@ def _read_document(path, use_cache: bool, kind: str):
     case the file is not parsed and the key is None, as it is without the
     cache.
 
-    The lookup hashes the file in pieces, and the file is read whole only on
-    a miss. The key of a miss is then taken from the bytes that are parsed,
-    so a file replaced between the two reads never gets an entry for content
-    it does not hold.
+    The lookup hashes the file in pieces. A miss then parses the file from
+    its pieces (``FilePieces``), which hash what they read, so the key of a
+    miss is the SHA-256 of the bytes that were parsed: a file replaced
+    between the two reads never gets an entry for content it does not hold.
+    Neither read holds the whole file.
     """
     if use_cache:
-        key = file_key(path)
-        document = read_entry(key, kind)
+        document = read_entry(file_key(path), kind)
         if document is not None:
             return document, None, True
-    data = Path(path).read_bytes()
-    key = entry_key(data) if use_cache else None
-    # The parser cuts each score row out of the bytes, turns it into float64
-    # a slice at a time and puts it back in place of its integer literal; it
-    # never builds the file's text, so a cold load peaks at the bytes plus
-    # the float64 rows. The parsers are looked up here, at call time, so
-    # that a wrapper put in their place is called.
+    pieces = FilePieces(path)
+    # The parser cuts each score row out of the pieces as they are read,
+    # turns it into float64 a slice at a time and puts it back in place of
+    # its integer literal; it never holds the file's bytes or builds its
+    # text, so a cold load peaks at the float64 rows plus about one row's
+    # text and one piece. A document it cannot split is read and hashed
+    # again, and the key is that pass's. The parsers are looked up here, at
+    # call time, so that a wrapper put in their place is called.
     parse = loads_bundle if kind == "bundle" else loads_ovd_source
-    return parse(data), key, False
+    document = parse(pieces)
+    return document, pieces.digest if use_cache else None, False
 
 
 def cmd_select(args) -> int:

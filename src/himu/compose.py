@@ -43,22 +43,31 @@ class SatisfactionCurve:
         return self.values.shape[0]
 
 
+class _Fresh(np.ndarray):
+    """An (L, T) float64 array that the pipeline built and nothing else
+    holds: an attribution matrix takes it as it is, read-only, instead of
+    copying it."""
+
+
 @dataclass(frozen=True)
 class AttributionMatrix:
     """Per-leaf processed scores: row = leaf id, column = frame index.
 
     Rows are bit-identical to the smoothed leaf rows that entered the
     composition, so any selected frame can be explained by reading its
-    column.
+    column. An array a caller passes in is copied, so the matrix never
+    shares memory with it; the pipeline's ``_Fresh`` rows are not.
     """
 
     values: np.ndarray  # shape (L, T)
 
     def __post_init__(self):
+        fresh = type(self.values) is _Fresh
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("attribution matrix must be 2-D")
-        values = values.copy()
+        if not fresh:
+            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -123,7 +132,8 @@ def evaluate(
     """Evaluate the whole tree bottom-up over its smoothed leaf rows.
 
     ``leaf_rows`` is an (L, T) array whose row i is leaf id i's smoothed
-    scores. It becomes the attribution matrix, and each leaf reads its row
+    scores. It becomes the attribution matrix (a read-only copy, or the
+    pipeline's ``_Fresh`` rows themselves), and each leaf reads its row
     from that matrix.
     """
     attribution = AttributionMatrix(leaf_rows)

@@ -14,7 +14,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -354,14 +353,16 @@ def bundle_from_obj(obj) -> ExpertBundle:
     )
 
 
-def loads_bundle(data: bytes) -> ExpertBundle:
-    """The bundle in the bytes of a UTF-8 JSON file.
+def loads_bundle(data) -> ExpertBundle:
+    """The bundle in the bytes of a UTF-8 JSON file, given whole or as a
+    re-iterable of pieces (``jsonio.FilePieces``).
 
-    ``jsonio.parse_json_rows`` cuts each table row out of the bytes and
-    parses it on its own, its floats turned into float64 a slice at a time,
-    and never builds the text of the whole file. So a table-heavy bundle's
-    load peaks at its bytes plus its float64 rows. The bundle, or the
-    error, is the same as parsing in full before checking.
+    ``jsonio.parse_json_rows`` cuts each table row out of the bytes as they
+    come and parses it on its own, its floats turned into float64 a slice
+    at a time, and never builds the text of the whole file. So a
+    table-heavy bundle read from a file peaks at its float64 rows plus
+    about one row's text and one piece. The bundle, or the error, is the
+    same as parsing in full before checking.
     """
     obj = jsonio.parse_json_rows(data, BundleFormatError, "bundle")
     if isinstance(obj, dict) and "meta" in obj:
@@ -370,8 +371,8 @@ def loads_bundle(data: bytes) -> ExpertBundle:
 
 
 def load_bundle(path) -> ExpertBundle:
-    """The bundle in a file, parsed from its bytes as ``loads_bundle`` does."""
-    return loads_bundle(Path(path).read_bytes())
+    """The bundle in a file, parsed from its pieces as ``loads_bundle`` does."""
+    return loads_bundle(jsonio.FilePieces(path))
 
 
 def save_bundle(bundle: ExpertBundle, path) -> None:
@@ -417,18 +418,19 @@ def ovd_from_obj(obj) -> OvdSource:
     return OvdSource(video_id, tuple(rows))
 
 
-def loads_ovd_source(data: bytes) -> OvdSource:
-    """The detection source in the bytes of a UTF-8 JSON file, each entry's
-    values cut out and parsed on its own, as ``loads_bundle`` does."""
+def loads_ovd_source(data) -> OvdSource:
+    """The detection source in the bytes of a UTF-8 JSON file, given whole
+    or in pieces, each entry's values cut out and parsed on its own, as
+    ``loads_bundle`` does."""
     # A detection source has no free-form part, so every float64 row is an
     # entry's or is rejected as a misplaced object.
     return ovd_from_obj(jsonio.parse_json_rows(data, BundleFormatError, "detection source"))
 
 
 def load_ovd_source(path) -> OvdSource:
-    """The detection source in a file, parsed from its bytes as
+    """The detection source in a file, parsed from its pieces as
     ``loads_ovd_source`` does."""
-    return loads_ovd_source(Path(path).read_bytes())
+    return loads_ovd_source(jsonio.FilePieces(path))
 
 
 def save_ovd_source(source: OvdSource, path) -> None:

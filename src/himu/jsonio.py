@@ -20,19 +20,24 @@ to a temporary file that is renamed over the target once the write has
 succeeded, and ``bundle_digest`` hashes them.
 
 ``parse_json_rows`` reads a document with large number arrays (the score
-rows of bundles and detection sources) from its bytes: it cuts each array
-out, parses it on its own, and parses the rest with an integer literal in
-each array's place that the parser swaps back for the array. So neither
-the document's whole text nor all of an array's Python floats are in
-memory at once. A document it cannot split this way is decoded and parsed
-whole, with the same result or error.
+rows of bundles and detection sources) from its bytes, which may come in
+pieces: ``FilePieces`` reads a file 1 MiB at a time into one buffer and
+hashes what it reads. The parser cuts each array out as soon as its bytes
+are in, parses it on its own, and parses the rest with an integer literal
+in each array's place that the parser swaps back for the array. So
+neither the file's whole bytes, nor the document's whole text, nor all of
+an array's Python floats are in memory at once. A document it cannot split
+this way is read again, decoded and parsed whole, with the same result or
+error.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
 from functools import cache
+from itertools import chain
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 from pathlib import Path
 
@@ -49,6 +54,8 @@ _not_serializable = JSONEncoder().default  # raises json's own TypeError
 _SLICE = 8192  # items per C encoder call: about 0.25 MB of text for floats
 _ROW_SLICE = 256 * 1024  # bytes of number text parsed per call
 _ROW_KEY = b'"values"'
+_PIECE = 1024 * 1024  # bytes per read of a file's pieces
+_MORE = object()  # the bytes so far do not tell whether an array is a row
 # Digits that start the integer literal standing in for a cut-out row. No
 # proper prefix equals a suffix, so occurrences never overlap and
 # ``str.count`` counts them all.
@@ -103,36 +110,84 @@ class _Unsplit(ValueError):
     """The document cannot be parsed with its arrays cut out."""
 
 
-def parse_json_rows(data: bytes, error: type[HimuError], what: str):
-    """``parse_json`` of the UTF-8 bytes of a document, with every flat
-    array that is the value of a ``"values"`` member (a score row) parsed
-    on its own, straight from the bytes, so the text of the whole document
-    is never built.
+class FilePieces:
+    """The bytes of a file as a re-iterable of pieces of at most 1 MiB,
+    read into one fixed buffer, so the file is never whole in memory.
 
-    Such an array is found with ``bytes.find``: ``"values"`` after ``{`` or
-    ``,``, then ``:`` and ``[``, whitespace allowed between, up to the next
-    ``]``, with no string, array or object inside; any other array stays in
-    place. Inside a valid string every quote is escaped, so each hit is a
-    member key. The array is parsed in slices of about 256 KB cut at
-    commas, so its values are never all Python floats at once: a non-empty
-    array of floats becomes a ``_Loaded`` float64 array, any other its
-    list. In the rest of the document each array is replaced by the integer
-    literal ``_ROW_MARK`` followed by the row's number, and the parser's
-    ``parse_int`` puts the row back in its place. Replacing one value with
-    another keeps a document's validity and its parse, so the result is
-    the same as parsing the whole text. When the mark occurs anywhere else
-    in the rest, a row is never put back (its literal was glued to other
-    characters or sits in a string), a cut array or the rest does not
-    parse, or the bytes are not UTF-8, the whole text is decoded and
-    parsed, so the error is ``parse_json``'s too.
+    Each pass hashes the bytes it reads: ``digest`` is the SHA-256 (hex) of
+    the last pass that read the file to its end, None before one has. A
+    piece is a view of the buffer, good until the next piece is read; a
+    consumer copies what it keeps.
     """
+
+    def __init__(self, path):
+        self.path = path
+        self.digest: str | None = None
+
+    def __iter__(self):
+        sha = hashlib.sha256()
+        buffer = bytearray(_PIECE)
+        view = memoryview(buffer)
+        with open(self.path, "rb", buffering=0) as fh:
+            while size := fh.readinto(buffer):
+                piece = view[:size]
+                sha.update(piece)
+                yield piece
+        self.digest = sha.hexdigest()
+
+
+def _joined(pieces) -> bytearray:
+    """The bytes of all pieces, each copied before the next is read."""
+    whole = bytearray()
+    for piece in pieces:
+        whole += piece
+    return whole
+
+
+def parse_json_rows(data, error: type[HimuError], what: str):
+    """``parse_json`` of the UTF-8 bytes of a document, given whole or as a
+    re-iterable of pieces such as ``FilePieces``, with every flat array
+    that is the value of a ``"values"`` member (a score row) parsed on its
+    own, straight from the bytes, so the text of the whole document is
+    never built.
+
+    The bytes not yet used sit in one buffer that each piece is appended
+    to. Such an array is found there with ``bytearray.find``: ``"values"``
+    after ``{`` or ``,``, then ``:`` and ``[``, whitespace allowed between,
+    up to the next ``]``, with no string, array or object inside; any other
+    array stays in place. Inside a valid string every quote is escaped, so
+    each hit is a member key. When the buffer ends before an array is
+    known to be one, the next piece is read first. The array is parsed in
+    slices of about 256 KB cut at commas, so its values are never all
+    Python floats at once: a non-empty array of floats becomes a
+    ``_Loaded`` float64 array, any other its list. The rest of the document
+    up to the array, then the integer literal ``_ROW_MARK`` followed by the
+    row's number, go to the rest, and the array's bytes are deleted from
+    the front of the buffer. So beside the rest the parser holds at most
+    one row's text and one piece. The parser's ``parse_int`` puts each row
+    back in place of its literal. Replacing one value with another keeps a
+    document's validity and its parse, so the result is the same as
+    parsing the whole text. When the mark occurs anywhere else in the rest,
+    a row is never put back (its literal was glued to other characters or
+    sits in a string), a cut array or the rest does not parse, or the bytes
+    are not UTF-8, the pieces are read again and their whole text is
+    decoded and parsed, so the error is ``parse_json``'s too.
+    """
+    whole = isinstance(data, (bytes, bytearray))
+    if whole:  # read in pieces as well, so the buffer never copies it all
+        view = memoryview(data)
+        pieces = [view[start:start + _PIECE] for start in range(0, len(data), _PIECE)]
+    else:
+        pieces = data
     try:
-        return _parse_split(data)
+        return _parse_split(pieces)
     except (ValueError, RecursionError):
-        return parse_json(decode_text(data, error, what), error, what)
+        pass  # parsed whole below, once the split parse's buffers are freed
+    return parse_json(decode_text(data if whole else _joined(pieces), error, what),
+                      error, what)
 
 
-def _skip_space(data: bytes, pos: int, step: int) -> int:
+def _skip_space(data, pos: int, step: int) -> int:
     """The first index from ``pos`` in direction ``step`` that holds no JSON
     whitespace (-1 or ``len(data)`` when there is none)."""
     while 0 <= pos < len(data) and data[pos] in _WHITESPACE:
@@ -140,39 +195,68 @@ def _skip_space(data: bytes, pos: int, step: int) -> int:
     return pos
 
 
-def _flat_array_after(data: bytes, hit: int):
-    """The start and end of the array that is the value of the member key
-    ``"values"`` at ``hit``, when the array holds no string, array or
-    object; else None."""
-    before = _skip_space(data, hit - 1, -1)
-    colon = _skip_space(data, hit + len(_ROW_KEY), 1)
-    start = _skip_space(data, colon + 1, 1)
-    if not (data[before:before + 1] in (b"{", b",") and data[colon:colon + 1] == b":"
-            and data[start:start + 1] == b"["):
+def _flat_array_after(buffer: bytearray, hit: int, rest: bytearray, final: bool):
+    """The start and end in ``buffer`` of the array that is the value of the
+    member key ``"values"`` at ``hit``, when the array holds no string,
+    array or object; None when it is no such array; ``_MORE`` when the
+    buffer ends before that is known and ``final`` is false.
+
+    The bytes before the buffer are in ``rest``, where each cut-out array
+    stands as its literal: both end in a byte that is not ``{`` or ``,``.
+    """
+    before = _skip_space(buffer, hit - 1, -1)
+    opener = buffer[before:before + 1]
+    if before < 0:
+        before = _skip_space(rest, len(rest) - 1, -1)
+        opener = rest[before:before + 1] if before >= 0 else b""
+    if opener not in (b"{", b","):
         return None
-    end = data.find(b"]", start) + 1
-    if not end or any(data.find(byte, start + 1, end) >= 0 for byte in b'"[{'):
+    colon = _skip_space(buffer, hit + len(_ROW_KEY), 1)
+    start = _skip_space(buffer, colon + 1, 1)
+    if start >= len(buffer) and not final:
+        return _MORE
+    if buffer[colon:colon + 1] != b":" or buffer[start:start + 1] != b"[":
+        return None
+    end = buffer.find(b"]", start) + 1
+    if not end:
+        opened = any(buffer.find(byte, start + 1) >= 0 for byte in b'"[{')
+        return None if final or opened else _MORE
+    if any(buffer.find(byte, start + 1, end) >= 0 for byte in b'"[{'):
         return None
     return start, end
 
 
-def _parse_split(data: bytes):
-    view = memoryview(data)
-    rest: list = []  # the document's bytes around its arrays, and their literals
+def _parse_split(pieces):
+    rest = bytearray()  # the document around its arrays, and their literals
     rows: dict = {}  # literal -> parsed array
-    done = 0
-    hit = data.find(_ROW_KEY)
-    while hit >= 0:
-        found = _flat_array_after(data, hit)
-        if found:
+    buffer = bytearray()  # bytes read but not yet cut or moved to the rest
+    scan = 0  # where in the buffer the next search for the key starts
+    for piece in chain(pieces, (None,)):
+        final = piece is None
+        if not final:
+            buffer += piece
+        while (hit := buffer.find(_ROW_KEY, scan)) >= 0:
+            found = _flat_array_after(buffer, hit, rest, final)
+            if found is _MORE:  # read on, with this key at the front
+                break
+            if found is None:
+                scan = hit + 1
+                continue
             start, end = found
             literal = f"{_ROW_MARK}{len(rows)}"
-            rest += (view[done:start], literal.encode("ascii"))
-            rows[literal] = _parse_array(data, view, start, end)
-            done = end
-        hit = data.find(_ROW_KEY, max(done, hit + 1))
-    rest.append(view[done:])
-    text = str(b"".join(rest), "utf-8")
+            with memoryview(buffer) as view:
+                rows[literal] = _parse_array(buffer, view, start, end)
+                rest += view[:start]
+            rest += literal.encode("ascii")
+            del buffer[:end]
+            scan = 0
+        else:  # no key left: all but a tail that may begin one is done with
+            hit = len(buffer) if final else max(scan, len(buffer) - len(_ROW_KEY) + 1)
+        rest += buffer[:hit]
+        del buffer[:hit]
+        scan = 0
+    text = str(rest, "utf-8")
+    del rest
     if text.count(_ROW_MARK) != len(rows):
         raise _Unsplit("the row mark occurs outside the cut-out arrays")
 

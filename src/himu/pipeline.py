@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compose import AttributionMatrix, SatisfactionCurve, evaluate
+from .compose import AttributionMatrix, SatisfactionCurve, _Fresh, evaluate
 from .config import EngineConfig
 from .experts.bundle import ExpertBundle, OvdSource
 from .experts.scoring import ProviderCounters, evaluate_leaves
@@ -43,15 +43,23 @@ def condition_signals(
     Joint normalization pools the median and spread over all of one
     expert's rows so sibling queries stay comparable; smoothing then
     applies that expert's bandwidth to the whole group in one call. The
-    result is a new (L, T) array, row i for leaf id i.
+    result is a new (L, T) array, row i for leaf id i; ``raw`` is neither
+    written nor frozen.
     """
+    return _condition_in_place(tree, np.array(raw, dtype=np.float64), config)
+
+
+def _condition_in_place(tree: LogicTree, rows: np.ndarray, config: EngineConfig) -> np.ndarray:
+    """``condition_signals`` with each expert group's conditioned rows
+    written over its raw rows in ``rows``, which is returned. The groups do
+    not overlap, so each is read before it is written."""
     norm_params = config.normalization_params()
     smooth_params = config.smoothing_params()
-    out = np.empty(raw.shape)
     for expert, leaf_ids in leaves_by_expert(tree).items():
-        normalized = normalize_joint(raw[leaf_ids], norm_params)
-        out[leaf_ids] = smooth(normalized, expert, smooth_params)
-    return out
+        # One expression, so no group's temporaries outlive its assignment.
+        rows[leaf_ids] = smooth(normalize_joint(rows[leaf_ids], norm_params),
+                                expert, smooth_params)
+    return rows
 
 
 def select_frames(
@@ -79,9 +87,11 @@ def satisfaction_curve(
     """Score, condition and compose a validated tree into its curve."""
     if config is None:
         config = EngineConfig()
-    raw = evaluate_leaves(tree, bundle, ovd_source, counters)
-    processed = condition_signals(tree, raw, config)
-    return evaluate(tree, processed, kappa=config.kappa)
+    # evaluate_leaves stacks a new array, so its raw rows are conditioned in
+    # place and it becomes the attribution matrix without a copy: one
+    # (L, T) array where there were three.
+    rows = _condition_in_place(tree, evaluate_leaves(tree, bundle, ovd_source, counters), config)
+    return evaluate(tree, rows.view(_Fresh), kappa=config.kappa)
 
 
 def run_pipeline(

@@ -1,8 +1,10 @@
 import errno
+import hashlib
 import io
 import json
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import himu.jsonio
 from himu.bench import RecallReport, save_report
-from himu.cache import cache_root, entry_key, entry_path, file_key, read_entry, write_through
+from himu.cache import cache_root, entry_path, file_key, read_entry, write_through
 from himu.experts import (
     ExpertBundle,
     OcrFrameText,
@@ -70,16 +72,20 @@ def test_disk_round_trip_bit_identical(tmp_path, monkeypatch, rich_bundle):
 def test_entry_key_is_the_digest_of_a_canonical_file(tmp_path, rich_bundle):
     canonical = tmp_path / "canonical.json"
     save_bundle(rich_bundle, canonical)
-    assert entry_key(canonical.read_bytes()) == bundle_digest(load_bundle(canonical))
-    compact = json.dumps(json.loads(canonical.read_text(encoding="utf-8")))
-    assert entry_key(compact.encode("utf-8")) != entry_key(canonical.read_bytes())
+    assert file_key(canonical) == bundle_digest(load_bundle(canonical))
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(canonical.read_text(encoding="utf-8"))),
+                       encoding="utf-8")
+    assert file_key(compact) != file_key(canonical)
 
 
-@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 200_000])
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 200_000,
+                                  2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5])
 def test_file_key_is_the_entry_key_of_the_file_bytes(tmp_path, size):
+    """The key is the SHA-256 of the file's bytes, whole pieces or not."""
     path = tmp_path / "bundle.json"
     path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
-    assert file_key(path) == entry_key(path.read_bytes())
+    assert file_key(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_missing_entry_is_a_miss(tmp_path, monkeypatch):
@@ -232,3 +238,54 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, rich_bundle, writer)
     with pytest.raises(OSError, match="No space left"):
         _WRITERS[writer](rich_bundle, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def _traced_peak(call):
+    """The result of ``call()`` and the peak of the memory traced while it
+    ran; tracemalloc counts numpy's buffers as well as Python objects."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def large_bundle(tmp_path_factory):
+    """A table-only bundle of 32 rows of 20,000 values and its canonical
+    file, about 18 MB."""
+    rng = np.random.default_rng(11)
+    table = ScoreTable(ExpertKind.CLIP, "vid",
+                       tuple((f"q{i}", rng.random(20_000)) for i in range(32)))
+    bundle = ExpertBundle(video_id="vid", num_frames=20_000, frame_rate=1.0, clip_table=table)
+    path = tmp_path_factory.mktemp("large") / "table.bundle.json"
+    save_bundle(bundle, path)
+    return bundle, path
+
+
+def _row_bytes(bundle) -> int:
+    return sum(values.nbytes for _, values in bundle.clip_table.rows)
+
+
+def test_bundle_file_load_peaks_below_its_rows_and_a_quarter_of_its_size(large_bundle):
+    """The file is read and parsed in pieces: beside its float64 rows a load
+    holds about one row's text and one 1 MiB piece, never the file's
+    bytes."""
+    bundle, path = large_bundle
+    size = path.stat().st_size
+    assert size >= 8 * 2**20
+    loaded, peak = _traced_peak(lambda: load_bundle(path))
+    assert peak < _row_bytes(bundle) + size / 4
+    assert [values.tobytes() for _, values in loaded.clip_table.rows] == \
+        [values.tobytes() for _, values in bundle.clip_table.rows]
+
+
+def test_entry_write_peaks_below_a_quarter_of_its_rows(large_bundle, tmp_path, monkeypatch):
+    """Rows are written to the entry one after another, with no
+    concatenated copy of them, and read back bit for bit."""
+    monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path))
+    bundle, _ = large_bundle
+    _, peak = _traced_peak(lambda: write_through(bundle, "k"))
+    assert peak < _row_bytes(bundle) / 4
+    assert [values.tobytes() for _, values in read_entry("k", "bundle").clip_table.rows] == \
+        [values.tobytes() for _, values in bundle.clip_table.rows]

@@ -14,7 +14,7 @@ import pytest
 import himu
 import himu.jsonio
 from himu.bench import Event, EventScript, generate
-from himu.cache import entry_key, entry_path, file_key, read_entry, write_through
+from himu.cache import entry_path, file_key, read_entry, write_through
 from himu.cli import _SIGMA_FLAGS, build_parser, main
 from himu.config import SCALAR_KEYS
 from himu.experts import (
@@ -346,10 +346,70 @@ def test_a_bundle_replaced_after_hashing_is_cached_under_its_own_bytes(
     monkeypatch.setattr("himu.cli.file_key", lambda path: "0" * 64)  # the former file's key
     cold, cold_stats = _select(args, tmp_path / "cold")
     assert cold_stats["bundle_ingested"] == 1
-    entry = entry_path(entry_key(bundle_path.read_bytes()))
+    entry = entry_path(file_key(bundle_path))
     assert list((tmp_path / "cache").iterdir()) == [entry]
-    assert dumps_bundle(read_entry(entry_key(bundle_path.read_bytes()), "bundle")) == \
+    assert dumps_bundle(read_entry(file_key(bundle_path), "bundle")) == \
         bundle_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("when", ["after the lookup", "after the split parse"])
+def test_an_unsplit_bundle_is_cached_under_the_bytes_parsed_whole(
+        rich_workspace, monkeypatch, when):
+    """A bundle whose meta holds the row mark cannot be parsed with its rows
+    cut out, so it is read again and parsed whole. The file is replaced
+    after the lookup hashed it, or after the split parse read it: either
+    way the entry goes under the SHA-256 of the bytes parsed whole, and
+    holds what they hold."""
+    tmp_path, args, bundle_path = rich_workspace
+    mark = int(f"{himu.jsonio._ROW_MARK}0")
+    bundle_path.write_text(dumps_bundle(replace(load_bundle(bundle_path), meta={"n": mark})),
+                           encoding="utf-8")
+    replacement = replace(load_bundle(bundle_path), meta={"n": mark + 1})
+    replaced, wholes = [], []
+
+    def replace_the_bundle():
+        if not replaced:
+            bundle_path.write_text(dumps_bundle(replacement), encoding="utf-8")
+            replaced.append(True)
+
+    if when == "after the lookup":
+        def hash_then_replace(path):
+            key = file_key(path)
+            if Path(path) == bundle_path:
+                replace_the_bundle()
+            return key
+        monkeypatch.setattr("himu.cli.file_key", hash_then_replace)
+    else:
+        parse_split = himu.jsonio._parse_split
+
+        def read_then_replace(pieces):
+            try:
+                return parse_split(pieces)
+            finally:
+                replace_the_bundle()
+        monkeypatch.setattr(himu.jsonio, "_parse_split", read_then_replace)
+    joined = himu.jsonio._joined
+    monkeypatch.setattr(himu.jsonio, "_joined", lambda pieces: wholes.append(1) or joined(pieces))
+
+    cold, cold_stats = _select(args, tmp_path / "cold")
+    assert replaced and wholes
+    assert cold_stats["bundle_ingested"] == 1
+    key = file_key(bundle_path)
+    assert list((tmp_path / "cache").iterdir()) == [entry_path(key)]
+    assert dumps_bundle(read_entry(key, "bundle")) == dumps_bundle(replacement)
+    assert cold == _select(args, tmp_path / "uncached", "--no-cache")[0]
+
+
+def test_a_bundle_that_fails_to_parse_leaves_no_entry(rich_workspace, capsys):
+    """A file cut off inside a row fails the split parse and the whole one:
+    the run exits 1 and caches nothing."""
+    tmp_path, args, bundle_path = rich_workspace
+    text = bundle_path.read_text(encoding="utf-8")
+    bundle_path.write_text(text[:text.index('"values"') + 40], encoding="utf-8")
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert "bundle is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 _UNPICKLED = []
@@ -535,8 +595,8 @@ def ovd_workspace(tmp_path, monkeypatch):
 def test_detection_source_is_cached_under_its_own_bytes(ovd_workspace, monkeypatch):
     tmp_path, args, bundle_path, ovd_path = ovd_workspace
     cold, cold_stats = _select(args, tmp_path / "cold")
-    entries = {entry_path(entry_key(bundle_path.read_bytes())),
-               entry_path(entry_key(ovd_path.read_bytes()))}
+    entries = {entry_path(file_key(bundle_path)),
+               entry_path(file_key(ovd_path))}
     assert set((tmp_path / "cache").iterdir()) == entries
     written = {path: path.read_bytes() for path in entries}
 
@@ -557,7 +617,7 @@ def test_detection_source_is_cached_under_its_own_bytes(ovd_workspace, monkeypat
     assert uncached_stats == {"bundle_ingested": 0, "disk_hit": False, "disabled": True}
     assert {path: path.read_bytes() for path in entries} == written
     assert set((tmp_path / "cache").iterdir()) == entries
-    assert dumps(ovd_to_obj(read_entry(entry_key(ovd_path.read_bytes()), "ovd"))) == \
+    assert dumps(ovd_to_obj(read_entry(file_key(ovd_path), "ovd"))) == \
         dumps(ovd_to_obj(load_ovd_source(ovd_path)))
 
 
@@ -583,9 +643,9 @@ def test_a_detection_file_replaced_after_hashing_is_cached_under_its_own_bytes(
 
     monkeypatch.setattr("himu.cli.file_key", hash_then_replace)
     cold, _ = _select(args, tmp_path / "cold")
-    key = entry_key(ovd_path.read_bytes())
+    key = file_key(ovd_path)
     assert set((tmp_path / "cache").iterdir()) == {
-        entry_path(entry_key(bundle_path.read_bytes())), entry_path(key)
+        entry_path(file_key(bundle_path)), entry_path(key)
     }
     assert dumps(ovd_to_obj(read_entry(key, "ovd"))) == dumps(ovd_to_obj(replacement))
     assert cold == _select(args, tmp_path / "uncached", "--no-cache")[0]

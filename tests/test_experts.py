@@ -1,5 +1,6 @@
 import copy
 import json
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -1003,6 +1004,113 @@ _MARK = himu.jsonio._ROW_MARK
 ])
 def test_loaders_agree_on_adversarial_documents(document):
     _assert_loaders_agree(document.encode("utf-8"))
+
+
+def _bits(obj, rows: bool = False):
+    """``obj`` with each float as its IEEE bytes, so -0.0, NaN and
+    subnormals compare exactly, and each float64 row as the list of its
+    values: tagged as a row when ``rows`` is set, else equal to the list of
+    floats it was parsed from."""
+    if isinstance(obj, np.ndarray):
+        return "row" if rows else "list", _bits(obj.tolist())[1]
+    if isinstance(obj, float):
+        return "float", struct.pack("<d", obj)
+    if isinstance(obj, list):
+        return "list", [_bits(value, rows) for value in obj]
+    if isinstance(obj, dict):
+        return "dict", [(key, _bits(value, rows)) for key, value in obj.items()]
+    return type(obj).__name__, obj
+
+
+def _tag_rows(obj, tag):
+    """``obj`` with each ``"values"`` member that is a non-empty list of
+    floats, and so a score row, passed through ``tag``."""
+    if isinstance(obj, list):
+        return [_tag_rows(value, tag) for value in obj]
+    if isinstance(obj, dict):
+        return {key: tag(value) if key == "values" and isinstance(value, list) and value
+                and all(type(v) is float for v in value) else _tag_rows(value, tag)
+                for key, value in obj.items()}
+    return obj
+
+
+class _ReusedPieces:
+    """``data`` cut at ``cuts``, each piece handed out as a view of one
+    buffer that the next piece overwrites, as ``FilePieces`` does."""
+
+    def __init__(self, data: bytes, cuts):
+        self.data = data
+        self.bounds = list(zip([0, *cuts], [*cuts, len(data)]))
+
+    def __iter__(self):
+        view = memoryview(bytearray(max(end - start for start, end in self.bounds)))
+        for start, end in self.bounds:
+            view[:end - start] = self.data[start:end]
+            yield view[:end - start]
+
+
+def _positions(data: bytes, needle: bytes):
+    return [i for i in range(len(data)) if data.startswith(needle, i)]
+
+
+@st.composite
+def _piece_cuts(draw, data: bytes):
+    """Sorted cut points: every byte its own piece, or drawn points with
+    cuts inside a ``"values"`` key, at and after a ``]`` and inside numbers
+    among them; a repeated point or one at either end gives an empty piece."""
+    if draw(st.booleans()):
+        return list(range(1, len(data)))
+    targets = [hit + k for hit in _positions(data, himu.jsonio._ROW_KEY) for k in range(1, 8)]
+    targets += [end + k for end in _positions(data, b"]") for k in (0, 1)]
+    targets += [i for i, byte in enumerate(data) if byte in b"0123456789"]
+    cuts = draw(st.lists(st.integers(0, len(data)), max_size=8))
+    if targets:
+        cuts += draw(st.lists(st.sampled_from(targets), max_size=8))
+    return sorted(cuts)
+
+
+# The row mark outside any row: as a number, a key and a string.
+_MARKED = st.sampled_from([int(f"{_MARK}0"), -int(f"{_MARK}1"), f"{_MARK}0",
+                           {f"{_MARK}0": [1.5]}, [f"x{_MARK}"]])
+# Whitespace runs far longer than most pieces.
+_PIECE_LAYOUTS = (*_LAYOUTS, {"indent": " " * 40}, {"indent": "\n" * 24})
+
+
+@settings(max_examples=_examples(300), deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {"video_id": st.just("vid"), "T": st.just(_ROW_LENGTH), "frame_rate": st.just(1.0),
+         "format_version": st.just(1)},
+        optional={"clip_table": st.lists(_ROWS, max_size=3),
+                  "clap_table": st.lists(_ROWS, max_size=3),
+                  "meta": _META | _MARKED | st.dictionaries(_META_KEYS, _MARKED, max_size=2)},
+    ),
+    st.fixed_dictionaries({"video_id": st.sampled_from(["vid", f"{_MARK}0"]),
+                           "format_version": st.just(1), "entries": st.lists(_ROWS, max_size=3)}),
+    st.booleans(),
+    st.sampled_from(_PIECE_LAYOUTS),
+    st.data(),
+)
+def test_rows_parse_the_same_from_any_pieces_bytewise(bundle, source, is_bundle, layout, data):
+    """A bundle or detection document cut into pieces anywhere, each piece
+    overwritten once the next is read, parses to the same object with the
+    same float bits, or fails with the same error, as its whole text. Every
+    score row becomes a float64 row, unless the row mark occurs outside
+    the rows and no array does."""
+    document = json.dumps(bundle if is_bundle else source, **layout).encode("utf-8")
+    cuts = data.draw(_piece_cuts(document))
+    got = _loaded_or_error(lambda pieces: himu.jsonio.parse_json_rows(
+        pieces, BundleFormatError, "bundle"), _ReusedPieces(document, cuts))
+    want = _loaded_or_error(lambda whole: himu.jsonio.parse_json(
+        himu.jsonio.decode_text(whole, BundleFormatError, "bundle"), BundleFormatError,
+        "bundle"), document)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert _bits(got) == _bits(want)
+    if _MARK not in json.dumps(_tag_rows(want, lambda row: None), **layout):
+        want = _tag_rows(want, np.array)
+    assert _bits(got, rows=True) == _bits(want, rows=True)
 
 
 @pytest.mark.parametrize("data", [
