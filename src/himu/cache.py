@@ -16,33 +16,32 @@ the entry is keyed by the bytes that were parsed and the file is never
 whole in memory.
 
 Entry: one file, ``<root>/<key>.entry``. Its first line is a compact ASCII
-JSON header: ``entry_version`` (3), the document ``kind`` (``"bundle"`` or
+JSON header: ``entry_version`` (4), the document ``kind`` (``"bundle"`` or
 ``"ovd"``) and the document form that ``bundle_to_obj`` or ``ovd_to_obj``
 gives, with each row's ``"values"`` replaced by its number of values. The
-rest is one ``.npy`` block (NumPy format 1.0): every row, list after list,
-as one C-order 1-D ``<f8`` array. ``write_through`` writes the block's
-header for the total length and then each row in turn, the bytes
-``np.save`` writes for the concatenated rows, without building them.
-Detection rows may differ in length, so the block is 1-D for both kinds.
-``write_through`` writes an entry only after a successful run, through a
-temporary file and an atomic rename, so a failed write leaves no file
-behind. The path depends on the key alone, so nothing in the document can
-steer the write outside the root.
+rest is the raw ``<f8`` bytes of every row, list after list, which
+``write_through`` writes one row at a time without concatenating them.
+The header already gives every row's length, so the rows carry no header
+of their own. ``write_through`` writes an entry only after a successful
+run, through a temporary file and an atomic rename, so a failed write
+leaves no file behind. The path depends on the key alone, so nothing in
+the document can steer the write outside the root.
 
 Read-back: ``read_entry`` returns the stored document of the kind asked
 for, or None for a miss. An entry is untrusted input, because anyone who
 can write to the root can put a file there. Before any row is cut, every
 row must be an object whose length is an int of at least 1. Before the
-rows are read, the ``.npy`` header must give dtype ``<f8``, C order and
-the length the row lengths add up to, and the bytes left in the file must
-be exactly those rows; the rows are then loaded with ``allow_pickle=False``
-and each row's slice of them takes its length's place. Header and rows
+rows are read, the bytes left in the file must be exactly 8 bytes for
+each value the row lengths add up to; after, the read must have returned
+that many values, so a file that shrinks in between is a miss too. Each
+row's slice of the values then takes its length's place. Header and rows
 pass the same checks as the file they came from (``bundle_from_obj`` or
 ``ovd_from_obj``). Any failure, from a missing or truncated file to another
-version, another kind or a malformed header, is a miss: the caller parses
-the file and rewrites the entry. These checks do not authenticate an entry,
-so a forged one that is internally consistent would be used as it stands.
-Keep the cache root writable only by its owner.
+version (an entry of versions 1 to 3 included), another kind or a
+malformed header, is a miss: the caller parses the file and rewrites the
+entry. These checks do not authenticate an entry, so a forged one that is
+internally consistent would be used as it stands. Keep the cache root
+writable only by its owner.
 
 To reuse a bundle across questions in one process, load it once and pass
 it to ``run_pipeline`` for each question.
@@ -50,7 +49,6 @@ it to ``run_pipeline`` for each question.
 from __future__ import annotations
 
 import json
-import math
 import os
 from pathlib import Path
 
@@ -68,7 +66,7 @@ from .experts.bundle import (
 from .jsonio import FilePieces, _Loaded, atomic_file, decode_text, parse_json
 
 CACHE_DIR_ENV = "HIMU_CACHE_DIR"
-ENTRY_VERSION = 3
+ENTRY_VERSION = 4
 
 # Per document kind: the document keys that hold score rows, the document
 # form of the object, and the check that turns the document into its object.
@@ -116,12 +114,7 @@ def write_through(document: ExpertBundle | OvdSource, key: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_file(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
-        # The bytes ``np.save`` writes for the rows concatenated, written
-        # row after row, so no concatenated copy is made.
-        np.lib.format.write_array_header_1_0(fh, {
-            "descr": _ROW_DTYPE.str, "fortran_order": False, "shape": (sum(map(len, rows)),),
-        })
-        for values in rows:
+        for values in rows:  # row after row, so no concatenated copy is made
             fh.write(np.ascontiguousarray(values, dtype=_ROW_DTYPE))
     return path
 
@@ -158,7 +151,15 @@ def _load_entry(fh, kind: str):
     if not all(isinstance(row, dict) and type(row.get("values")) is int
                and row["values"] >= 1 for row in rows):
         raise BundleFormatError("cache entry rows must be objects with a length >= 1")
-    block = _read_rows(fh, (sum(row["values"] for row in rows),))
+    total = sum(row["values"] for row in rows)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != total * _ROW_DTYPE.itemsize:
+        raise BundleFormatError(f"cache entry has {left} bytes of rows for {total} values")
+    # ``fromfile`` returns fewer values, silently, when the file shrank since.
+    # Nothing else holds the rows, so the document keeps them without a copy.
+    block = np.fromfile(fh, dtype=_ROW_DTYPE, count=total).view(_Loaded)
+    if len(block) != total:
+        raise BundleFormatError(f"cache entry rows gave {len(block)} of {total} values")
     start = 0
     for row in rows:
         length = row["values"]
@@ -166,20 +167,3 @@ def _load_entry(fh, kind: str):
         start += length
     return from_obj(header)
 
-
-def _read_rows(fh, shape: tuple) -> np.ndarray:
-    """The ``.npy`` block at the file position, checked before it is read."""
-    start = fh.tell()
-    if np.lib.format.read_magic(fh) != (1, 0):
-        raise BundleFormatError("cache entry rows must be .npy format 1.0")
-    found, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    if dtype != _ROW_DTYPE or fortran_order or found != shape:
-        order = "Fortran" if fortran_order else "C"
-        raise BundleFormatError(f"cache entry rows are {order}-order {dtype} {found}, "
-                                f"expected C-order {_ROW_DTYPE} {shape}")
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if left != math.prod(found) * _ROW_DTYPE.itemsize:
-        raise BundleFormatError(f"cache entry has {left} bytes of rows for shape {found}")
-    fh.seek(start)
-    # Nothing else holds the rows, so the document keeps them without a copy.
-    return np.load(fh, allow_pickle=False).view(_Loaded)

@@ -250,15 +250,6 @@ def bundle_to_obj(bundle: ExpertBundle) -> dict:
     return obj
 
 
-def dumps_bundle(bundle: ExpertBundle) -> str:
-    """Canonical text form: fixed key order, 2-space indent, repr floats.
-
-    Floats use Python's shortest round-trip decimal form, so values survive
-    save/load byte-identically.
-    """
-    return jsonio.dumps(bundle_to_obj(bundle))
-
-
 def _restore_lists(meta) -> None:
     """Give the rows that ``jsonio.parse_json_rows`` made float64 inside
     free-form ``meta`` back the lists they were parsed from; ``tolist``
@@ -376,7 +367,9 @@ def load_bundle(path) -> ExpertBundle:
 
 
 def save_bundle(bundle: ExpertBundle, path) -> None:
-    """Write ``dumps_bundle`` text atomically, streamed to the file."""
+    """Write the canonical text of the bundle's document form (fixed key
+    order, 2-space indent, shortest round-trip floats) atomically, streamed
+    to the file."""
     jsonio.save_json(bundle_to_obj(bundle), path)
 
 

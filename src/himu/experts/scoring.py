@@ -2,10 +2,12 @@
 
 Embedding-style experts read score-table rows from the per-video bundle.
 Object detection is query-conditioned: its scores come from a separate
-per-query source and are recomputed on every evaluation instead of being
-cached. Transcript and on-screen-text leaves score from the bundle's text
-indexes (``ExpertBundle.transcript_index`` and ``ocr_index``), which are
-built on the first text leaf and shared by every later one. A text
+per-query source, whose rows ``himu select`` keeps in a disk cache entry
+like a bundle's (``himu.cache``); only each leaf's per-frame max over its
+query variants is recomputed on every evaluation. Transcript and
+on-screen-text leaves score from the bundle's text indexes
+(``ExpertBundle.transcript_index`` and ``ocr_index``), which are built on
+the first text leaf and shared by every later one. A text
 expert scores every distinct query of the tree in one batch, at its
 first leaf: ``score_asr_leaf`` and ``score_ocr_leaf`` take a list of
 queries and match all of them against every segment or detection of the

@@ -33,26 +33,16 @@ class PipelineResult:
     selection: SelectionResult
 
 
-def condition_signals(
-    tree: LogicTree,
-    raw: np.ndarray,
-    config: EngineConfig,
-) -> np.ndarray:
-    """Normalize the raw (L, T) leaf rows jointly per expert, then smooth each.
+def _condition_in_place(tree: LogicTree, rows: np.ndarray, config: EngineConfig) -> np.ndarray:
+    """Normalize the raw (L, T) float64 leaf rows jointly per expert, then
+    smooth each, writing each expert group's conditioned rows over its raw
+    rows in ``rows``, which is returned (row i for leaf id i).
 
     Joint normalization pools the median and spread over all of one
     expert's rows so sibling queries stay comparable; smoothing then
     applies that expert's bandwidth to the whole group in one call. The
-    result is a new (L, T) array, row i for leaf id i; ``raw`` is neither
-    written nor frozen.
+    groups do not overlap, so each is read before it is written.
     """
-    return _condition_in_place(tree, np.array(raw, dtype=np.float64), config)
-
-
-def _condition_in_place(tree: LogicTree, rows: np.ndarray, config: EngineConfig) -> np.ndarray:
-    """``condition_signals`` with each expert group's conditioned rows
-    written over its raw rows in ``rows``, which is returned. The groups do
-    not overlap, so each is read before it is written."""
     norm_params = config.normalization_params()
     smooth_params = config.smoothing_params()
     for expert, leaf_ids in leaves_by_expert(tree).items():

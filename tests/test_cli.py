@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +21,7 @@ from himu.config import SCALAR_KEYS
 from himu.experts import (
     OvdSource,
     bundle_digest,
-    dumps_bundle,
+    bundle_to_obj,
     load_bundle,
     load_ovd_source,
     ovd_to_obj,
@@ -49,7 +50,7 @@ def workspace(tmp_path, monkeypatch):
     )
     instance = generate(script)
     bundle_path = tmp_path / "vid-1.bundle.json"
-    bundle_path.write_text(dumps_bundle(instance.bundle), encoding="utf-8")
+    bundle_path.write_text(dumps(bundle_to_obj(instance.bundle)), encoding="utf-8")
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(
         json.dumps(
@@ -225,7 +226,7 @@ def test_select_rejects_a_detection_source_for_another_video(tmp_path, monkeypat
         seed=4,
     ))
     bundle_path = tmp_path / "vid-2.bundle.json"
-    bundle_path.write_text(dumps_bundle(instance.bundle), encoding="utf-8")
+    bundle_path.write_text(dumps(bundle_to_obj(instance.bundle)), encoding="utf-8")
     tree_path = write_tree(tmp_path, {"op": "LEAF", "expert": "OVD", "query": "ball"})
     args = ["select", "--tree", str(tree_path), "--bundle", str(bundle_path), "--frames", "4"]
     own = tmp_path / "vid-2.ovd.json"
@@ -280,7 +281,7 @@ def rich_workspace(tmp_path, monkeypatch, rich_bundle):
     """A canonical bundle with every section, and a tree that reads each one."""
     monkeypatch.setenv("HIMU_CACHE_DIR", str(tmp_path / "cache"))
     bundle_path = tmp_path / "rich.bundle.json"
-    bundle_path.write_text(dumps_bundle(rich_bundle), encoding="utf-8")
+    bundle_path.write_text(dumps(bundle_to_obj(rich_bundle)), encoding="utf-8")
     tree_path = write_tree(tmp_path, {"op": "OR", "children": [
         {"expert": "CLIP", "query": "a dog"},
         {"expert": "CLAP", "query": "barking"},
@@ -348,7 +349,7 @@ def test_a_bundle_replaced_after_hashing_is_cached_under_its_own_bytes(
     assert cold_stats["bundle_ingested"] == 1
     entry = entry_path(file_key(bundle_path))
     assert list((tmp_path / "cache").iterdir()) == [entry]
-    assert dumps_bundle(read_entry(file_key(bundle_path), "bundle")) == \
+    assert dumps(bundle_to_obj(read_entry(file_key(bundle_path), "bundle"))) == \
         bundle_path.read_text(encoding="utf-8")
 
 
@@ -362,14 +363,14 @@ def test_an_unsplit_bundle_is_cached_under_the_bytes_parsed_whole(
     holds what they hold."""
     tmp_path, args, bundle_path = rich_workspace
     mark = int(f"{himu.jsonio._ROW_MARK}0")
-    bundle_path.write_text(dumps_bundle(replace(load_bundle(bundle_path), meta={"n": mark})),
-                           encoding="utf-8")
+    marked = replace(load_bundle(bundle_path), meta={"n": mark})
+    bundle_path.write_text(dumps(bundle_to_obj(marked)), encoding="utf-8")
     replacement = replace(load_bundle(bundle_path), meta={"n": mark + 1})
     replaced, wholes = [], []
 
     def replace_the_bundle():
         if not replaced:
-            bundle_path.write_text(dumps_bundle(replacement), encoding="utf-8")
+            bundle_path.write_text(dumps(bundle_to_obj(replacement)), encoding="utf-8")
             replaced.append(True)
 
     if when == "after the lookup":
@@ -396,7 +397,7 @@ def test_an_unsplit_bundle_is_cached_under_the_bytes_parsed_whole(
     assert cold_stats["bundle_ingested"] == 1
     key = file_key(bundle_path)
     assert list((tmp_path / "cache").iterdir()) == [entry_path(key)]
-    assert dumps_bundle(read_entry(key, "bundle")) == dumps_bundle(replacement)
+    assert dumps(bundle_to_obj(read_entry(key, "bundle"))) == dumps(bundle_to_obj(replacement))
     assert cold == _select(args, tmp_path / "uncached", "--no-cache")[0]
 
 
@@ -428,25 +429,19 @@ class _PickleSentinel:
 
 
 def _split_entry(data: bytes):
-    line, npy = data.split(b"\n", 1)
-    return json.loads(line), np.load(io.BytesIO(npy), allow_pickle=False)
+    line, rows = data.split(b"\n", 1)
+    return json.loads(line), np.frombuffer(rows, dtype="<f8")
 
 
-def _entry(header: dict, npy: bytes) -> bytes:
-    return json.dumps(header).encode("ascii") + b"\n" + npy
-
-
-def _npy(array, allow_pickle=False) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=allow_pickle)
-    return buf.getvalue()
+def _entry(header: dict, rows: bytes) -> bytes:
+    return json.dumps(header).encode("ascii") + b"\n" + rows
 
 
 def _with_header(mutate):
     def rewrite(data):
         header, rows = _split_entry(data)
         mutate(header)
-        return _entry(header, _npy(rows))
+        return _entry(header, rows.tobytes())
     return rewrite
 
 
@@ -457,35 +452,25 @@ def _with_rows(make):
     return rewrite
 
 
-def _npy_header(shape, fortran_order=False) -> bytes:
-    """A ``.npy`` format 1.0 magic and header for ``<f8`` rows."""
+def _npy_block(rows) -> bytes:
+    """The rows as entry versions 1 to 3 stored them: one ``.npy`` block."""
     buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": "<f8", "fortran_order": fortran_order, "shape": shape}
-    )
+    np.save(buf, rows, allow_pickle=False)
     return buf.getvalue()
 
 
 def _nan_row(rows):
     rows = rows.copy()
     rows[3] = np.nan
-    return _npy(rows)
+    return rows.tobytes()
 
 
-def _fortran_order(rows):
-    """The same bytes under a header that says Fortran order."""
-    return _npy_header(rows.shape, fortran_order=True) + rows.tobytes()
-
-
-def _declared_far_larger(data):
-    """Header and .npy both claim 10**12 frames a row; the file holds 40."""
-    header, rows = _split_entry(data)
-    count = len(rows) // header["T"]
+def _declared_far_larger(header):
+    """Every row claims 10**12 frames; the file holds 40 a row."""
     header["T"] = 10**12
     for name in ("clip_table", "clap_table"):
         for row in header[name]:
             row["values"] = 10**12
-    return _entry(header, _npy_header((count * 10**12,)) + rows.tobytes())
 
 
 def _queries_and_lengths(header):
@@ -495,20 +480,42 @@ def _queries_and_lengths(header):
                         "lengths": [row["values"] for row in header[name]]}
 
 
-def _version_2_layout(header):
+def _version_2_layout(data):
+    header, rows = _split_entry(data)
     header["entry_version"] = 2
     _queries_and_lengths(header)
+    return _entry(header, _npy_block(rows))
+
+
+def _version_3_layout(data):
+    """The entry as version 3 wrote it: the same header, and the rows as one
+    ``.npy`` block."""
+    header, rows = _split_entry(data)
+    header["entry_version"] = 3
+    return _entry(header, _npy_block(rows))
 
 
 def _former_layout(data):
     """The entry as version 1 wrote it: each table as its list of queries,
-    and the rows as one (rows, T) block."""
+    and the rows as one (rows, T) ``.npy`` block."""
     header, rows = _split_entry(data)
     header["entry_version"] = 1
     del header["kind"]
     for name in ("clip_table", "clap_table"):
         header[name] = [row["query"] for row in header[name]]
-    return _entry(header, _npy(rows.reshape(-1, header["T"])))
+    return _entry(header, _npy_block(rows.reshape(-1, header["T"])))
+
+
+# The row block's cases, the same for both kinds.
+_HOSTILE_ROWS = {
+    "truncated rows": lambda data: data[:-5],
+    "rows one value short": _with_rows(lambda rows: rows[:-1].tobytes()),
+    "rows one value too many": _with_rows(lambda rows: np.append(rows, 0.5).tobytes()),
+    "rows float32": _with_rows(lambda rows: rows.astype("<f4").tobytes()),
+    "a pickle in place of the rows": _with_rows(lambda rows: pickle.dumps(
+        np.full(rows.shape, _PickleSentinel(), dtype=object))),
+    "NaN in a row": _with_rows(_nan_row),
+}
 
 
 def _ocr_frame_past_end(header):
@@ -516,15 +523,16 @@ def _ocr_frame_past_end(header):
 
 
 _HOSTILE_ENTRIES = {
-    "truncated rows": lambda data: data[:-8],
+    **_HOSTILE_ROWS,
     "truncated header": lambda data: data[:100],
     "empty file": lambda data: b"",
     "header not JSON": lambda data: b"{not json" + data[data.index(b"\n"):],
     "header not an object": lambda data: b"[1, 2]" + data[data.index(b"\n"):],
     "header not UTF-8": lambda data: b"\xff" + data,
     "entry version 1": _former_layout,
-    "entry version 2": _with_header(_version_2_layout),
-    "entry version 4": _with_header(lambda h: h.update(entry_version=4)),
+    "entry version 2": _version_2_layout,
+    "entry version 3": _version_3_layout,
+    "entry version 5": _with_header(lambda h: h.update(entry_version=5)),
     "entry version true": _with_header(lambda h: h.update(entry_version=True)),
     "kind ovd": _with_header(lambda h: h.update(kind="ovd")),
     "kind missing": _with_header(lambda h: h.pop("kind")),
@@ -532,14 +540,7 @@ _HOSTILE_ENTRIES = {
     "a row not an object": _with_header(
         lambda h: h.update(clip_table=["a dog", *h["clip_table"][1:]])),
     "row list of queries": _with_header(lambda h: h.update(clip_table=["a dog", "a cat"])),
-    "rows float32": _with_rows(lambda rows: _npy(rows.astype("<f4"))),
-    "rows pickled objects": _with_rows(lambda rows: _npy(
-        np.full(rows.shape, _PickleSentinel(), dtype=object), allow_pickle=True
-    )),
-    "rows Fortran order": _with_rows(_fortran_order),
-    "rows wrong shape": _with_rows(lambda rows: _npy(rows[:-1])),
-    "shape far larger than file": _declared_far_larger,
-    "NaN in a row": _with_rows(_nan_row),
+    "lengths far larger than file": _with_header(_declared_far_larger),
     "header T not row length": _with_header(lambda h: h.update(T=h["T"] + 1)),
     "OCR frame past T": _with_header(_ocr_frame_past_end),
 }
@@ -579,7 +580,7 @@ def ovd_workspace(tmp_path, monkeypatch):
         seed=6,
     ))
     bundle_path = tmp_path / "vid-3.bundle.json"
-    bundle_path.write_text(dumps_bundle(instance.bundle), encoding="utf-8")
+    bundle_path.write_text(dumps(bundle_to_obj(instance.bundle)), encoding="utf-8")
     ovd_path = tmp_path / "vid-3.ovd.json"
     save_ovd_source(instance.ovd_source, ovd_path)
     tree_path = write_tree(tmp_path, {"op": "OR", "children": [
@@ -666,28 +667,24 @@ def _first_row_inline(data):
     first = header["entries"][0]
     length = first["values"]
     first["values"] = rows[:length].tolist()
-    return _entry(header, _npy(rows[length:]))
+    return _entry(header, rows[length:].tobytes())
 
 
 _OTHER_KIND = "bundle entry under the detection key"
 # Each maker gets the valid entry's bytes; the detection source has two
 # rows of 90 values.
 _HOSTILE_DETECTION_ENTRIES = {
+    **_HOSTILE_ROWS,
     _OTHER_KIND: None,  # the bundle's own valid entry, copied
+    "entry version 3": _version_3_layout,
     "kind bundle": _with_header(lambda h: h.update(kind="bundle")),
     "zero length": _detection_lengths(lambda lengths: [0, sum(lengths)]),
     "bool length": _detection_lengths(lambda lengths: [True, sum(lengths) - 1]),
     "float length": _detection_lengths(lambda lengths: [float(lengths[0]), lengths[1]]),
     "negative length": _detection_lengths(lambda lengths: [-2, sum(lengths) + 2]),
+    "lengths far larger than file": _detection_lengths(lambda lengths: [10**12] * len(lengths)),
     "a row without values": _with_header(lambda h: h["entries"][1].pop("values")),
     "a row whose values is a list": _first_row_inline,
-    "NaN in a row": _with_rows(_nan_row),
-    "rows float32": _with_rows(lambda rows: _npy(rows.astype("<f4"))),
-    "rows Fortran order": _with_rows(_fortran_order),
-    "rows pickled objects": _with_rows(lambda rows: _npy(
-        np.full(rows.shape, _PickleSentinel(), dtype=object), allow_pickle=True
-    )),
-    "truncated rows": lambda data: data[:-8],
 }
 
 
@@ -952,14 +949,14 @@ def test_gen_and_bench_commands(tmp_path, capsys):
     gen_dir = tmp_path / "gen"
     assert main(["gen", "--scripts", str(suite), "--out", str(gen_dir)]) == 0
     instance = generate(scripts[0])
-    assert (gen_dir / "g1.bundle.json").read_text() == dumps_bundle(instance.bundle)
+    assert (gen_dir / "g1.bundle.json").read_text() == dumps(bundle_to_obj(instance.bundle))
     expected_ovd = dumps_stdlib(ovd_document(instance.ovd_source))
     assert (gen_dir / "g1.ovd.json").read_text() == expected_ovd
     assert json.loads((gen_dir / "g1.tree.json").read_text())["op"] == "OR"
     assert main(["gen", "--scripts", str(suite), "--out", str(gen_dir), "--seed", "9"]) == 0
     reseeded = generate(replace(scripts[0], seed=9)).bundle
-    assert (gen_dir / "g1.bundle.json").read_text() == dumps_bundle(reseeded)
-    assert dumps_bundle(reseeded) != dumps_bundle(instance.bundle)
+    assert (gen_dir / "g1.bundle.json").read_text() == dumps(bundle_to_obj(reseeded))
+    assert dumps(bundle_to_obj(reseeded)) != dumps(bundle_to_obj(instance.bundle))
 
     report_path = tmp_path / "report.json"
     assert main(

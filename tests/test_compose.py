@@ -17,7 +17,7 @@ from himu.compose import (
 from himu.config import EngineConfig
 from himu.errors import ArityError, LengthMismatchError
 from himu.experts import ExpertBundle, OvdSource, ScoreTable, evaluate_leaves
-from himu.pipeline import condition_signals, run_pipeline, satisfaction_curve
+from himu.pipeline import _condition_in_place, run_pipeline, satisfaction_curve
 from himu.tree import ExpertKind, parse_tree
 from oracles import right_after_direct, seq_brute_force
 
@@ -223,9 +223,8 @@ def test_satisfaction_curve_peaks_below_two_and_a_half_row_sets():
         tracemalloc.stop()
     assert peak < 2.5 * tree.num_leaves * T * 8
 
-    raw = evaluate_leaves(tree, bundle, source)
-    want_curve, want_attribution = evaluate(tree, condition_signals(tree, raw, config),
-                                            kappa=config.kappa)
+    conditioned = _condition_in_place(tree, evaluate_leaves(tree, bundle, source), config)
+    want_curve, want_attribution = evaluate(tree, conditioned, kappa=config.kappa)
     assert curve.values.tobytes() == want_curve.values.tobytes()
     assert attribution.values.tobytes() == want_attribution.values.tobytes()
 
@@ -237,12 +236,11 @@ def test_public_stages_neither_write_nor_freeze_a_callers_rows():
         rows = np.random.default_rng(7).random((tree.num_leaves, 40))
         rows.setflags(write=writeable)
         before = rows.tobytes()
-        conditioned = condition_signals(tree, rows, config)
         _, attribution = evaluate(tree, rows)
         matrix = AttributionMatrix(rows)
         assert rows.tobytes() == before
         assert rows.flags.writeable is writeable
-        for made in (conditioned, attribution.values, matrix.values):
+        for made in (attribution.values, matrix.values):
             assert not np.shares_memory(made, rows)
 
     result = run_pipeline(tree, bundle, 4, config, source)

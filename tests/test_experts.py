@@ -26,7 +26,7 @@ from himu.experts import (
     ScoreTable,
     TranscriptSegment,
     bundle_digest,
-    dumps_bundle,
+    bundle_to_obj,
     evaluate_leaves,
     levenshtein,
     load_bundle,
@@ -50,6 +50,7 @@ from himu.experts.matching import (
     text_index,
     windowed_match_scores,
 )
+from himu.jsonio import dumps
 from himu.tree import ExpertKind, parse_tree
 from oracles import (
     levenshtein_matrix,
@@ -687,10 +688,10 @@ def test_bundle_resave_is_byte_identical(tmp_path):
         # Row-shaped objects in meta stay the lists they were.
         meta={"rows": [{"query": "q", "values": [0.5, -0.0, 5e-324]}]},
     )
-    first = dumps_bundle(bundle)
+    first = dumps(bundle_to_obj(bundle))
     loaded = loads_bundle(first.encode("utf-8"))
     assert type(loaded.meta["rows"][0]["values"]) is list
-    assert dumps_bundle(loaded) == first
+    assert dumps(bundle_to_obj(loaded)) == first
 
 
 def test_bundle_transcript_is_sorted_on_construction():
@@ -718,7 +719,7 @@ def test_bundle_validation_errors():
 
 
 def test_bundle_document_validation():
-    good = json.loads(dumps_bundle(full_bundle()))
+    good = json.loads(dumps(bundle_to_obj(full_bundle())))
 
     bad = dict(good)
     bad["format_version"] = 99
@@ -730,18 +731,18 @@ def test_bundle_document_validation():
     with pytest.raises(BundleFormatError):
         loads_bundle(json.dumps(bad).encode("utf-8"))
 
-    bad = json.loads(dumps_bundle(full_bundle()))
+    bad = json.loads(dumps(bundle_to_obj(full_bundle())))
     bad["clip_table"][0]["values"].append(0.5)
     with pytest.raises(InconsistentLengthError):
         loads_bundle(json.dumps(bad).encode("utf-8"))
 
     # Numbers only, and only those a float can hold.
     for start in ([1], "1.5", True, None, 10**400):
-        bad = json.loads(dumps_bundle(full_bundle()))
+        bad = json.loads(dumps(bundle_to_obj(full_bundle())))
         bad["transcript"][0]["start"] = start
         with pytest.raises(BundleFormatError):
             loads_bundle(json.dumps(bad).encode("utf-8"))
-    bad = json.loads(dumps_bundle(full_bundle()))
+    bad = json.loads(dumps(bundle_to_obj(full_bundle())))
     bad["frame_rate"] = 10**400
     with pytest.raises(BundleFormatError):
         loads_bundle(json.dumps(bad).encode("utf-8"))
@@ -751,7 +752,7 @@ def test_bundle_document_validation():
                 "entries": [{"query": "car", "values": [0.5, 1]}]}
     assert ovd_from_obj(good_ovd).entries[0][1].tolist() == [0.5, 1.0]
     for value in ("0.5", True, None, 10**400):
-        bad = json.loads(dumps_bundle(full_bundle()))
+        bad = json.loads(dumps(bundle_to_obj(full_bundle())))
         bad["clip_table"][0]["values"][0] = value
         with pytest.raises(BundleFormatError):
             loads_bundle(json.dumps(bad).encode("utf-8"))
@@ -762,11 +763,11 @@ def test_bundle_document_validation():
 
     # Text is checked, never turned into a string with str().
     for text in (["turn", "left"], {"a": 1}, None):
-        bad = json.loads(dumps_bundle(full_bundle()))
+        bad = json.loads(dumps(bundle_to_obj(full_bundle())))
         bad["transcript"][0]["text"] = text
         with pytest.raises(BundleFormatError):
             loads_bundle(json.dumps(bad).encode("utf-8"))
-        bad = json.loads(dumps_bundle(full_bundle()))
+        bad = json.loads(dumps(bundle_to_obj(full_bundle())))
         bad["ocr"][0]["detections"].append(text)
         with pytest.raises(BundleFormatError):
             loads_bundle(json.dumps(bad).encode("utf-8"))
@@ -776,7 +777,7 @@ def test_bundle_document_validation():
     with pytest.raises(BundleFormatError):
         loads_bundle(b"[]")
     with pytest.raises(TypeError):  # a file's bytes, not its text
-        loads_bundle(dumps_bundle(full_bundle()))
+        loads_bundle(dumps(bundle_to_obj(full_bundle())))
 
 
 def test_ovd_source_round_trip(tmp_path):
@@ -862,9 +863,9 @@ def _assert_same_bundle(got, want):
         assert (table is None) == (expected is None)
         if expected is not None:
             assert _row_bytes(table.rows) == _row_bytes(expected.rows)
-    saved = dumps_bundle(want)
-    assert dumps_bundle(got) == saved
-    assert dumps_bundle(loads_bundle(saved.encode("utf-8"))) == saved
+    saved = dumps(bundle_to_obj(want))
+    assert dumps(bundle_to_obj(got)) == saved
+    assert dumps(bundle_to_obj(loads_bundle(saved.encode("utf-8")))) == saved
     assert bundle_digest(got) == bundle_digest(want)
 
 
@@ -1164,7 +1165,7 @@ def test_large_rows_load_in_slices_exactly():
     values[::997] = -0.0
     values[1::1009] = 5e-324
     table = ScoreTable(ExpertKind.CLIP, "vid", (("q", values), ("r", rng.random(T) * 1e-300)))
-    text = dumps_bundle(make_bundle(T=T, clip_table=table))
+    text = dumps(bundle_to_obj(make_bundle(T=T, clip_table=table)))
     assert len(text) > 2 * 256 * 1024
     _assert_loaders_agree(text.encode("utf-8"))
     compact = json.dumps(json.loads(text), separators=(",", ":")).encode("utf-8")
@@ -1177,7 +1178,7 @@ def test_bundle_load_holds_one_row_of_python_floats_at_a_time():
     rng = np.random.default_rng(3)
     table = ScoreTable(ExpertKind.CLIP, "vid",
                        tuple((f"q{i}", rng.random(T)) for i in range(rows)))
-    data = dumps_bundle(make_bundle(T=T, clip_table=table)).encode("utf-8")
+    data = dumps(bundle_to_obj(make_bundle(T=T, clip_table=table))).encode("utf-8")
     tracemalloc.start()
     try:
         loads_bundle(data)

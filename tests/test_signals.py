@@ -15,7 +15,7 @@ from himu.errors import (
     RowShapeError,
     SignalError,
 )
-from himu.pipeline import condition_signals
+from himu.pipeline import _condition_in_place
 from himu.signals import (
     DEFAULT_BANDWIDTHS,
     NormalizationParams,
@@ -306,7 +306,7 @@ def test_smoothing_keeps_unit_interval_and_mass_center(values, expert):
     assert out.max() <= values.max() + 1e-12
 
 
-def test_condition_signals_fills_rows_by_leaf_id():
+def test_conditioning_fills_rows_by_leaf_id():
     # Leaves 0 and 2 (CLIP) are normalized and smoothed as one group around
     # leaf 1 (ASR), each row as if smoothed alone, and each conditioned row
     # lands back at its own leaf id.
@@ -318,7 +318,7 @@ def test_condition_signals_fills_rows_by_leaf_id():
     raw_rows = np.random.default_rng(8).random((3, 30))
     clip = normalize_joint(raw_rows[[0, 2]])
     asr = normalize_joint(raw_rows[[1]])
-    out = condition_signals(tree, raw_rows, EngineConfig())
+    out = _condition_in_place(tree, raw_rows.copy(), EngineConfig())
     assert out.shape == (3, 30)
     np.testing.assert_array_equal(out[0], smooth(clip[0], ExpertKind.CLIP))
     np.testing.assert_array_equal(out[2], smooth(clip[1], ExpertKind.CLIP))
