@@ -199,10 +199,10 @@ def _read_document(path, use_cache: bool, kind: str):
     # The parser cuts each score row out of the pieces as they are read,
     # turns it into float64 a slice at a time and puts it back in place of
     # its integer literal; it never holds the file's bytes or builds its
-    # text, so a cold load peaks at the float64 rows plus about one row's
-    # text and one piece. A document it cannot split is read and hashed
-    # again, and the key is that pass's. The parsers are looked up here, at
-    # call time, so that a wrapper put in their place is called.
+    # text, so a cold load peaks at the float64 rows plus the longest run of
+    # bytes without a "]" and one piece. A document it cannot split is read
+    # and hashed again, and the key is that pass's. The parsers are looked
+    # up here, at call time, so that a wrapper put in their place is called.
     parse = loads_bundle if kind == "bundle" else loads_ovd_source
     document = parse(pieces)
     return document, pieces.digest if use_cache else None, False

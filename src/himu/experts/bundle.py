@@ -348,12 +348,13 @@ def loads_bundle(data) -> ExpertBundle:
     """The bundle in the bytes of a UTF-8 JSON file, given whole or as a
     re-iterable of pieces (``jsonio.FilePieces``).
 
-    ``jsonio.parse_json_rows`` cuts each table row out of the bytes as they
-    come and parses it on its own, its floats turned into float64 a slice
-    at a time, and never builds the text of the whole file. So a
-    table-heavy bundle read from a file peaks at its float64 rows plus
-    about one row's text and one piece. The bundle, or the error, is the
-    same as parsing in full before checking.
+    ``jsonio.parse_json_rows`` cuts each table row out of the bytes once
+    its closing ``]`` has been read and parses it on its own, its floats
+    turned into float64 a slice at a time, and never builds the text of the
+    whole file. So a bundle read from a file peaks at its float64 rows plus its
+    longest run of bytes without a ``]`` (a row's text, or the transcript)
+    and one piece. The bundle, or the error, is the same as parsing in full
+    before checking.
     """
     obj = jsonio.parse_json_rows(data, BundleFormatError, "bundle")
     if isinstance(obj, dict) and "meta" in obj:

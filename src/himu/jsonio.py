@@ -22,13 +22,14 @@ succeeded, and ``bundle_digest`` hashes them.
 ``parse_json_rows`` reads a document with large number arrays (the score
 rows of bundles and detection sources) from its bytes, which may come in
 pieces: ``FilePieces`` reads a file 1 MiB at a time into one buffer and
-hashes what it reads. The parser cuts each array out as soon as its bytes
-are in, parses it on its own, and parses the rest with an integer literal
-in each array's place that the parser swaps back for the array. So
-neither the file's whole bytes, nor the document's whole text, nor all of
-an array's Python floats are in memory at once. A document it cannot split
-this way is read again, decoded and parsed whole, with the same result or
-error.
+hashes what it reads. The parser cuts each array out of the bytes up to
+the last ``]`` it has read, parses it on its own, and parses the rest with
+an integer literal in each array's place that the parser swaps back for
+the array. So neither the file's whole bytes, nor the document's whole
+text, nor all of an array's Python floats are in memory at once: beside
+the rest, the parser holds the longest run of bytes without a ``]`` and
+one piece. A document it cannot split this way is read again, decoded and
+parsed whole, with the same result or error.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ _SLICE = 8192  # items per C encoder call: about 0.25 MB of text for floats
 _ROW_SLICE = 256 * 1024  # bytes of number text parsed per call
 _ROW_KEY = b'"values"'
 _PIECE = 1024 * 1024  # bytes per read of a file's pieces
-_MORE = object()  # the bytes so far do not tell whether an array is a row
 # Digits that start the integer literal standing in for a cut-out row. No
 # proper prefix equals a suffix, so occurrences never overlap and
 # ``str.count`` counts them all.
@@ -156,15 +156,19 @@ def parse_json_rows(data, error: type[HimuError], what: str):
     after ``{`` or ``,``, then ``:`` and ``[``, whitespace allowed between,
     up to the next ``]``, with no string, array or object inside; any other
     array stays in place. Inside a valid string every quote is escaped, so
-    each hit is a member key. When the buffer ends before an array is
-    known to be one, the next piece is read first. The array is parsed in
-    slices of about 256 KB cut at commas, so its values are never all
-    Python floats at once: a non-empty array of floats becomes a
-    ``_Loaded`` float64 array, any other its list. The rest of the document
-    up to the array, then the integer literal ``_ROW_MARK`` followed by the
-    row's number, go to the rest, and the array's bytes are deleted from
-    the front of the buffer. So beside the rest the parser holds at most
-    one row's text and one piece. The parser's ``parse_int`` puts each row
+    each hit is a member key. Keys are searched only up to the last ``]``
+    read so far, or to the end once the input has ended: an array that
+    starts before that ``]`` ends there too, so no decision waits on a
+    later piece. The array is parsed in slices of about 256 KB cut at
+    commas, so its values are never all Python floats at once: a non-empty
+    array of floats becomes a ``_Loaded`` float64 array, any other its
+    list. The rest of the document up to the array, then the integer
+    literal ``_ROW_MARK`` followed by the row's number, go to the rest, and
+    the array's bytes are deleted from the front of the buffer; once no key
+    is left, the searched bytes go to the rest too, and the bytes after the
+    last ``]`` wait for the next piece. So beside the rest the parser holds
+    the longest run of bytes without a ``]`` and one piece: in a bundle a
+    row's text, or the transcript. The parser's ``parse_int`` puts each row
     back in place of its literal. Replacing one value with another keeps a
     document's validity and its parse, so the result is the same as
     parsing the whole text. When the mark occurs anywhere else in the rest,
@@ -195,33 +199,26 @@ def _skip_space(data, pos: int, step: int) -> int:
     return pos
 
 
-def _flat_array_after(buffer: bytearray, hit: int, rest: bytearray, final: bool):
+def _flat_array_after(buffer: bytearray, hit: int):
     """The start and end in ``buffer`` of the array that is the value of the
     member key ``"values"`` at ``hit``, when the array holds no string,
-    array or object; None when it is no such array; ``_MORE`` when the
-    buffer ends before that is known and ``final`` is false.
+    array or object; None when it is no such array.
 
-    The bytes before the buffer are in ``rest``, where each cut-out array
-    stands as its literal: both end in a byte that is not ``{`` or ``,``.
+    The caller passes only keys that end before the buffer's last ``]``, or
+    any key once the input has ended, so the array, when there is one, ends
+    in the buffer too. A key with nothing but whitespace before it in the
+    buffer follows a ``]`` or a cut-out row's literal in the document, and
+    neither opens a member, so the opener is read from the buffer alone.
     """
     before = _skip_space(buffer, hit - 1, -1)
-    opener = buffer[before:before + 1]
-    if before < 0:
-        before = _skip_space(rest, len(rest) - 1, -1)
-        opener = rest[before:before + 1] if before >= 0 else b""
-    if opener not in (b"{", b","):
+    if buffer[before:before + 1] not in (b"{", b","):
         return None
     colon = _skip_space(buffer, hit + len(_ROW_KEY), 1)
     start = _skip_space(buffer, colon + 1, 1)
-    if start >= len(buffer) and not final:
-        return _MORE
     if buffer[colon:colon + 1] != b":" or buffer[start:start + 1] != b"[":
         return None
     end = buffer.find(b"]", start) + 1
-    if not end:
-        opened = any(buffer.find(byte, start + 1) >= 0 for byte in b'"[{')
-        return None if final or opened else _MORE
-    if any(buffer.find(byte, start + 1, end) >= 0 for byte in b'"[{'):
+    if not end or any(buffer.find(byte, start + 1, end) >= 0 for byte in b'"[{'):
         return None
     return start, end
 
@@ -230,15 +227,15 @@ def _parse_split(pieces):
     rest = bytearray()  # the document around its arrays, and their literals
     rows: dict = {}  # literal -> parsed array
     buffer = bytearray()  # bytes read but not yet cut or moved to the rest
-    scan = 0  # where in the buffer the next search for the key starts
     for piece in chain(pieces, (None,)):
-        final = piece is None
-        if not final:
+        if piece is None:
+            ready = len(buffer)
+        else:  # the bytes kept from the last round hold no "]"
             buffer += piece
-        while (hit := buffer.find(_ROW_KEY, scan)) >= 0:
-            found = _flat_array_after(buffer, hit, rest, final)
-            if found is _MORE:  # read on, with this key at the front
-                break
+            ready = buffer.rfind(b"]", len(buffer) - len(piece)) + 1
+        scan = 0  # where in the buffer the next search for the key starts
+        while (hit := buffer.find(_ROW_KEY, scan, ready)) >= 0:
+            found = _flat_array_after(buffer, hit)
             if found is None:
                 scan = hit + 1
                 continue
@@ -249,12 +246,11 @@ def _parse_split(pieces):
                 rest += view[:start]
             rest += literal.encode("ascii")
             del buffer[:end]
+            ready -= end
             scan = 0
-        else:  # no key left: all but a tail that may begin one is done with
-            hit = len(buffer) if final else max(scan, len(buffer) - len(_ROW_KEY) + 1)
-        rest += buffer[:hit]
-        del buffer[:hit]
-        scan = 0
+        with memoryview(buffer) as view:
+            rest += view[:ready]
+        del buffer[:ready]
     text = str(rest, "utf-8")
     del rest
     if text.count(_ROW_MARK) != len(rows):

@@ -288,8 +288,8 @@ def _row_bytes(bundle) -> int:
 
 def test_bundle_file_load_peaks_below_its_rows_and_a_quarter_of_its_size(large_bundle):
     """The file is read and parsed in pieces: beside its float64 rows a load
-    holds about one row's text and one 1 MiB piece, never the file's
-    bytes."""
+    holds its longest run of bytes without a ``]`` (here one row's text)
+    and one 1 MiB piece, never the file's bytes."""
     bundle, path = large_bundle
     size = path.stat().st_size
     assert size >= 8 * 2**20

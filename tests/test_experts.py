@@ -1057,11 +1057,14 @@ def _positions(data: bytes, needle: bytes):
 @st.composite
 def _piece_cuts(draw, data: bytes):
     """Sorted cut points: every byte its own piece, or drawn points with
-    cuts inside a ``"values"`` key, at and after a ``]`` and inside numbers
+    cuts right after the ``{`` or ``,`` that opens a ``"values"`` key, right
+    before and inside the key, at and after a ``]`` and inside numbers
     among them; a repeated point or one at either end gives an empty piece."""
     if draw(st.booleans()):
         return list(range(1, len(data)))
-    targets = [hit + k for hit in _positions(data, himu.jsonio._ROW_KEY) for k in range(1, 8)]
+    keys = _positions(data, himu.jsonio._ROW_KEY)
+    targets = [hit + k for hit in keys for k in range(8)]
+    targets += [himu.jsonio._skip_space(data, hit - 1, -1) + 1 for hit in keys]
     targets += [end + k for end in _positions(data, b"]") for k in (0, 1)]
     targets += [i for i, byte in enumerate(data) if byte in b"0123456789"]
     cuts = draw(st.lists(st.integers(0, len(data)), max_size=8))
@@ -1112,6 +1115,33 @@ def test_rows_parse_the_same_from_any_pieces_bytewise(bundle, source, is_bundle,
     if _MARK not in json.dumps(_tag_rows(want, lambda row: None), **layout):
         want = _tag_rows(want, np.array)
     assert _bits(got, rows=True) == _bits(want, rows=True)
+
+
+def test_rows_between_a_long_run_without_a_bracket_load_from_file_pieces(tmp_path):
+    """A transcript of more than 2 MiB holds no ``]`` until its end, so
+    whole 1 MiB pieces of it are read with nothing before their last ``]``
+    to search. The rows on both sides of it, each longer than a piece, are
+    still cut out as float64 rows, with the same float bits and bundle as
+    parsing the whole text."""
+    rng = np.random.default_rng(5)
+    rows = [{"query": f"q{i}", "values": rng.random(60_000).tolist()} for i in range(3)]
+    transcript = [{"start": float(i), "end": i + 0.5, "text": f"segment {i} of the talk"}
+                  for i in range(40_000)]
+    document = {"video_id": "vid", "T": 60_000, "frame_rate": 1.0,
+                "format_version": 1, "clip_table": rows[:2], "transcript": transcript,
+                "clap_table": rows[2:]}
+    data = json.dumps(document).encode("utf-8")
+    start = data.index(b'"transcript"')
+    assert data.find(b"]", start) - start > 2 * himu.jsonio._PIECE
+    path = tmp_path / "long.bundle.json"
+    path.write_bytes(data)
+
+    got = himu.jsonio.parse_json_rows(himu.jsonio.FilePieces(path), BundleFormatError, "bundle")
+    assert _bits(got) == _bits(json.loads(data))
+    assert [type(row["values"]) for row in (*got["clip_table"], *got["clap_table"])] == \
+        [himu.jsonio._Loaded] * 3
+    assert dumps(bundle_to_obj(load_bundle(path))) == \
+        dumps(bundle_to_obj(loads_bundle_parsed_first(data)))
 
 
 @pytest.mark.parametrize("data", [

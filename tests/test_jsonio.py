@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from himu.errors import BundleFormatError
-from himu.jsonio import _Loaded, dumps, parse_json_rows, save_json
+from himu.jsonio import _Loaded, _flat_array_after, dumps, parse_json_rows, save_json
 from oracles import dumps_stdlib
 
 
@@ -162,3 +162,11 @@ def test_only_values_members_become_float64_rows():
     assert {**got, "values": got["values"].tolist()} == json.loads(data)
     others = (got['x"values'], got['values"'], got["escaped"]["values"], got["rows"][0]["values"])
     assert [type(value) for value in others] == [list] * 4
+
+
+@pytest.mark.parametrize("buffer", [b'"values": [1.0],', b' \n"values": [1.0]{', b'"values":[]'])
+def test_a_key_at_the_buffer_front_opens_no_row(buffer):
+    """A key with only whitespace before it in the parser's buffer follows a
+    ``]`` or a cut-out row's literal in the document, so it is no member
+    whose array is cut out, whatever byte the buffer ends with."""
+    assert _flat_array_after(bytearray(buffer), buffer.index(b'"values"')) is None
